@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, sample_channel, superpose
-from .detector import detect_votes, measure_energies
-from .phy import SYMBOL_ENERGY, build_subcarrier_map, encode_signs
+from .channel import ChannelConfig, apply_sync_error, sample_channel, superpose
+from .detector import DetectionResult, detect
+from .phy import SYMBOL_ENERGY, SubcarrierMap, build_subcarrier_map, encode_signs
 
 _SNR_TOLERANCE = 1e-12
 
@@ -180,6 +180,48 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Over-the-air kernel, shared by the round loop and the oracles
+# ---------------------------------------------------------------------------
+
+# Largest complex (frames, devices, symbols, subcarriers) array the kernel
+# builds at once.  A 7,850-parameter round (19 frames of 13 x 64 bins from
+# 31 devices, 7.8 MB) fits one block; larger models run in several.
+BLOCK_BYTES = 8 * 2**20
+
+
+def air_detect(signs, powers, mapping: SubcarrierMap, channel: ChannelConfig,
+               device_rngs, channel_rngs, noise_rngs) -> DetectionResult:
+    """Detection of frames of sign votes sent at once over the uplink.
+
+    `signs` is (frames, devices, coordinates).  Every frame is encoded,
+    faded by its own channel draw and timing ramps, superposed with noise
+    and detected; the result holds (frames, coordinates) arrays.
+    `device_rngs` holds one generator per device, drawing that device's
+    randomization symbols frame after frame; `channel_rngs` and
+    `noise_rngs` hold one generator per frame.  Frames go through in blocks
+    whose complex arrays stay within BLOCK_BYTES; since every generator
+    belongs to one device or one frame, the block size cannot change the
+    result.
+    """
+    signs = np.asarray(signs)
+    num_frames, num_devices = signs.shape[:2]
+    grid = (mapping.num_symbols, mapping.num_subcarriers)
+    frame_bytes = num_devices * grid[0] * grid[1] * np.dtype(np.complex128).itemsize
+    block = max(1, BLOCK_BYTES // max(frame_bytes, 1))
+    parts = []
+    for lo in range(0, num_frames, block):
+        hi = min(lo + block, num_frames)
+        frames = encode_signs(signs[lo:hi], mapping, device_rngs=device_rngs)
+        realization = apply_sync_error(
+            sample_channel(num_devices, *grid, channel, frame_rngs=channel_rngs[lo:hi]), channel
+        )
+        received = superpose(frames, powers, realization, channel, frame_rngs=noise_rngs[lo:hi])
+        result = detect(received, mapping)
+        parts.append((result.e_plus, result.e_minus, result.delta, result.votes))
+    return DetectionResult(*(np.concatenate(field) for field in zip(*parts)))
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo oracles
 # ---------------------------------------------------------------------------
 
@@ -189,13 +231,19 @@ _ORACLE_SYMBOLS = 32  # 1024 coordinates per frame
 
 def _frame_batches(trials: int):
     """Split `trials` independent single-coordinate experiments into OFDM
-    frames, one coordinate pair per trial."""
+    frames, one coordinate pair per trial; yields each frame's trial count
+    and its map."""
     per_frame = _ORACLE_SUBCARRIERS * _ORACLE_SYMBOLS // 2
-    done = 0
-    while done < trials:
+    for done in range(0, trials, per_frame):
         count = min(per_frame, trials - done)
-        yield count
-        done += count
+        yield count, build_subcarrier_map(count, _ORACLE_SUBCARRIERS, _ORACLE_SYMBOLS)
+
+
+def _air_detect_one_frame(signs, powers, mapping, channel, rng) -> DetectionResult:
+    """air_detect on one (devices, coordinates) frame, every draw from `rng`:
+    the devices share it, so their symbols come in device order, as one
+    C-order draw of the whole frame would give them."""
+    return air_detect(signs[None], powers, mapping, channel, [rng] * len(signs), [rng], [rng])
 
 
 def mc_mean_energy(
@@ -222,28 +270,12 @@ def mc_mean_energy(
     rng = np.random.default_rng(seed)
     cfg = ChannelConfig(noise_var=noise_var, fading="per_bin")
     total = 0.0
-    for count in _frame_batches(trials):
-        mapping = build_subcarrier_map(count, _ORACLE_SUBCARRIERS, _ORACLE_SYMBOLS)
-        shape = (active_devices, mapping.num_symbols, mapping.num_subcarriers)
-        if active_devices:
-            frames = np.stack(
-                [
-                    encode_signs(np.ones(count, dtype=int), mapping, seed=rng)
-                    for _ in range(active_devices)
-                ]
-            )
-            powers = rng.uniform(
-                mean_tx_power - power_spread, mean_tx_power + power_spread, size=active_devices
-            )
-        else:
-            frames = np.zeros(shape, dtype=np.complex128)
-            powers = np.zeros(0)
-        realization = sample_channel(
-            active_devices, mapping.num_symbols, mapping.num_subcarriers, cfg, seed=rng
+    for count, mapping in _frame_batches(trials):
+        powers = rng.uniform(
+            mean_tx_power - power_spread, mean_tx_power + power_spread, size=active_devices
         )
-        received = superpose(frames, powers, realization, cfg, seed=rng)
-        e_plus, _ = measure_energies(received, mapping)
-        total += float(e_plus.sum())
+        signs = np.ones((active_devices, count), dtype=np.int8)
+        total += float(_air_detect_one_frame(signs, powers, mapping, cfg, rng).e_plus.sum())
     return total / trials
 
 
@@ -282,18 +314,9 @@ def _mc_detection_errors(num_devices: int, sign_sampler, snr: float, trials: int
     cfg = ChannelConfig(noise_var=SYMBOL_ENERGY / snr, fading="per_bin")
     powers = np.ones(num_devices)
     errors = 0
-    for count in _frame_batches(trials):
-        mapping = build_subcarrier_map(count, _ORACLE_SUBCARRIERS, _ORACLE_SYMBOLS)
+    for count, mapping in _frame_batches(trials):
         signs = sign_sampler(rng, (num_devices, count))
-        frames = np.stack(
-            [encode_signs(signs[m], mapping, seed=rng) for m in range(num_devices)]
-        )
-        realization = sample_channel(
-            num_devices, mapping.num_symbols, mapping.num_subcarriers, cfg, seed=rng
-        )
-        received = superpose(frames, powers, realization, cfg, seed=rng)
-        e_plus, e_minus = measure_energies(received, mapping)
-        votes = detect_votes(e_plus, e_minus)
+        votes = _air_detect_one_frame(signs, powers, mapping, cfg, rng).votes
         errors += int(np.sum(votes != 1))
     estimate = errors / trials
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / trials)

@@ -8,6 +8,7 @@ leaves magnitudes untouched, which is why energy detection shrugs it off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ class ChannelConfig:
     fading: str = "per_bin"
 
     def __post_init__(self):
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
+            raise ValueError("noise_var must be finite and >= 0")
         if not 0.0 <= self.sync_error_max < 1.0:
             raise ValueError("sync_error_max must lie in [0, 1)")
         if self.fft_size < 1:
@@ -36,7 +37,7 @@ class ChannelConfig:
 @dataclass
 class ChannelRealization:
     """Per-device complex gains (devices x symbols x subcarriers) plus
-    per-device timing offsets."""
+    per-device timing offsets, optionally stacked on a leading frame axis."""
 
     coefficients: np.ndarray
     timing_offsets: np.ndarray
@@ -47,62 +48,83 @@ def sample_channel(
     num_symbols: int,
     num_subcarriers: int,
     config: ChannelConfig,
-    seed,
+    seed=None,
+    frame_rngs=None,
 ) -> ChannelRealization:
     """Draw i.i.d. circularly-symmetric complex Gaussian gains with unit
     mean-square magnitude, plus uniform timing offsets in [0, sync_error_max].
 
     per_frame fading reuses one gain per device across the whole frame;
-    "none" pins every gain to 1 for ideal-channel runs.
+    "none" pins every gain to 1 for ideal-channel runs.  With `frame_rngs`,
+    one realization per generator is stacked on a leading frame axis, each
+    drawn exactly as a call with that generator as `seed` draws it.
     """
     if num_devices < 0 or num_symbols < 1 or num_subcarriers < 1:
         raise ValueError("dimensions must be positive")
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed)] if frame_rngs is None else frame_rngs
     shape = (num_devices, num_symbols, num_subcarriers)
-    if config.fading == "per_bin":
-        coeff = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    elif config.fading == "per_frame":
-        gains = (
-            rng.standard_normal(num_devices) + 1j * rng.standard_normal(num_devices)
-        ) / np.sqrt(2.0)
-        coeff = np.broadcast_to(gains[:, None, None], shape).copy()
+    coeff = np.empty((len(rngs),) + shape, dtype=np.complex128)
+    offsets = np.empty((len(rngs), num_devices))
+    # Real parts are drawn before imaginary parts, one gain per bin or one
+    # per device for per_frame fading.
+    draw = shape if config.fading == "per_bin" else (num_devices, 1, 1)
+    for frame, rng in enumerate(rngs):
+        if config.fading != "none":
+            coeff[frame].real = rng.standard_normal(draw)
+            coeff[frame].imag = rng.standard_normal(draw)
+        offsets[frame] = rng.uniform(0.0, config.sync_error_max, size=num_devices)
+    if config.fading == "none":
+        coeff.fill(1.0)
     else:
-        coeff = np.ones(shape, dtype=np.complex128)
-    offsets = rng.uniform(0.0, config.sync_error_max, size=num_devices)
+        coeff /= np.sqrt(2.0)
+    if frame_rngs is None:
+        return ChannelRealization(coeff[0], offsets[0])
     return ChannelRealization(coeff, offsets)
 
 
 def apply_sync_error(realization: ChannelRealization, config: ChannelConfig) -> ChannelRealization:
     """Rotate each device's gains by exp(-j*2*pi*l*offset/fft_size) along the
     subcarrier axis l; magnitudes are unchanged."""
-    num_subcarriers = realization.coefficients.shape[2]
-    l = np.arange(num_subcarriers)
-    phase = -2.0 * np.pi * np.outer(realization.timing_offsets, l) / config.fft_size
-    ramp = np.exp(1j * phase)[:, None, :]
+    if not realization.timing_offsets.any():
+        return realization  # the ramp is exactly 1 everywhere
+    l = np.arange(realization.coefficients.shape[-1])
+    phase = -2.0 * np.pi * (realization.timing_offsets[..., None] * l) / config.fft_size
+    ramp = np.exp(1j * phase)[..., None, :]
     return ChannelRealization(realization.coefficients * ramp, realization.timing_offsets)
 
 
-def superpose(frames, powers, realization: ChannelRealization, config: ChannelConfig, seed) -> np.ndarray:
+def superpose(frames, powers, realization: ChannelRealization, config: ChannelConfig,
+              seed=None, frame_rngs=None) -> np.ndarray:
     """Received frame: sum over devices of sqrt(power) * gain * transmitted
-    bin, plus complex Gaussian noise of total variance noise_var."""
+    bin, plus complex Gaussian noise of total variance noise_var.
+
+    `frames` is (devices, symbols, subcarriers), or (frames, devices,
+    symbols, subcarriers) with one received frame per leading index.  Each
+    received frame draws its noise, real parts first, from `seed`, one
+    generator shared by the frames in order, or from its own generator in
+    `frame_rngs`.
+    """
     frames = np.asarray(frames, dtype=np.complex128)
-    if frames.ndim != 3:
-        raise ValueError("frames must be stacked as (devices, symbols, subcarriers)")
+    if frames.ndim not in (3, 4):
+        raise ValueError("frames must be stacked as ([frames,] devices, symbols, subcarriers)")
     powers = np.asarray(powers, dtype=np.float64)
     if frames.shape != realization.coefficients.shape:
         raise ValueError(
             f"frames shape {frames.shape} does not match channel shape "
             f"{realization.coefficients.shape}"
         )
-    if powers.shape != (frames.shape[0],):
-        raise ValueError(f"{powers.size} powers for {frames.shape[0]} devices")
-    received = np.sum(
-        np.sqrt(powers)[:, None, None] * realization.coefficients * frames, axis=0
-    )
+    if powers.shape != (frames.shape[-3],):
+        raise ValueError(f"{powers.size} powers for {frames.shape[-3]} devices")
+    if frame_rngs is not None and (frames.ndim != 4 or len(frame_rngs) != frames.shape[0]):
+        raise ValueError(f"{len(frame_rngs)} noise generators for frames of shape {frames.shape}")
+    weighted = np.sqrt(powers)[:, None, None] * realization.coefficients
+    weighted *= frames
+    received = weighted.sum(axis=-3)
     if config.noise_var > 0:
-        rng = np.random.default_rng(seed)
         scale = np.sqrt(config.noise_var / 2.0)
-        received = received + scale * (
-            rng.standard_normal(received.shape) + 1j * rng.standard_normal(received.shape)
-        )
+        received_frames = received.reshape((-1,) + received.shape[-2:])
+        if frame_rngs is None:
+            frame_rngs = [np.random.default_rng(seed)] * len(received_frames)
+        for frame, rng in zip(received_frames, frame_rngs):
+            frame += scale * (rng.standard_normal(frame.shape) + 1j * rng.standard_normal(frame.shape))
     return received

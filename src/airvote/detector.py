@@ -23,18 +23,19 @@ class DetectionResult:
 
 
 def measure_energies(received: np.ndarray, mapping: SubcarrierMap) -> tuple[np.ndarray, np.ndarray]:
-    """Squared magnitudes of the paired bins of every coordinate."""
+    """Squared magnitudes of the paired bins of every coordinate; received
+    frames (..., symbols, subcarriers) give energies (..., coordinates)."""
     received = np.asarray(received)
-    if received.ndim != 2:
-        raise ValueError("received frame must be 2-D (symbols x subcarriers)")
-    num_symbols, num_subcarriers = received.shape
+    if received.ndim < 2:
+        raise ValueError("received frames must be at least 2-D (symbols x subcarriers)")
+    num_symbols, num_subcarriers = received.shape[-2:]
     if mapping.num_symbols > num_symbols or mapping.num_subcarriers > num_subcarriers:
         raise ValueError(
             f"map addresses a {mapping.num_symbols} x {mapping.num_subcarriers} grid "
             f"but the frame is {num_symbols} x {num_subcarriers}"
         )
-    e_plus = np.abs(received[mapping.sym_plus, mapping.sub_plus]) ** 2
-    e_minus = np.abs(received[mapping.sym_minus, mapping.sub_minus]) ** 2
+    e_plus = np.abs(received[..., mapping.sym_plus, mapping.sub_plus]) ** 2
+    e_minus = np.abs(received[..., mapping.sym_minus, mapping.sub_minus]) ** 2
     return e_plus, e_minus
 
 

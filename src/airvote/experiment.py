@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import comm_cost
-from .channel import ChannelConfig, apply_sync_error, sample_channel, superpose
-from .detector import detect, ideal_majority_vote
+from .analysis import air_detect, comm_cost
+from .channel import ChannelConfig
+from .detector import ideal_majority_vote
 from .learner import (
     Dataset,
     ModelState,
@@ -39,7 +40,6 @@ from .phy import (
     PowerState,
     SubcarrierMap,
     build_subcarrier_map,
-    encode_signs,
     initial_power_state,
     mean_power,
     update_power,
@@ -68,17 +68,14 @@ class PhyConfig:
     num_subcarriers: int = 64
     num_symbols: int = 8
     power_cap: float | None = None
-    # Pins every randomization symbol to 1; reachable only from code, not
-    # from config files, and used solely by the detection-oracle tests.
-    pin_unit_randomization: bool = False
 
     def __post_init__(self):
         if self.num_subcarriers < 2 or self.num_subcarriers % 2:
             raise ValueError("num_subcarriers must be a positive even number")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be positive")
-        if self.power_cap is not None and self.power_cap < 1.0:
-            raise ValueError("power_cap below the initial power of 1 makes no sense")
+        if self.power_cap is not None and not (math.isfinite(self.power_cap) and self.power_cap >= 1.0):
+            raise ValueError("power_cap must be finite and no lower than the initial power of 1")
 
 
 @dataclass
@@ -96,6 +93,8 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.samples < 1 or self.test_samples < 1:
             raise ValueError("samples and test_samples must be positive")
+        if not math.isfinite(self.separation):
+            raise ValueError("separation must be finite")
 
 
 @dataclass
@@ -154,7 +153,8 @@ class RunState:
     train: Dataset
     test: Dataset
     shards: list
-    chunks: list[tuple[int, int, SubcarrierMap]]
+    num_frames: int
+    mapping: SubcarrierMap
     last_vote: np.ndarray | None = None
 
 
@@ -204,19 +204,13 @@ def build_datasets(spec: DatasetSpec, master_seed: int) -> tuple[Dataset, Datase
     return _subsample(train, spec.samples, rng), _subsample(test, spec.test_samples, rng)
 
 
-def _coordinate_chunks(num_params: int, phy: PhyConfig) -> list[tuple[int, int, SubcarrierMap]]:
-    """Split model coordinates across as many sequential frames as needed;
-    each chunk owns an independent channel realization per round."""
+def _coordinate_chunks(num_params: int, phy: PhyConfig) -> tuple[int, SubcarrierMap]:
+    """Number of sequential frames the model coordinates need, and the
+    full-frame map every frame uses.  The last frame is padded; each frame
+    has its own channel realization per round."""
     capacity = phy.num_subcarriers * phy.num_symbols // 2
-    maps: dict[int, SubcarrierMap] = {}
-    chunks = []
-    for lo in range(0, num_params, capacity):
-        hi = min(lo + capacity, num_params)
-        size = hi - lo
-        if size not in maps:
-            maps[size] = build_subcarrier_map(size, phy.num_subcarriers, phy.num_symbols)
-        chunks.append((lo, hi, maps[size]))
-    return chunks
+    mapping = build_subcarrier_map(capacity, phy.num_subcarriers, phy.num_symbols)
+    return -(-num_params // capacity), mapping
 
 
 def prepare_run(config: ExperimentConfig) -> RunState:
@@ -235,8 +229,8 @@ def prepare_run(config: ExperimentConfig) -> RunState:
         )
     model = predictor.init_state(seed=derive_rng(config.master_seed, STREAM_INIT))
     powers = initial_power_state(config.training.num_devices)
-    chunks = _coordinate_chunks(predictor.num_params, config.phy)
-    return RunState(model, powers, predictor, train, test, shards, chunks)
+    num_frames, mapping = _coordinate_chunks(predictor.num_params, config.phy)
+    return RunState(model, powers, predictor, train, test, shards, num_frames, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -245,39 +239,33 @@ def prepare_run(config: ExperimentConfig) -> RunState:
 
 def _air_vote(sign_matrix: np.ndarray, powers: np.ndarray, state: RunState,
               config: ExperimentConfig, round_idx: int) -> np.ndarray:
-    """Encode, superpose over the fading channel, and detect, frame by frame."""
-    num_devices = sign_matrix.shape[0]
-    votes = np.empty(sign_matrix.shape[1], dtype=np.int8)
-    randomize = not config.phy.pin_unit_randomization
-    for chunk_idx, (lo, hi, mapping) in enumerate(state.chunks):
-        frames = np.stack(
-            [
-                encode_signs(
-                    sign_matrix[m, lo:hi],
-                    mapping,
-                    seed=derive_rng(config.master_seed, STREAM_ENCODE, round_idx, chunk_idx, m),
-                    randomize=randomize,
-                )
-                for m in range(num_devices)
-            ]
-        )
-        realization = sample_channel(
-            num_devices,
-            mapping.num_symbols,
-            mapping.num_subcarriers,
-            config.channel,
-            seed=derive_rng(config.master_seed, STREAM_CHANNEL, round_idx, chunk_idx),
-        )
-        realization = apply_sync_error(realization, config.channel)
-        received = superpose(
-            frames,
-            powers,
-            realization,
-            config.channel,
-            seed=derive_rng(config.master_seed, STREAM_NOISE, round_idx, chunk_idx),
-        )
-        votes[lo:hi] = detect(received, mapping).votes
-    return votes
+    """Encode, superpose over the fading channel, and detect every frame of
+    the round in one kernel call.
+
+    The coordinates are cut into state.num_frames full frames, the last
+    padded with +1 votes that are dropped after detection.  Device m draws
+    its randomization symbols for all frames, in order, from the generator
+    at path (round, 0, m); frame f has its own channel and noise generators
+    at (round, f).  A run whose model fits one frame therefore matches the
+    earlier per-frame, per-device generator layout byte for byte.
+    """
+    num_devices, num_params = sign_matrix.shape
+    mapping = state.mapping
+    padded = np.ones((num_devices, state.num_frames * mapping.num_coordinates), dtype=np.int8)
+    padded[:, :num_params] = sign_matrix
+    signs = padded.reshape(num_devices, state.num_frames, -1).transpose(1, 0, 2)
+    seed = config.master_seed
+    frames = range(state.num_frames)
+    result = air_detect(
+        signs,
+        powers,
+        mapping,
+        config.channel,
+        device_rngs=[derive_rng(seed, STREAM_ENCODE, round_idx, 0, m) for m in range(num_devices)],
+        channel_rngs=[derive_rng(seed, STREAM_CHANNEL, round_idx, f) for f in frames],
+        noise_rngs=[derive_rng(seed, STREAM_NOISE, round_idx, f) for f in frames],
+    )
+    return result.votes.reshape(-1)[:num_params]
 
 
 def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tuple[RunState, RoundMetrics | None]:
@@ -306,7 +294,7 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
         model = ModelState(state.model.weights - training.learning_rate * direction,
                            state.model.round + 1)
     else:
-        sign_matrix = np.stack([sign_quantize(g.values) for g in grads])
+        sign_matrix = sign_quantize(np.stack([g.values for g in grads]))
         ideal = ideal_majority_vote(sign_matrix)
         if config.scheme == "ideal_signsgd_mv":
             vote = ideal

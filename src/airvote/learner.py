@@ -9,6 +9,7 @@ fixed-size step against it.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 
@@ -99,8 +100,8 @@ class TrainingConfig:
     hidden_units: int = 32
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.batch_size < 1 or self.rounds < 1 or self.num_devices < 1:
             raise ValueError("batch_size, rounds and num_devices must be positive")
         if self.partition_mode not in ("iid", "non-iid"):

@@ -66,32 +66,57 @@ def build_subcarrier_map(num_coordinates: int, num_subcarriers: int, num_symbols
     )
 
 
-def encode_signs(signs, mapping: SubcarrierMap, seed, randomize: bool = True) -> np.ndarray:
-    """Frequency-domain frame for one device's sign vector.
+def encode_signs(signs, mapping: SubcarrierMap, seed=None, randomize: bool = True,
+                 device_rngs=None) -> np.ndarray:
+    """Frequency-domain frames for sign vectors stacked on leading axes.
 
-    The bin matching each sign holds sqrt(SYMBOL_ENERGY) * exp(j*phi) with
-    phi uniform on [0, 2*pi); the paired bin stays zero.  Transmit power is
-    applied later, during superposition.  randomize=False pins every
-    randomization symbol to 1 and exists only for detection-oracle tests.
+    `signs` has shape (..., coordinates) and the result (..., symbols,
+    subcarriers), one frame per sign vector.  The bin matching each sign
+    holds sqrt(SYMBOL_ENERGY) * exp(j*phi) with phi uniform on [0, 2*pi);
+    the paired bin stays zero.  Transmit power is applied later, during
+    superposition.
+
+    The phases come from `seed`, one generator drawing every vector in C
+    order, or from `device_rngs`, one generator per index of the device
+    axis (the second to last), each drawing its device's vectors in C order
+    of the axes before it; for (frames, devices, coordinates) signs that is
+    frame after frame.  randomize=False pins every randomization symbol to
+    1 and exists only for detection-oracle tests.
     """
     signs = np.asarray(signs)
-    if signs.size != mapping.num_coordinates:
+    if signs.shape[-1:] != (mapping.num_coordinates,):
         raise ValueError(
-            f"{signs.size} signs for a map of {mapping.num_coordinates} coordinates"
+            f"sign vectors of shape {signs.shape} for a map of "
+            f"{mapping.num_coordinates} coordinates"
         )
     if not np.all(np.abs(signs) == 1):
         raise ValueError("signs must be exactly -1 or +1")
-    if randomize:
-        rng = np.random.default_rng(seed)
-        symbols = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=signs.size))
+    # Symbols are exp(1j * phi); the in-place steps compute exactly what
+    # np.exp(1j * phi) and a scalar product would, without temporaries.
+    amplitude = np.zeros(signs.shape, dtype=np.complex128)
+    if not randomize:
+        amplitude.real = 1.0
+    elif device_rngs is not None:
+        if signs.ndim < 2 or len(device_rngs) != signs.shape[-2]:
+            raise ValueError(f"{len(device_rngs)} device generators for signs of shape {signs.shape}")
+        per_device = signs.shape[:-2] + signs.shape[-1:]
+        for device, rng in enumerate(device_rngs):
+            amplitude.imag[..., device, :] = rng.uniform(0.0, 2.0 * np.pi, size=per_device)
+        np.exp(amplitude, out=amplitude)
     else:
-        symbols = np.ones(signs.size, dtype=np.complex128)
-    frame = np.zeros(mapping.grid_shape(), dtype=np.complex128)
-    amplitude = np.sqrt(SYMBOL_ENERGY) * symbols
-    positive = signs > 0
-    frame[mapping.sym_plus[positive], mapping.sub_plus[positive]] = amplitude[positive]
-    frame[mapping.sym_minus[~positive], mapping.sub_minus[~positive]] = amplitude[~positive]
-    return frame
+        rng = np.random.default_rng(seed)
+        amplitude.imag = rng.uniform(0.0, 2.0 * np.pi, size=signs.shape)
+        np.exp(amplitude, out=amplitude)
+    amplitude *= np.sqrt(SYMBOL_ENERGY)
+    num_symbols, num_subcarriers = mapping.grid_shape()
+    bins = np.where(
+        signs > 0,
+        mapping.sym_plus * num_subcarriers + mapping.sub_plus,
+        mapping.sym_minus * num_subcarriers + mapping.sub_minus,
+    ).reshape(-1, signs.shape[-1])
+    frames = np.zeros((bins.shape[0], num_symbols * num_subcarriers), dtype=np.complex128)
+    np.put_along_axis(frames, bins, amplitude.reshape(bins.shape), axis=1)
+    return frames.reshape(signs.shape[:-1] + (num_symbols, num_subcarriers))
 
 
 # ---------------------------------------------------------------------------

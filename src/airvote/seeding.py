@@ -3,6 +3,17 @@
 Every stochastic operation in the package draws from a generator derived
 from (master_seed, stream, *path), so per-device and per-trial work can be
 reordered or parallelized without changing results.
+
+Paths used by the round loop, per round r:
+- STREAM_BATCH (r, m): device m's mini batch;
+- STREAM_ENCODE (r, 0, m): device m's randomization symbols for every
+  frame of the round, drawn frame after frame;
+- STREAM_CHANNEL (r, f) and STREAM_NOISE (r, f): frame f's fading, timing
+  offsets and receiver noise.
+
+Encode generators were once derived per (round, frame, device) at path
+(r, f, m).  Frame 0 keeps that path, so runs whose model fits one frame
+produce the same bytes under either layout; runs with more frames differ.
 """
 
 import numpy as np

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from airvote.channel import (
+    FADING_MODES,
     ChannelConfig,
     ChannelRealization,
     apply_sync_error,
@@ -153,3 +154,25 @@ def test_superpose_deterministic():
     a = superpose(frames, np.ones(2), real, cfg, seed=4)
     b = superpose(frames, np.ones(2), real, cfg, seed=4)
     np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("fading", FADING_MODES)
+def test_frame_axis_matches_per_frame_calls(fading):
+    cfg = ChannelConfig(noise_var=0.3, sync_error_max=0.3, fft_size=16, fading=fading)
+    rng = np.random.default_rng(11)
+    frames = rng.normal(size=(3, 4, 2, 8)) + 1j * rng.normal(size=(3, 4, 2, 8))
+    powers = np.array([1.0, 2.0, 0.5, 3.0])
+
+    def generators(tag):
+        return [np.random.default_rng((tag, f)) for f in range(3)]
+
+    real = apply_sync_error(sample_channel(4, 2, 8, cfg, frame_rngs=generators(0)), cfg)
+    received = superpose(frames, powers, real, cfg, frame_rngs=generators(1))
+    assert real.coefficients.shape == (3, 4, 2, 8) and received.shape == (3, 2, 8)
+    for f, (channel_rng, noise_rng) in enumerate(zip(generators(0), generators(1))):
+        single = apply_sync_error(sample_channel(4, 2, 8, cfg, seed=channel_rng), cfg)
+        np.testing.assert_array_equal(real.coefficients[f], single.coefficients)
+        np.testing.assert_array_equal(real.timing_offsets[f], single.timing_offsets)
+        np.testing.assert_array_equal(received[f], superpose(frames[f], powers, single, cfg, seed=noise_rng))
+    with pytest.raises(ValueError, match="noise generators"):
+        superpose(frames, powers, real, cfg, frame_rngs=generators(1)[:2])

@@ -144,3 +144,15 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     path.write_text("rounds = many\n")
     assert main(["train", "--config", str(path)]) == 1
     assert "bad value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["learning_rate = nan", "channel.noise_var = inf", "phy.power_cap = nan", "dataset.separation = -inf"],
+)
+def test_non_finite_config_value_exits_1_before_training(tmp_path, capsys, line):
+    config_path, output = write_config(tmp_path)
+    config_path.write_text(config_path.read_text() + line + "\n")
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not output.exists()  # rejected at load, before the first round

@@ -126,6 +126,17 @@ def test_detection_result_fields_consistent():
     np.testing.assert_array_equal(result.votes, detect_votes(result.e_plus, result.e_minus))
 
 
+def test_detect_frame_axis_matches_per_frame_detect():
+    mapping = build_subcarrier_map(6, 8, 2)
+    rng = np.random.default_rng(8)
+    received = rng.normal(size=(3, 2, 8)) + 1j * rng.normal(size=(3, 2, 8))
+    batch = detect(received, mapping)
+    for f in range(3):
+        single = detect(received[f], mapping)
+        for name in ("e_plus", "e_minus", "delta", "votes"):
+            np.testing.assert_array_equal(getattr(batch, name)[f], getattr(single, name))
+
+
 # ---------------------------------------------------------------------------
 # Energy statistics
 # ---------------------------------------------------------------------------

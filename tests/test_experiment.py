@@ -1,9 +1,11 @@
+import functools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from airvote import analysis
 from airvote.channel import ChannelConfig
 from airvote.experiment import (
     DatasetSpec,
@@ -20,6 +22,7 @@ from airvote.experiment import (
     summary_path,
 )
 from airvote.learner import TrainingConfig
+from airvote.phy import encode_signs
 
 JSONL_KEYS = ["round", "test_accuracy", "test_loss", "mean_power", "vote_agreement", "empirical_perr"]
 
@@ -45,10 +48,11 @@ def small_config(scheme="fsk_mv_dpc", seed=0, **overrides):
 # ---------------------------------------------------------------------------
 
 def test_coordinate_chunks_split_and_reuse_maps():
-    chunks = _coordinate_chunks(21, PhyConfig(num_subcarriers=16, num_symbols=2))
-    assert [(lo, hi) for lo, hi, _ in chunks] == [(0, 16), (16, 21)]
-    chunks = _coordinate_chunks(32, PhyConfig(num_subcarriers=16, num_symbols=2))
-    assert chunks[0][2] is chunks[1][2]  # equal-size chunks share one map
+    # every frame, the padded last one too, uses the full-frame map
+    for num_params, frames in [(21, 2), (32, 2), (33, 3), (5, 1)]:
+        num_frames, mapping = _coordinate_chunks(num_params, PhyConfig(num_subcarriers=16, num_symbols=2))
+        assert num_frames == frames
+        assert mapping.num_coordinates == 16 and mapping.grid_shape() == (2, 16)
 
 
 def test_synthetic_train_test_share_class_means():
@@ -122,13 +126,11 @@ def test_power_cap_respected():
     assert np.all(state.powers.powers <= 1.5 + 1e-12)
 
 
-def test_pipeline_votes_match_ideal_votes_in_clean_channel():
+def test_pipeline_votes_match_ideal_votes_in_clean_channel(monkeypatch):
     # Pinned randomization, unit gains, no noise, unit powers: the AirComp
     # vote stream must equal the perfect majority-vote stream bit for bit.
-    clean = dict(
-        channel=ChannelConfig(noise_var=0.0, fading="none"),
-        phy=PhyConfig(num_subcarriers=16, num_symbols=2, pin_unit_randomization=True),
-    )
+    monkeypatch.setattr(analysis, "encode_signs", functools.partial(encode_signs, randomize=False))
+    clean = dict(channel=ChannelConfig(noise_var=0.0, fading="none"))
     config_air = small_config(scheme="fsk_mv", seed=11, **clean)
     config_ideal = small_config(scheme="ideal_signsgd_mv", seed=11)
     config_air.training.rounds = 20
@@ -139,6 +141,20 @@ def test_pipeline_votes_match_ideal_votes_in_clean_channel():
     for va, vi in zip(votes_air, votes_ideal):
         np.testing.assert_array_equal(va, vi)
     np.testing.assert_array_equal(state_air.model.weights, state_ideal.model.weights)
+
+
+def test_round_kernel_block_size_does_not_change_votes(monkeypatch):
+    # 21 parameters over 8-coordinate frames: 3 frames per round, the last
+    # one padded; one frame per kernel block against all frames in one.
+    config = small_config(scheme="fsk_mv_dpc", seed=5, phy=PhyConfig(16, 1))
+    config.training.rounds = 4
+    _, state, votes = run_rounds(config, record_votes=True)
+    assert state.num_frames == 3
+    monkeypatch.setattr(analysis, "BLOCK_BYTES", 1)
+    _, blocked_state, blocked_votes = run_rounds(config, record_votes=True)
+    for whole, blocked in zip(votes, blocked_votes):
+        np.testing.assert_array_equal(whole, blocked)
+    np.testing.assert_array_equal(state.powers.powers, blocked_state.powers.powers)
 
 
 def test_fedavg_smoothed_train_loss_non_increasing():

@@ -100,6 +100,26 @@ def test_encode_deterministic_and_validates():
         encode_signs(np.array([1, -1]), m, seed=0)
 
 
+def test_encode_batch_matches_stacked_single_vector_encodes():
+    m = build_subcarrier_map(6, 8, 2)
+    signs = np.random.default_rng(3).choice([-1, 1], size=(3, 4, 6))
+    # one generator per device draws that device's frames in order
+    batch = encode_signs(signs, m, device_rngs=[np.random.default_rng((7, d)) for d in range(4)])
+    rngs = [np.random.default_rng((7, d)) for d in range(4)]
+    reference = [[encode_signs(signs[f, d], m, seed=rngs[d]) for d in range(4)] for f in range(3)]
+    np.testing.assert_array_equal(batch, np.array(reference))
+    # one generator draws every vector in C order
+    rng = np.random.default_rng(5)
+    reference = [encode_signs(row, m, seed=rng) for row in signs.reshape(-1, 6)]
+    np.testing.assert_array_equal(encode_signs(signs, m, seed=5), np.array(reference).reshape(3, 4, 2, 8))
+    pinned = [encode_signs(row, m, randomize=False) for row in signs.reshape(-1, 6)]
+    np.testing.assert_array_equal(
+        encode_signs(signs, m, randomize=False), np.array(pinned).reshape(3, 4, 2, 8)
+    )
+    with pytest.raises(ValueError, match="device generators"):
+        encode_signs(signs, m, device_rngs=[np.random.default_rng(0)] * 3)
+
+
 # ---------------------------------------------------------------------------
 # Power control
 # ---------------------------------------------------------------------------
