@@ -18,7 +18,6 @@ from airvote import (
     detect,
     encode_signs,
     ideal_majority_vote,
-    initial_power_state,
     mean_power,
     sample_channel,
     signed_agreement,
@@ -66,8 +65,8 @@ print(f"\nvote agreement with the perfect majority vote: {agreement:.0%}")
 print("timing offsets only rotate phases, so they never touch the energies above")
 
 # --- power control ---------------------------------------------------------
-powers = initial_power_state(DEVICES)
+powers = np.ones(DEVICES)  # every device starts at unit transmit power
 print("\nsigned per-device agreement with the detected vote:", np.round(signed_agreement(signs, result.votes), 3))
 powers = update_power(powers, signs, result.votes)
-print("powers after one update (grow by |signed agreement|):", np.round(powers.powers, 3))
+print("powers after one update (grow by |signed agreement|):", np.round(powers, 3))
 print(f"mean transmit power: {mean_power(powers):.3f}")

@@ -26,7 +26,7 @@ def build_config(scheme, rounds, seed):
     return ExperimentConfig(
         scheme=scheme,
         training=TrainingConfig(
-            learning_rate=0.004, batch_size=128, rounds=rounds, num_devices=31, seed=seed
+            learning_rate=0.004, batch_size=128, rounds=rounds, num_devices=31
         ),
         channel=ChannelConfig(noise_var=0.5, sync_error_max=0.25),
         phy=PhyConfig(num_subcarriers=64, num_symbols=13),

@@ -39,7 +39,6 @@ from .experiment import (
 from .learner import (
     Dataset,
     DatasetShard,
-    GradientVector,
     IdxFormatError,
     ModelState,
     SoftmaxRegression,
@@ -56,11 +55,9 @@ from .learner import (
 )
 from .phy import (
     SYMBOL_ENERGY,
-    PowerState,
     SubcarrierMap,
     build_subcarrier_map,
     encode_signs,
-    initial_power_state,
     mean_power,
     signed_agreement,
     update_power,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -306,10 +307,16 @@ def mc_flip_prob(grad_mean: float, grad_std: float, batch_size: int, trials: int
     return estimate, stderr
 
 
+# Fewest trials an error-probability estimate accepts.
+MC_ERROR_PROB_MIN_TRIALS = 1000
+
+
 def _mc_detection_errors(num_devices: int, sign_sampler, snr: float, trials: int, seed) -> tuple[float, float]:
     """Shared core: detected vote vs. a true sign of +1, through the real
     pipeline with Rayleigh fading, fresh randomization, unit powers, and
     noise_var = symbol_energy / snr."""
+    if trials < MC_ERROR_PROB_MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
     rng = np.random.default_rng(seed)
     cfg = ChannelConfig(noise_var=SYMBOL_ENERGY / snr, fading="per_bin")
     powers = np.ones(num_devices)
@@ -331,8 +338,6 @@ def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, s
     noise together never changes an energy comparison), so the simulation
     fixes unit powers and sets noise_var = symbol_energy / snr.
     """
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
     if not 0.0 < flip_prob < 0.5:
         raise ValueError("flip_prob must lie in (0, 1/2)")
     if num_devices < 1 or snr <= 0:
@@ -348,8 +353,6 @@ def mc_error_prob_gaussian(num_devices: int, grad_snr: float, snr: float, trials
     """Like mc_error_prob, but each device's sign comes from Gaussian
     mini-batch gradient noise at the given grad_snr (flip probability
     Phi(-grad_snr))."""
-    if trials < 1000:
-        raise ValueError("trials must be >= 1000")
     if grad_snr <= 0 or num_devices < 1 or snr <= 0:
         raise ValueError("grad_snr, num_devices and snr must be positive")
 
@@ -379,7 +382,7 @@ ERROR_PROB_GRID = {
 }
 
 
-def run_mean_energy_suite(trials: int = 100_000, seed: int = 0, power_spread: float = 0.0) -> list[dict]:
+def run_mean_energy_suite(trials: int = 100_000, seed: int = 0) -> list[dict]:
     """Grid comparison of simulated vs. predicted mean bin energy."""
     rows = []
     for devices in MEAN_ENERGY_GRID["active_devices"]:
@@ -389,7 +392,6 @@ def run_mean_energy_suite(trials: int = 100_000, seed: int = 0, power_spread: fl
                 estimate = mc_mean_energy(
                     devices, power, noise, trials,
                     seed=(seed, devices, int(power * 2), int(noise * 10)),
-                    power_spread=power_spread,
                 )
                 rel_err = abs(estimate - predicted) / predicted
                 rows.append(
@@ -454,3 +456,33 @@ def run_error_prob_suite(trials: int = 10_000, seed: int = 0) -> list[dict]:
                     }
                 )
     return rows
+
+
+def _cell(key: str, spec: str = "") -> Callable[[dict], str]:
+    return lambda row: format(row[key], spec)
+
+
+# How each suite is printed: (runner, title, columns).  The runner takes
+# (trials, seed) and returns rows, the title takes the trial count, and each
+# column is (header, cell text of a row).
+SUITE_TABLES = {
+    "mean-energy": (
+        run_mean_energy_suite, "mean received bin energy vs closed form ({trials} trials)",
+        (("devices", _cell("active_devices")), ("power", _cell("mean_tx_power", "g")),
+         ("noise", _cell("noise_var", "g")), ("predicted", _cell("predicted", ".4f")),
+         ("estimate", _cell("estimate", ".4f")), ("rel_err", _cell("rel_err", ".4%"))),
+    ),
+    "flip-prob": (
+        run_flip_prob_suite, "sign-flip frequency vs unimodal tail bound ({trials} draws)",
+        (("grad_snr", _cell("grad_snr", "g")), ("estimate", _cell("estimate", ".5f")),
+         ("bound", _cell("bound", ".5f")),
+         ("slack", lambda r: f"{r['bound'] + 3 * r['stderr'] - r['estimate']:+.5f}")),
+    ),
+    "error-prob": (
+        run_error_prob_suite, "majority-vote error vs attenuated target ({trials} trials)",
+        (("devices", _cell("num_devices")), ("snr", _cell("snr", "g")),
+         ("flip", _cell("flip_prob", "g")), ("estimate", _cell("estimate", ".4f")),
+         ("exact", _cell("exact", ".4f")), ("target", _cell("target", ".4f")),
+         ("<1/2", lambda r: "yes" if r["below_half"] else "NO")),
+    ),
+}

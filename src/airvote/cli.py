@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -25,8 +26,7 @@ SUITE_ALIASES = {
     "lemmad1": "flip-prob",
     "lemma32": "error-prob",
 }
-SUITES = ("mean-energy", "flip-prob", "error-prob", "all")
-_DEFAULT_TRIALS = {"mean-energy": 100_000, "flip-prob": 100_000, "error-prob": 10_000}
+SUITES = (*analysis.SUITE_TABLES, "all")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,73 +103,33 @@ def _print_table(title: str, header: list[str], rows: list[list[str]]):
 
 
 def _run_suite(name: str, trials: int | None, seed: int) -> bool:
-    if name == "mean-energy":
-        rows = analysis.run_mean_energy_suite(trials or _DEFAULT_TRIALS[name], seed)
-        _print_table(
-            f"mean received bin energy vs closed form ({trials or _DEFAULT_TRIALS[name]} trials)",
-            ["devices", "power", "noise", "predicted", "estimate", "rel_err", "status"],
-            [
-                [
-                    str(r["active_devices"]),
-                    f"{r['mean_tx_power']:g}",
-                    f"{r['noise_var']:g}",
-                    f"{r['predicted']:.4f}",
-                    f"{r['estimate']:.4f}",
-                    f"{r['rel_err']:.4%}",
-                    "PASS" if r["passed"] else "FAIL",
-                ]
-                for r in rows
-            ],
-        )
-        return all(r["passed"] for r in rows)
-    if name == "flip-prob":
-        rows = analysis.run_flip_prob_suite(trials or _DEFAULT_TRIALS[name], seed)
-        _print_table(
-            f"sign-flip frequency vs unimodal tail bound ({trials or _DEFAULT_TRIALS[name]} draws)",
-            ["grad_snr", "estimate", "bound", "slack", "status"],
-            [
-                [
-                    f"{r['grad_snr']:g}",
-                    f"{r['estimate']:.5f}",
-                    f"{r['bound']:.5f}",
-                    f"{r['bound'] + 3 * r['stderr'] - r['estimate']:+.5f}",
-                    "PASS" if r["passed"] else "FAIL",
-                ]
-                for r in rows
-            ],
-        )
-        return all(r["passed"] for r in rows)
-    rows = analysis.run_error_prob_suite(trials or _DEFAULT_TRIALS["error-prob"], seed)
+    run, title, columns = analysis.SUITE_TABLES[name]
+    if trials is None:
+        trials = inspect.signature(run).parameters["trials"].default
+    rows = run(trials, seed)
     _print_table(
-        f"majority-vote error vs attenuated target ({trials or _DEFAULT_TRIALS['error-prob']} trials)",
-        ["devices", "snr", "flip", "estimate", "exact", "target", "<1/2", "status"],
-        [
-            [
-                str(r["num_devices"]),
-                f"{r['snr']:g}",
-                f"{r['flip_prob']:g}",
-                f"{r['estimate']:.4f}",
-                f"{r['exact']:.4f}",
-                f"{r['target']:.4f}",
-                "yes" if r["below_half"] else "NO",
-                "PASS" if r["passed"] else "FAIL",
-            ]
-            for r in rows
-        ],
+        title.format(trials=trials),
+        [header for header, _ in columns] + ["status"],
+        [[cell(r) for _, cell in columns] + ["PASS" if r["passed"] else "FAIL"] for r in rows],
     )
-    if not all(r["passed"] for r in rows):
+    passed = all(r["passed"] for r in rows)
+    if name == "error-prob" and not passed:
         print(
             "note: the (1-q)-attenuated target sits below the exact detector error\n"
             "(K*q + 1/snr)/(K + 2/snr) by K*q^2/(K + 2/snr), so flip rates of 0.2\n"
             "and above exceed it by far more than Monte Carlo noise; the estimates\n"
             "above should instead match the `exact` column.\n"
         )
-    return all(r["passed"] for r in rows)
+    return passed
 
 
 def _cmd_mc_verify(args) -> int:
     suite = SUITE_ALIASES.get(args.suite, args.suite)
-    names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
+    names = list(analysis.SUITE_TABLES) if suite == "all" else [suite]
+    if args.trials is not None:
+        floor = analysis.MC_ERROR_PROB_MIN_TRIALS if "error-prob" in names else 1
+        if args.trials < floor:
+            raise ValueError(f"trials must be >= {floor}")
     ok = True
     for name in names:
         ok = _run_suite(name, args.trials, args.seed) and ok

@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
-from dataclasses import dataclass, field, replace
+import os
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -36,14 +38,7 @@ from .learner import (
     partition,
     sign_quantize,
 )
-from .phy import (
-    PowerState,
-    SubcarrierMap,
-    build_subcarrier_map,
-    initial_power_state,
-    mean_power,
-    update_power,
-)
+from .phy import SubcarrierMap, build_subcarrier_map, mean_power, update_power
 from .seeding import (
     STREAM_BATCH,
     STREAM_CHANNEL,
@@ -122,8 +117,7 @@ class RoundMetrics:
     vote_agreement compares the applied vote with the perfect majority
     vote; empirical_perr compares it with the sign of the full-dataset
     gradient.  Both are None for the pre-training baseline record and for
-    the float-averaging scheme, which has no votes.  wall_time_ms is kept
-    for callers but never serialized, so metrics files stay reproducible.
+    the float-averaging scheme, which has no votes.
     """
 
     round: int
@@ -132,23 +126,15 @@ class RoundMetrics:
     mean_power: float
     vote_agreement: float | None
     empirical_perr: float | None
-    wall_time_ms: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "round": self.round,
-            "test_accuracy": self.test_accuracy,
-            "test_loss": self.test_loss,
-            "mean_power": self.mean_power,
-            "vote_agreement": self.vote_agreement,
-            "empirical_perr": self.empirical_perr,
-        }
+        return asdict(self)
 
 
 @dataclass
 class RunState:
     model: ModelState
-    powers: PowerState
+    powers: np.ndarray        # per-device transmit power multipliers
     predictor: object
     train: Dataset
     test: Dataset
@@ -192,14 +178,9 @@ def build_datasets(spec: DatasetSpec, master_seed: int) -> tuple[Dataset, Datase
         train = Dataset(full.features[: spec.samples], full.labels[: spec.samples], full.num_classes)
         test = Dataset(full.features[spec.samples :], full.labels[spec.samples :], full.num_classes)
         return train, test
-    directory = Path(spec.path)
-    train = load_idx_dataset(
-        _find_idx_file(directory, _MNIST_FILES["train"][0]),
-        _find_idx_file(directory, _MNIST_FILES["train"][1]),
-    )
-    test = load_idx_dataset(
-        _find_idx_file(directory, _MNIST_FILES["test"][0]),
-        _find_idx_file(directory, _MNIST_FILES["test"][1]),
+    train, test = (
+        load_idx_dataset(*(_find_idx_file(Path(spec.path), stem) for stem in _MNIST_FILES[part]))
+        for part in ("train", "test")
     )
     return _subsample(train, spec.samples, rng), _subsample(test, spec.test_samples, rng)
 
@@ -216,21 +197,17 @@ def _coordinate_chunks(num_params: int, phy: PhyConfig) -> tuple[int, Subcarrier
 def prepare_run(config: ExperimentConfig) -> RunState:
     train, test = build_datasets(config.dataset, config.master_seed)
     predictor = make_predictor(config.training, train)
-    shards = partition(
-        train,
-        config.training.num_devices,
-        config.training.partition_mode,
-        seed=derive_rng(config.master_seed, STREAM_PARTITION),
-    )
+    shards = partition(train, config.training.num_devices, config.training.partition_mode,
+                       seed=derive_rng(config.master_seed, STREAM_PARTITION))
     smallest = min(len(s) for s in shards)
     if config.training.batch_size > smallest:
         raise ValueError(
             f"batch_size {config.training.batch_size} exceeds the smallest shard ({smallest})"
         )
     model = predictor.init_state(seed=derive_rng(config.master_seed, STREAM_INIT))
-    powers = initial_power_state(config.training.num_devices)
     num_frames, mapping = _coordinate_chunks(predictor.num_params, config.phy)
-    return RunState(model, powers, predictor, train, test, shards, num_frames, mapping)
+    return RunState(model, np.ones(config.training.num_devices), predictor, train, test,
+                    shards, num_frames, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +234,7 @@ def _air_vote(sign_matrix: np.ndarray, powers: np.ndarray, state: RunState,
     seed = config.master_seed
     frames = range(state.num_frames)
     result = air_detect(
-        signs,
-        powers,
-        mapping,
-        config.channel,
+        signs, powers, mapping, config.channel,
         device_rngs=[derive_rng(seed, STREAM_ENCODE, round_idx, 0, m) for m in range(num_devices)],
         channel_rngs=[derive_rng(seed, STREAM_CHANNEL, round_idx, f) for f in frames],
         noise_rngs=[derive_rng(seed, STREAM_NOISE, round_idx, f) for f in frames],
@@ -271,17 +245,10 @@ def _air_vote(sign_matrix: np.ndarray, powers: np.ndarray, state: RunState,
 def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tuple[RunState, RoundMetrics | None]:
     """Execute one communication round; returns metrics on evaluation rounds
     (every eval_every completed rounds, and always after the last round)."""
-    start = time.perf_counter()
     training = config.training
     grads = [
-        compute_local_gradient(
-            state.model,
-            state.predictor,
-            state.train,
-            shard,
-            training.batch_size,
-            seed=derive_rng(config.master_seed, STREAM_BATCH, round_idx, device),
-        )
+        compute_local_gradient(state.model, state.predictor, state.train, shard, training.batch_size,
+                               seed=derive_rng(config.master_seed, STREAM_BATCH, round_idx, device))
         for device, shard in enumerate(state.shards)
     ]
     emit = (round_idx + 1) % config.eval_every == 0 or round_idx == training.rounds - 1
@@ -290,16 +257,16 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
     powers = state.powers
     vote = None
     if config.scheme == "fedavg_ideal":
-        direction = np.mean([g.values for g in grads], axis=0)
+        direction = np.mean(grads, axis=0)
         model = ModelState(state.model.weights - training.learning_rate * direction,
                            state.model.round + 1)
     else:
-        sign_matrix = sign_quantize(np.stack([g.values for g in grads]))
+        sign_matrix = sign_quantize(np.stack(grads))
         ideal = ideal_majority_vote(sign_matrix)
         if config.scheme == "ideal_signsgd_mv":
             vote = ideal
         else:
-            vote = _air_vote(sign_matrix, powers.powers, state, config, round_idx)
+            vote = _air_vote(sign_matrix, powers, state, config, round_idx)
         if emit:
             vote_agreement = float(np.mean(vote == ideal))
             reference = sign_quantize(full_gradient(state.model, state.predictor, state.train))
@@ -318,7 +285,6 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
             mean_power=mean_power(powers),
             vote_agreement=vote_agreement,
             empirical_perr=empirical_perr,
-            wall_time_ms=(time.perf_counter() - start) * 1e3,
         )
     return new_state, metrics
 
@@ -332,9 +298,7 @@ def run_rounds(config: ExperimentConfig, record_votes: bool = False):
     """
     state = prepare_run(config)
     accuracy, loss = evaluate(state.model, state.predictor, state.test)
-    metrics = [
-        RoundMetrics(0, accuracy, loss, mean_power(state.powers), None, None)
-    ]
+    metrics = [RoundMetrics(0, accuracy, loss, mean_power(state.powers), None, None)]
     votes = []
     for round_idx in range(config.training.rounds):
         state, round_metrics = run_round(state, config, round_idx)
@@ -347,35 +311,45 @@ def run_rounds(config: ExperimentConfig, record_votes: bool = False):
     return metrics, state
 
 
-def _scheme_cost_family(scheme: str) -> str:
-    return "sgd" if scheme == "fedavg_ideal" else "signsgd_mv"
-
-
 def summary_path(output_path) -> Path:
     return Path(output_path).with_suffix(".summary.csv")
+
+
+@contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """Text sink whose contents replace `path` only when the block completes.
+
+    The sink is a temp file next to `path`, opened on entry, so an
+    unwritable directory fails before any work; on error it is removed and
+    `path` keeps its old contents.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    sink = tmp.open("w", newline=newline)
+    try:
+        with sink:
+            yield sink
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
     """Run the configured experiment and persist metrics.
 
     Writes one JSON object per evaluation record to the configured output
-    path and a single-row summary CSV next to it.  The output file is
-    opened before any computation so an unwritable path fails fast.
+    path and a single-row summary CSV next to it, each replacing its file
+    only once complete.  The metrics sink is opened before any computation
+    so an unwritable path fails fast.
     """
     out = Path(config.output_path)
-    with out.open("w") as sink:
+    with _replacing(out) as sink:
         metrics, state = run_rounds(config)
         for record in metrics:
             sink.write(json.dumps(record.to_record()) + "\n")
-    total_bits = (
-        comm_cost(
-            _scheme_cost_family(config.scheme),
-            config.training.num_devices,
-            state.predictor.num_params,
-        )
-        * config.training.rounds
-    )
-    with summary_path(out).open("w", newline="") as sink:
+    family = "sgd" if config.scheme == "fedavg_ideal" else "signsgd_mv"
+    total_bits = comm_cost(family, config.training.num_devices, state.predictor.num_params)
+    total_bits *= config.training.rounds
+    with _replacing(summary_path(out), newline="") as sink:
         writer = csv.writer(sink)
         writer.writerow(["scheme", "final_accuracy", "mean_power", "total_bits", "rounds", "seed"])
         writer.writerow(
@@ -395,33 +369,46 @@ def run_experiment(config: ExperimentConfig) -> Path:
 # Config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_TYPES = {
-    "scheme": str,
-    "rounds": int,
-    "devices": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "partition": str,
-    "seed": int,
-    "model": str,
-    "hidden_units": int,
-    "eval_every": int,
-    "output": str,
-    "dataset.kind": str,
-    "dataset.path": str,
-    "dataset.samples": int,
-    "dataset.test_samples": int,
-    "dataset.input_dim": int,
-    "dataset.classes": int,
-    "dataset.separation": float,
-    "channel.noise_var": float,
-    "channel.sync_error_max": float,
-    "channel.fading": str,
-    "channel.fft_size": int,
-    "phy.subcarriers": int,
-    "phy.symbols": int,
-    "phy.power_cap": float,
+# Section name -> dataclass, from ExperimentConfig's nested configs.
+_SECTIONS = {
+    f.name: f.default_factory for f in fields(ExperimentConfig) if f.default_factory is not MISSING
 }
+# File keys that differ from their field name.  Otherwise top-level and
+# training fields are keyed by name, the other sections as "section.name".
+_RENAMED = {
+    "num_devices": "devices",
+    "partition_mode": "partition",
+    "model_kind": "model",
+    "output_path": "output",
+    "master_seed": "seed",
+    "phy.num_subcarriers": "phy.subcarriers",
+    "phy.num_symbols": "phy.symbols",
+}
+
+
+def _config_keys() -> dict[str, tuple[str, str, object]]:
+    """{file key: (section, field name, type hint)}; section "" is
+    ExperimentConfig itself."""
+    keys = {}
+    for section, cls in {"": ExperimentConfig, **_SECTIONS}.items():
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if section == "" and f.name in _SECTIONS:
+                continue
+            name = f.name if section in ("", "training") else f"{section}.{f.name}"
+            keys[_RENAMED.get(name, name)] = (section, f.name, hints[f.name])
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
+
+
+def _parse_value(hint, value: str):
+    """`value` as the field's type; an optional field also takes `none`."""
+    types = get_args(hint) or (hint,)
+    if type(None) in types and value.lower() == "none":
+        return None
+    return types[0](value)
 
 
 def parse_config_text(text: str) -> dict:
@@ -436,60 +423,26 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip().strip('"').strip("'")
-        if key not in _CONFIG_TYPES:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        if key == "phy.power_cap" and value.lower() == "none":
-            values[key] = None
-            continue
         try:
-            values[key] = _CONFIG_TYPES[key](value)
+            values[key] = _parse_value(_CONFIG_KEYS[key][2], value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
 def config_from_values(values: dict) -> ExperimentConfig:
-    seed = values.get("seed", 0)
-    training = TrainingConfig(
-        learning_rate=values.get("learning_rate", 0.004),
-        batch_size=values.get("batch_size", 128),
-        rounds=values.get("rounds", 200),
-        num_devices=values.get("devices", 31),
-        partition_mode=values.get("partition", "iid"),
-        seed=seed,
-        model_kind=values.get("model", "logistic"),
-        hidden_units=values.get("hidden_units", 32),
-    )
-    channel = ChannelConfig(
-        noise_var=values.get("channel.noise_var", 1.0),
-        sync_error_max=values.get("channel.sync_error_max", 0.0),
-        fft_size=values.get("channel.fft_size", 64),
-        fading=values.get("channel.fading", "per_bin"),
-    )
-    phy = PhyConfig(
-        num_subcarriers=values.get("phy.subcarriers", 64),
-        num_symbols=values.get("phy.symbols", 8),
-        power_cap=values.get("phy.power_cap"),
-    )
-    dataset = DatasetSpec(
-        kind=values.get("dataset.kind", "synthetic"),
-        path=values.get("dataset.path", ""),
-        samples=values.get("dataset.samples", 10_000),
-        test_samples=values.get("dataset.test_samples", 2_000),
-        input_dim=values.get("dataset.input_dim", 20),
-        classes=values.get("dataset.classes", 10),
-        separation=values.get("dataset.separation", 4.0),
-    )
-    return ExperimentConfig(
-        scheme=values.get("scheme", "fsk_mv_dpc"),
-        training=training,
-        channel=channel,
-        phy=phy,
-        dataset=dataset,
-        eval_every=values.get("eval_every", 20),
-        output_path=values.get("output", "metrics.jsonl"),
-        master_seed=seed,
-    )
+    """ExperimentConfig from typed file-key values; absent keys keep the
+    dataclass defaults."""
+    kwargs: dict = {section: {} for section in ("", *_SECTIONS)}
+    for key, value in values.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        section, name, _ = _CONFIG_KEYS[key]
+        kwargs[section][name] = value
+    top = kwargs.pop("")
+    return ExperimentConfig(**top, **{s: _SECTIONS[s](**kw) for s, kw in kwargs.items()})
 
 
 def load_config(path) -> ExperimentConfig:

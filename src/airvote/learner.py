@@ -81,21 +81,12 @@ class ModelState:
 
 
 @dataclass
-class GradientVector:
-    """Mini-batch loss gradient of one device."""
-
-    values: np.ndarray
-    batch_size: int
-
-
-@dataclass
 class TrainingConfig:
     learning_rate: float = 0.004
     batch_size: int = 128
     rounds: int = 200
     num_devices: int = 31
     partition_mode: str = "iid"
-    seed: int = 0
     model_kind: str = "logistic"  # or "mlp"
     hidden_units: int = 32
 
@@ -179,7 +170,10 @@ def make_synthetic_dataset(
     counts = [base + 1 if c < extra else base for c in range(num_classes)]
     labels = np.repeat(np.arange(num_classes), counts)
     labels = labels[rng.permutation(num_samples)]
-    features = means[labels] + rng.normal(size=(num_samples, input_dim))
+    # Noise first, then each class's mean in place: no second full-size array.
+    features = rng.normal(size=(num_samples, input_dim))
+    for c in range(num_classes):
+        features[labels == c] += means[c]
     return Dataset(features, labels, num_classes)
 
 
@@ -327,9 +321,9 @@ def compute_local_gradient(
     shard: DatasetShard,
     batch_size: int,
     seed,
-) -> GradientVector:
-    """Mean loss gradient over a seeded batch drawn from the shard without
-    replacement."""
+) -> np.ndarray:
+    """Mean loss gradient, a flat vector like the weights, over a seeded
+    batch drawn from the shard without replacement."""
     if batch_size > len(shard):
         raise ValueError(
             f"batch_size {batch_size} exceeds shard size {len(shard)} of device {shard.owner}"
@@ -344,7 +338,7 @@ def compute_local_gradient(
         raise FloatingPointError(
             f"non-finite gradient at round {state.round} on device {shard.owner}"
         )
-    return GradientVector(grad, batch_size)
+    return grad
 
 
 def full_gradient(state: ModelState, predictor, dataset: Dataset) -> np.ndarray:
@@ -355,8 +349,7 @@ def full_gradient(state: ModelState, predictor, dataset: Dataset) -> np.ndarray:
 
 def sign_quantize(values) -> np.ndarray:
     """Entry-wise sign with sign(0) = +1, so the output is always in {-1,+1}."""
-    arr = np.asarray(getattr(values, "values", values))
-    return np.where(arr < 0, -1, 1).astype(np.int8)
+    return np.where(np.asarray(values) < 0, -1, 1).astype(np.int8)
 
 
 def apply_global_update(state: ModelState, vote: np.ndarray, learning_rate: float) -> ModelState:

@@ -123,23 +123,6 @@ def encode_signs(signs, mapping: SubcarrierMap, seed=None, randomize: bool = Tru
 # Dynamic power control
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PowerState:
-    """Per-device transmit power multipliers; starts at 1 everywhere."""
-
-    powers: np.ndarray
-    round: int = 0
-
-    def __post_init__(self):
-        self.powers = np.asarray(self.powers, dtype=np.float64)
-
-
-def initial_power_state(num_devices: int) -> PowerState:
-    if num_devices < 1:
-        raise ValueError("num_devices must be positive")
-    return PowerState(np.ones(num_devices), 0)
-
-
 def signed_agreement(reports, vote) -> np.ndarray:
     """Per-device mean of [matches vote] - [differs from vote], in [-1, 1].
 
@@ -155,25 +138,27 @@ def signed_agreement(reports, vote) -> np.ndarray:
     return 2.0 * agree - 1.0
 
 
-def update_power(state: PowerState, reports, vote, power_cap: float | None = None) -> PowerState:
-    """Raise each device's power by |signed agreement with the vote|.
+def update_power(powers, reports, vote, power_cap: float | None = None) -> np.ndarray:
+    """Per-device transmit powers after raising each by |signed agreement
+    with the vote|.
 
+    `powers` holds one multiplier per device, all 1 before the first round.
     Increments lie in [0, 1], so powers never decrease; an optional cap
     clamps the growth (off by default).
     """
     increments = np.abs(signed_agreement(reports, vote))
-    if increments.size != state.powers.size:
-        raise ValueError(
-            f"{increments.size} reports for a power state of {state.powers.size} devices"
-        )
-    powers = state.powers + increments
+    powers = np.asarray(powers, dtype=np.float64)
+    if increments.size != powers.size:
+        raise ValueError(f"{increments.size} reports for {powers.size} device powers")
+    powers = powers + increments
     if power_cap is not None:
         powers = np.minimum(powers, power_cap)
-    return PowerState(powers, state.round + 1)
+    return powers
 
 
-def mean_power(state: PowerState) -> float:
+def mean_power(powers) -> float:
     """Average transmit power across devices."""
-    if state.powers.size == 0:
-        raise ValueError("empty power state")
-    return float(np.mean(state.powers))
+    powers = np.asarray(powers)
+    if powers.size == 0:
+        raise ValueError("no device powers")
+    return float(np.mean(powers))

@@ -258,7 +258,7 @@ def _training_config(scheme, seed, sync_error):
     return ExperimentConfig(
         scheme=scheme,
         training=TrainingConfig(
-            learning_rate=0.004, batch_size=128, rounds=200, num_devices=31, seed=seed
+            learning_rate=0.004, batch_size=128, rounds=200, num_devices=31
         ),
         channel=ChannelConfig(noise_var=0.5, sync_error_max=sync_error),  # snr 4 at unit power
         phy=PhyConfig(num_subcarriers=64, num_symbols=13),

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from airvote import analysis
 from airvote.cli import main
 
 CONFIG_TEMPLATE = """
@@ -156,3 +157,19 @@ def test_non_finite_config_value_exits_1_before_training(tmp_path, capsys, line)
     assert main(["train", "--config", str(config_path)]) == 1
     assert "must be finite" in capsys.readouterr().err
     assert not output.exists()  # rejected at load, before the first round
+
+
+@pytest.mark.parametrize("suite", ["mean-energy", "flip-prob", "error-prob", "all"])
+def test_mc_verify_rejects_nonpositive_trials(capsys, suite):
+    assert main(["mc-verify", "--suite", suite, "--trials", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no suite ran, not even at its default trial count
+    assert "trials must be >= " in captured.err
+
+
+@pytest.mark.parametrize("suite", ["error-prob", "lemma32", "all"])
+def test_mc_verify_checks_error_prob_floor_before_any_suite(capsys, suite):
+    assert main(["mc-verify", "--suite", suite, "--trials", "500"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"trials must be >= {analysis.MC_ERROR_PROB_MIN_TRIALS}" in captured.err

@@ -1,18 +1,22 @@
 import functools
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airvote import analysis
+from airvote import analysis, experiment
 from airvote.channel import ChannelConfig
 from airvote.experiment import (
+    _CONFIG_KEYS,
     DatasetSpec,
     ExperimentConfig,
     PhyConfig,
     _coordinate_chunks,
     build_datasets,
+    config_from_values,
     load_config,
     parse_config_text,
     prepare_run,
@@ -31,7 +35,7 @@ def small_config(scheme="fsk_mv_dpc", seed=0, **overrides):
     base = dict(
         scheme=scheme,
         training=TrainingConfig(
-            learning_rate=0.01, batch_size=16, rounds=10, num_devices=4, seed=seed
+            learning_rate=0.01, batch_size=16, rounds=10, num_devices=4
         ),
         channel=ChannelConfig(noise_var=0.5),
         phy=PhyConfig(num_subcarriers=16, num_symbols=2),
@@ -123,7 +127,7 @@ def test_power_cap_respected():
     config = small_config(scheme="fsk_mv_dpc", phy=PhyConfig(16, 2, power_cap=1.5))
     config.training.rounds = 8
     _, state = run_rounds(config)
-    assert np.all(state.powers.powers <= 1.5 + 1e-12)
+    assert np.all(state.powers <= 1.5 + 1e-12)
 
 
 def test_pipeline_votes_match_ideal_votes_in_clean_channel(monkeypatch):
@@ -154,7 +158,7 @@ def test_round_kernel_block_size_does_not_change_votes(monkeypatch):
     _, blocked_state, blocked_votes = run_rounds(config, record_votes=True)
     for whole, blocked in zip(votes, blocked_votes):
         np.testing.assert_array_equal(whole, blocked)
-    np.testing.assert_array_equal(state.powers.powers, blocked_state.powers.powers)
+    np.testing.assert_array_equal(state.powers, blocked_state.powers)
 
 
 def test_fedavg_smoothed_train_loss_non_increasing():
@@ -210,6 +214,23 @@ def test_run_experiment_byte_identical_reruns(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_failed_run_keeps_previous_output(tmp_path, monkeypatch):
+    config = small_config(seed=6, output_path=str(tmp_path / "metrics.jsonl"))
+    out = run_experiment(config)
+    before = {path: path.read_bytes() for path in (out, summary_path(out))}
+
+    def failing_round(state, config, round_idx):
+        if round_idx == 2:
+            raise RuntimeError("round 2 failed")
+        return run_round(state, config, round_idx)
+
+    monkeypatch.setattr(experiment, "run_round", failing_round)
+    with pytest.raises(RuntimeError, match="round 2"):
+        run_experiment(config)
+    assert {path: path.read_bytes() for path in (out, summary_path(out))} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in before)
+
+
 def test_run_experiment_unwritable_path_fails_fast(tmp_path):
     config = small_config(output_path=str(tmp_path / "missing_dir" / "metrics.jsonl"))
     with pytest.raises(OSError):
@@ -255,7 +276,7 @@ def test_parse_config_full(tmp_path):
     assert config.training.rounds == 6
     assert config.training.num_devices == 3
     assert config.training.partition_mode == "non-iid"
-    assert config.master_seed == 7 and config.training.seed == 7
+    assert config.master_seed == 7
     assert config.channel.fading == "per_frame"
     assert config.channel.fft_size == 32
     assert config.phy.power_cap is None
@@ -264,8 +285,6 @@ def test_parse_config_full(tmp_path):
 
 
 def test_parse_config_defaults():
-    from airvote.experiment import config_from_values
-
     cfg = config_from_values(parse_config_text("scheme = ideal_signsgd_mv\n"))
     assert cfg.scheme == "ideal_signsgd_mv"
     assert cfg.training.batch_size == 128
@@ -289,6 +308,25 @@ def test_load_config_missing_file(tmp_path):
 
 def test_power_cap_value_parsed():
     values = parse_config_text("phy.power_cap = 4.5\n")
-    from airvote.experiment import config_from_values
-
     assert config_from_values(values).phy.power_cap == 4.5
+
+
+def test_config_defaults_come_from_the_dataclasses():
+    assert config_from_values({}) == ExperimentConfig()
+
+
+def test_every_config_key_names_a_dataclass_field():
+    defaults = ExperimentConfig()
+    for key, (section, name, _) in _CONFIG_KEYS.items():
+        owner = getattr(defaults, section) if section else defaults
+        assert name in {f.name for f in fields(owner)}, key
+        # setting a key to its default changes nothing
+        assert config_from_values({key: getattr(owner, name)}) == defaults, key
+
+
+def test_readme_config_example_parses_and_covers_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    config_from_values(parse_config_text(block))
+    documented = set(re.findall(r"^#? *([a-z_.]+) *=", block, re.M))
+    assert documented >= set(_CONFIG_KEYS)

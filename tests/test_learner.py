@@ -217,7 +217,7 @@ def test_full_batch_gradient_ignores_seed():
     state = ModelState(np.zeros(model.num_params))
     g1 = compute_local_gradient(state, model, ds, shards[0], len(shards[0]), seed=1)
     g2 = compute_local_gradient(state, model, ds, shards[0], len(shards[0]), seed=99)
-    np.testing.assert_allclose(g1.values, g2.values, atol=1e-12)
+    np.testing.assert_allclose(g1, g2, atol=1e-12)
 
 
 def test_gradient_deterministic_and_batch_size_check():
@@ -227,7 +227,7 @@ def test_gradient_deterministic_and_batch_size_check():
     state = ModelState(np.full(model.num_params, 0.1))
     a = compute_local_gradient(state, model, ds, shards[1], 8, seed=5)
     b = compute_local_gradient(state, model, ds, shards[1], 8, seed=5)
-    assert a.values.tobytes() == b.values.tobytes()
+    assert a.tobytes() == b.tobytes()
     with pytest.raises(ValueError):
         compute_local_gradient(state, model, ds, shards[1], 21, seed=5)
 
@@ -251,7 +251,7 @@ def test_devicewise_mean_of_full_shard_gradients_is_full_gradient():
     model = SoftmaxRegression(5, 3)
     state = ModelState(np.linspace(-0.2, 0.2, model.num_params))
     per_device = [
-        compute_local_gradient(state, model, ds, s, len(s), seed=0).values for s in shards
+        compute_local_gradient(state, model, ds, s, len(s), seed=0) for s in shards
     ]
     np.testing.assert_allclose(
         np.mean(per_device, axis=0), full_gradient(state, model, ds), atol=1e-10
@@ -335,7 +335,7 @@ def test_sign_vote_training_reaches_90_percent_train_accuracy():
         signs = np.stack(
             [
                 sign_quantize(
-                    compute_local_gradient(state, model, ds, shard, 64, seed=(round_idx, m)).values
+                    compute_local_gradient(state, model, ds, shard, 64, seed=(round_idx, m))
                 )
                 for m, shard in enumerate(shards)
             ]
