@@ -13,7 +13,6 @@ import numpy as np
 
 from airvote import (
     ChannelConfig,
-    apply_sync_error,
     build_subcarrier_map,
     detect,
     encode_signs,
@@ -38,7 +37,8 @@ print("\nperfect majority vote:", ideal)
 
 # --- encode ---------------------------------------------------------------
 mapping = build_subcarrier_map(COORDS, num_subcarriers=16, num_symbols=1)
-frames = np.stack([encode_signs(signs[m], mapping, seed=(1, m)) for m in range(DEVICES)])
+# one generator per device for its randomization symbols; one frame is sent
+frames = encode_signs(signs[None], mapping, [np.random.default_rng((1, m)) for m in range(DEVICES)])[0]
 print("\noccupied bins per device (X = energy on the bin):")
 for m in range(DEVICES):
     row = "".join("X" if v else "." for v in np.abs(frames[m][0]) > 0)
@@ -47,18 +47,20 @@ print("  (each coordinate pair holds exactly one X; amplitude is sqrt(2) on a ra
 
 # --- channel --------------------------------------------------------------
 config = ChannelConfig(noise_var=0.5, sync_error_max=0.25, fft_size=16)
-realization = apply_sync_error(sample_channel(DEVICES, 1, 16, config, seed=2), config)
-received = superpose(frames, np.ones(DEVICES), realization, config, seed=3)
+# fading gains with their timing ramps, then the noisy sum over devices
+realization = sample_channel(DEVICES, 1, 16, config, [np.random.default_rng(2)])
+received = superpose(frames[None], np.ones(DEVICES), realization, config, [np.random.default_rng(3)])[0]
 
 # --- detect ---------------------------------------------------------------
 result = detect(received, mapping)
+delta = result.e_plus - result.e_minus
 print("\nper-coordinate energies at the server:")
 print(f"  {'coord':>5} {'e_plus':>8} {'e_minus':>8} {'delta':>8}  vote  ideal")
 for i in range(COORDS):
     mark = "" if result.votes[i] == ideal[i] else "  <- flipped by the channel"
     print(
         f"  {i:>5} {result.e_plus[i]:8.3f} {result.e_minus[i]:8.3f} "
-        f"{result.delta[i]:+8.3f}  {result.votes[i]:+d}    {ideal[i]:+d}{mark}"
+        f"{delta[i]:+8.3f}  {result.votes[i]:+d}    {ideal[i]:+d}{mark}"
     )
 agreement = np.mean(result.votes == ideal)
 print(f"\nvote agreement with the perfect majority vote: {agreement:.0%}")

@@ -22,8 +22,8 @@ from .analysis import (
     mc_mean_energy,
     mean_energy,
 )
-from .channel import ChannelConfig, ChannelRealization, apply_sync_error, sample_channel, superpose
-from .detector import DetectionResult, detect, detect_votes, ideal_majority_vote, measure_energies
+from .channel import ChannelConfig, ChannelRealization, sample_channel, superpose
+from .detector import DetectionResult, detect, ideal_majority_vote
 from .experiment import (
     DatasetSpec,
     ExperimentConfig,

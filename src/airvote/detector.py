@@ -18,13 +18,14 @@ from .phy import SubcarrierMap
 class DetectionResult:
     e_plus: np.ndarray
     e_minus: np.ndarray
-    delta: np.ndarray
     votes: np.ndarray
 
 
-def measure_energies(received: np.ndarray, mapping: SubcarrierMap) -> tuple[np.ndarray, np.ndarray]:
-    """Squared magnitudes of the paired bins of every coordinate; received
-    frames (..., symbols, subcarriers) give energies (..., coordinates)."""
+def detect(received: np.ndarray, mapping: SubcarrierMap) -> DetectionResult:
+    """Squared magnitudes of the paired bins of every coordinate and the
+    vote they give: +1 where e_plus > e_minus, -1 where smaller, +1 on an
+    exact tie.  Received frames (..., symbols, subcarriers) give
+    (..., coordinates) arrays."""
     received = np.asarray(received)
     if received.ndim < 2:
         raise ValueError("received frames must be at least 2-D (symbols x subcarriers)")
@@ -36,21 +37,7 @@ def measure_energies(received: np.ndarray, mapping: SubcarrierMap) -> tuple[np.n
         )
     e_plus = np.abs(received[..., mapping.sym_plus, mapping.sub_plus]) ** 2
     e_minus = np.abs(received[..., mapping.sym_minus, mapping.sub_minus]) ** 2
-    return e_plus, e_minus
-
-
-def detect_votes(e_plus: np.ndarray, e_minus: np.ndarray) -> np.ndarray:
-    """+1 where e_plus > e_minus, -1 where smaller, +1 on an exact tie."""
-    e_plus = np.asarray(e_plus)
-    e_minus = np.asarray(e_minus)
-    if e_plus.shape != e_minus.shape:
-        raise ValueError("energy vectors must have equal length")
-    return np.where(e_plus < e_minus, -1, 1).astype(np.int8)
-
-
-def detect(received: np.ndarray, mapping: SubcarrierMap) -> DetectionResult:
-    e_plus, e_minus = measure_energies(received, mapping)
-    return DetectionResult(e_plus, e_minus, e_plus - e_minus, detect_votes(e_plus, e_minus))
+    return DetectionResult(e_plus, e_minus, np.where(e_plus < e_minus, -1, 1).astype(np.int8))
 
 
 def ideal_majority_vote(reports) -> np.ndarray:

@@ -90,6 +90,10 @@ class DatasetSpec:
             raise ValueError("samples and test_samples must be positive")
         if not math.isfinite(self.separation):
             raise ValueError("separation must be finite")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
+        if self.classes < 2:
+            raise ValueError("classes must be >= 2")
 
 
 @dataclass

@@ -99,6 +99,8 @@ class TrainingConfig:
             raise ValueError(f"unknown partition_mode {self.partition_mode!r}")
         if self.model_kind not in ("logistic", "mlp"):
             raise ValueError(f"unknown model_kind {self.model_kind!r}")
+        if self.hidden_units < 1:
+            raise ValueError("hidden_units must be >= 1")
 
 
 # ---------------------------------------------------------------------------

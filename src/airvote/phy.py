@@ -66,22 +66,18 @@ def build_subcarrier_map(num_coordinates: int, num_subcarriers: int, num_symbols
     )
 
 
-def encode_signs(signs, mapping: SubcarrierMap, seed=None, randomize: bool = True,
-                 device_rngs=None) -> np.ndarray:
+def encode_signs(signs, mapping: SubcarrierMap, device_rngs) -> np.ndarray:
     """Frequency-domain frames for sign vectors stacked on leading axes.
 
-    `signs` has shape (..., coordinates) and the result (..., symbols,
-    subcarriers), one frame per sign vector.  The bin matching each sign
-    holds sqrt(SYMBOL_ENERGY) * exp(j*phi) with phi uniform on [0, 2*pi);
-    the paired bin stays zero.  Transmit power is applied later, during
-    superposition.
+    `signs` has shape (..., devices, coordinates) and the result (...,
+    devices, symbols, subcarriers), one frame per sign vector.  The bin
+    matching each sign holds sqrt(SYMBOL_ENERGY) * exp(j*phi) with phi
+    uniform on [0, 2*pi); the paired bin stays zero.  Transmit power is
+    applied later, during superposition.
 
-    The phases come from `seed`, one generator drawing every vector in C
-    order, or from `device_rngs`, one generator per index of the device
-    axis (the second to last), each drawing its device's vectors in C order
-    of the axes before it; for (frames, devices, coordinates) signs that is
-    frame after frame.  randomize=False pins every randomization symbol to
-    1 and exists only for detection-oracle tests.
+    `device_rngs` holds one generator per device, each drawing the phases
+    of its device's vectors in C order of the leading axes; for (frames,
+    devices, coordinates) signs that is frame after frame.
     """
     signs = np.asarray(signs)
     if signs.shape[-1:] != (mapping.num_coordinates,):
@@ -91,22 +87,15 @@ def encode_signs(signs, mapping: SubcarrierMap, seed=None, randomize: bool = Tru
         )
     if not np.all(np.abs(signs) == 1):
         raise ValueError("signs must be exactly -1 or +1")
+    if signs.ndim < 2 or len(device_rngs) != signs.shape[-2]:
+        raise ValueError(f"{len(device_rngs)} device generators for signs of shape {signs.shape}")
     # Symbols are exp(1j * phi); the in-place steps compute exactly what
     # np.exp(1j * phi) and a scalar product would, without temporaries.
     amplitude = np.zeros(signs.shape, dtype=np.complex128)
-    if not randomize:
-        amplitude.real = 1.0
-    elif device_rngs is not None:
-        if signs.ndim < 2 or len(device_rngs) != signs.shape[-2]:
-            raise ValueError(f"{len(device_rngs)} device generators for signs of shape {signs.shape}")
-        per_device = signs.shape[:-2] + signs.shape[-1:]
-        for device, rng in enumerate(device_rngs):
-            amplitude.imag[..., device, :] = rng.uniform(0.0, 2.0 * np.pi, size=per_device)
-        np.exp(amplitude, out=amplitude)
-    else:
-        rng = np.random.default_rng(seed)
-        amplitude.imag = rng.uniform(0.0, 2.0 * np.pi, size=signs.shape)
-        np.exp(amplitude, out=amplitude)
+    per_device = signs.shape[:-2] + signs.shape[-1:]
+    for device, rng in enumerate(device_rngs):
+        amplitude.imag[..., device, :] = rng.uniform(0.0, 2.0 * np.pi, size=per_device)
+    np.exp(amplitude, out=amplitude)
     amplitude *= np.sqrt(SYMBOL_ENERGY)
     num_symbols, num_subcarriers = mapping.grid_shape()
     bins = np.where(

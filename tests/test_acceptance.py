@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from airvote.analysis import (
+    air_detect,
     comm_cost,
     convergence_bound,
     convergence_tau,
@@ -25,12 +26,12 @@ from airvote.analysis import (
     run_flip_prob_suite,
     run_mean_energy_suite,
 )
-from airvote.channel import ChannelConfig, apply_sync_error, sample_channel, superpose
+from airvote.channel import ChannelConfig
 from airvote.cli import main as cli_main
-from airvote.detector import detect, detect_votes, ideal_majority_vote, measure_energies
+from airvote.detector import ideal_majority_vote
 from airvote.experiment import DatasetSpec, ExperimentConfig, PhyConfig, run_rounds
 from airvote.learner import SoftmaxRegression, TanhMlp, TrainingConfig
-from airvote.phy import build_subcarrier_map, encode_signs
+from airvote.phy import build_subcarrier_map
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -108,43 +109,35 @@ def test_c3b_error_prob_below_half_and_runtime(error_prob_rows):
 # 4. Ideal-channel oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _pipeline_vote_ideal(sign_matrix, mapping, cfg):
-    frames = np.stack(
-        [encode_signs(row, mapping, seed=0, randomize=False) for row in sign_matrix]
-    )
-    realization = sample_channel(
-        sign_matrix.shape[0], mapping.num_symbols, mapping.num_subcarriers, cfg, seed=0
-    )
-    received = superpose(frames, np.ones(sign_matrix.shape[0]), realization, cfg, seed=0)
-    return detect(received, mapping).votes
+def _pipeline_votes_ideal(sign_patterns, mapping, cfg, low_rng):
+    """Votes of the production kernel with every randomization symbol 1,
+    one frame per (devices, coordinates) sign pattern."""
+    num_frames, num_devices = sign_patterns.shape[:2]
+    frame_rngs = [low_rng] * num_frames
+    return air_detect(
+        sign_patterns, np.ones(num_devices), mapping, cfg, [low_rng] * num_devices, frame_rngs, frame_rngs
+    ).votes
 
 
-def test_c4_oracle_equivalence():
+def test_c4_oracle_equivalence(low_rng):
     cfg = ChannelConfig(noise_var=0.0, fading="none")
+    rng = np.random.default_rng(0)
+    groups = (
+        # 64 patterns at (M=3, q=2)
+        (build_subcarrier_map(2, 4, 1), np.array(list(itertools.product([-1, 1], repeat=6))).reshape(-1, 3, 2)),
+        # 4096 patterns at (M=3, q=4)
+        (build_subcarrier_map(4, 8, 1), np.array(list(itertools.product([-1, 1], repeat=12))).reshape(-1, 3, 4)),
+        # random patterns at (M=31, q=10)
+        (build_subcarrier_map(10, 20, 1), rng.choice([-1, 1], size=(1000, 31, 10))),
+    )
     mismatches = 0
     cases = 0
-
-    mapping = build_subcarrier_map(2, 4, 1)
-    for bits in itertools.product([-1, 1], repeat=6):  # 64 patterns at (M=3, q=2)
-        signs = np.array(bits).reshape(3, 2)
-        cases += 1
-        if not np.array_equal(_pipeline_vote_ideal(signs, mapping, cfg), ideal_majority_vote(signs)):
-            mismatches += 1
-
-    mapping = build_subcarrier_map(4, 8, 1)
-    for bits in itertools.product([-1, 1], repeat=12):  # 4096 patterns at (M=3, q=4)
-        signs = np.array(bits).reshape(3, 4)
-        cases += 1
-        if not np.array_equal(_pipeline_vote_ideal(signs, mapping, cfg), ideal_majority_vote(signs)):
-            mismatches += 1
-
-    rng = np.random.default_rng(0)
-    mapping = build_subcarrier_map(10, 20, 1)
-    for _ in range(1000):  # random patterns at (M=31, q=10)
-        signs = rng.choice([-1, 1], size=(31, 10))
-        cases += 1
-        if not np.array_equal(_pipeline_vote_ideal(signs, mapping, cfg), ideal_majority_vote(signs)):
-            mismatches += 1
+    for mapping, patterns in groups:
+        votes = _pipeline_votes_ideal(patterns, mapping, cfg, low_rng)
+        cases += len(patterns)
+        mismatches += sum(
+            not np.array_equal(vote, ideal_majority_vote(signs)) for signs, vote in zip(patterns, votes)
+        )
 
     report("4", mismatches == 0, f"{cases} sign patterns, {mismatches} mismatches")
     assert mismatches == 0
@@ -167,15 +160,10 @@ def _detection_error_rate(sync_error_max: float, trials: int, seed: int):
         count = min(1024, trials - done)
         mapping = build_subcarrier_map(count, 64, 32)
         signs = np.where(rng.random((devices, count)) < 0.2, -1, 1)
-        frames = np.stack(
-            [encode_signs(signs[m], mapping, seed=rng) for m in range(devices)]
-        )
-        realization = apply_sync_error(
-            sample_channel(devices, 32, 64, cfg, seed=rng), cfg
-        )
-        received = superpose(frames, np.ones(devices), realization, cfg, seed=rng)
-        e_plus, e_minus = measure_energies(received, mapping)
-        errors += int(np.sum(detect_votes(e_plus, e_minus) != 1))
+        # every draw of the frame from rng: symbols device by device, then
+        # the channel, then the noise
+        votes = air_detect(signs[None], np.ones(devices), mapping, cfg, [rng] * devices, [rng], [rng]).votes
+        errors += int(np.sum(votes != 1))
         done += count
     rate = errors / trials
     return rate, math.sqrt(rate * (1.0 - rate) / trials)

@@ -6,6 +6,7 @@ from scipy import stats
 
 from airvote.analysis import (
     BoundParams,
+    air_detect,
     comm_cost,
     convergence_bound,
     convergence_tau,
@@ -21,6 +22,8 @@ from airvote.analysis import (
     run_error_prob_suite,
     run_flip_prob_suite,
 )
+from airvote.channel import ChannelConfig
+from airvote.phy import build_subcarrier_map
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +47,18 @@ def test_mc_mean_energy_matches_closed_form():
     assert estimate == pytest.approx(11.0, rel=0.02)
 
 
-def test_mc_mean_energy_with_power_spread():
-    # Only the average power should matter.
-    estimate = mc_mean_energy(5, 2.0, 0.5, trials=100_000, seed=1, power_spread=0.5)
-    assert estimate == pytest.approx(mean_energy(5, 2.0, 2.0, 0.5), rel=0.02)
+def test_mean_energy_depends_only_on_mean_power():
+    # Spread per-device powers with mean 2 fill a bin like five devices at
+    # power 2: 100 frames of 1024 coordinates through the production kernel.
+    powers = np.array([0.5, 1.0, 2.0, 3.0, 3.5])
+    frames = 100
+    result = air_detect(
+        np.ones((frames, 5, 1024), dtype=np.int8), powers, build_subcarrier_map(1024, 64, 32),
+        ChannelConfig(noise_var=0.5), [np.random.default_rng((1, m)) for m in range(5)],
+        [np.random.default_rng((2, f)) for f in range(frames)],
+        [np.random.default_rng((3, f)) for f in range(frames)],
+    )
+    assert result.e_plus.mean() == pytest.approx(mean_energy(5, 2.0, 2.0, 0.5), rel=0.02)
 
 
 def test_mc_mean_energy_noise_only():

@@ -115,6 +115,21 @@ def test_plot_data_missing_input(tmp_path, capsys):
     assert main(["plot-data", "--input", str(tmp_path / "no.jsonl"), "--output", "x.csv"]) == 1
 
 
+@pytest.mark.parametrize(
+    "bad_line", ['{"round": 3}', "not json", "[1, 2]", '{"test_accuracy": 0.5}']
+)
+def test_plot_data_bad_record_exits_1_and_keeps_output(tmp_path, capsys, bad_line):
+    source = tmp_path / "metrics.jsonl"
+    source.write_text('{"round": 0, "test_accuracy": 0.1}\n\n' + bad_line + "\n")
+    tidy = tmp_path / "tidy.csv"
+    tidy.write_bytes(b"round,scheme,accuracy\r\n9,old,0.9\r\n")
+    before = tidy.read_bytes()
+    assert main(["plot-data", "--input", str(source), "--output", str(tidy)]) == 1
+    assert "line 3" in capsys.readouterr().err
+    assert tidy.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl", "tidy.csv"]
+
+
 def test_train_reruns_are_byte_identical(tmp_path):
     config_a, out_a = write_config(tmp_path, "a.toml", tmp_path / "a.jsonl")
     config_b, out_b = write_config(tmp_path, "b.toml", tmp_path / "b.jsonl")
@@ -156,6 +171,19 @@ def test_non_finite_config_value_exits_1_before_training(tmp_path, capsys, line)
     config_path.write_text(config_path.read_text() + line + "\n")
     assert main(["train", "--config", str(config_path)]) == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not output.exists()  # rejected at load, before the first round
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["model = mlp\nhidden_units = 0", "hidden_units = -2", "dataset.input_dim = 0", "dataset.classes = 1"],
+)
+def test_out_of_range_model_shape_exits_1_at_load(tmp_path, capsys, line):
+    config_path, output = write_config(tmp_path)
+    config_path.write_text(config_path.read_text() + line + "\n")
+    assert main(["train", "--config", str(config_path)]) == 1
+    key = line.rsplit("\n", 1)[-1].split(" = ")[0]
+    assert key.rsplit(".", 1)[-1] + " must be >= " in capsys.readouterr().err
     assert not output.exists()  # rejected at load, before the first round
 
 

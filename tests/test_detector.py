@@ -4,50 +4,60 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from airvote.channel import ChannelConfig, sample_channel, superpose
-from airvote.detector import detect, detect_votes, ideal_majority_vote, measure_energies
-from airvote.phy import build_subcarrier_map, encode_signs
+from airvote.analysis import air_detect
+from airvote.channel import ChannelConfig
+from airvote.detector import detect, ideal_majority_vote
+from airvote.phy import build_subcarrier_map
 
 
 def test_measure_energies_values():
     m = build_subcarrier_map(1, 2, 1)
     frame = np.array([[3 + 4j, 0]], dtype=complex)
-    e_plus, e_minus = measure_energies(frame, m)
-    assert e_plus[0] == pytest.approx(25.0)
-    assert e_minus[0] == pytest.approx(0.0)
+    result = detect(frame, m)
+    assert result.e_plus[0] == pytest.approx(25.0)
+    assert result.e_minus[0] == pytest.approx(0.0)
 
 
 def test_measure_energies_zero_frame():
     m = build_subcarrier_map(4, 8, 1)
-    e_plus, e_minus = measure_energies(np.zeros((1, 8), dtype=complex), m)
-    assert np.all(e_plus == 0) and np.all(e_minus == 0)
+    result = detect(np.zeros((1, 8), dtype=complex), m)
+    assert np.all(result.e_plus == 0) and np.all(result.e_minus == 0)
+    np.testing.assert_array_equal(result.votes, 1)  # every pair ties
 
 
 def test_measure_energies_out_of_range():
     m = build_subcarrier_map(4, 8, 2)
-    with pytest.raises(ValueError):
-        measure_energies(np.zeros((1, 8), dtype=complex), m)
+    with pytest.raises(ValueError, match="grid"):
+        detect(np.zeros((1, 8), dtype=complex), m)
+    with pytest.raises(ValueError, match="2-D"):
+        detect(np.zeros(8, dtype=complex), m)
 
 
 def test_single_device_clean_energy():
     # One device, unit gain, no noise: the active bin carries energy 2.
     m = build_subcarrier_map(1, 2, 1)
     cfg = ChannelConfig(noise_var=0.0, fading="none")
-    frame = encode_signs(np.array([1]), m, seed=123)  # randomization on
-    real = sample_channel(1, 1, 2, cfg, seed=0)
-    received = superpose(frame[None], np.array([1.0]), real, cfg, seed=0)
-    e_plus, e_minus = measure_energies(received, m)
-    assert e_plus[0] == pytest.approx(2.0)
-    assert e_minus[0] == pytest.approx(0.0)
+    result = air_detect(
+        np.ones((1, 1, 1)), np.array([1.0]), m, cfg,
+        [np.random.default_rng(123)], [np.random.default_rng(0)], [np.random.default_rng(0)],
+    )  # randomization on
+    assert result.e_plus[0, 0] == pytest.approx(2.0)
+    assert result.e_minus[0, 0] == pytest.approx(0.0)
+
+
+def _pair_frame(e_plus, e_minus):
+    """A one-symbol received frame whose pairs carry the given energies."""
+    frame = np.empty((1, 2 * len(e_plus)), dtype=complex)
+    frame[0, 0::2] = np.sqrt(e_plus)
+    frame[0, 1::2] = np.sqrt(e_minus)
+    return frame, build_subcarrier_map(len(e_plus), 2 * len(e_plus), 1)
 
 
 def test_detect_votes_rules():
-    np.testing.assert_array_equal(
-        detect_votes(np.array([5.0, 1.0]), np.array([2.0, 4.0])), [1, -1]
-    )
-    np.testing.assert_array_equal(
-        detect_votes(np.array([2.0, 2.0]), np.array([2.0, 2.0])), [1, 1]
-    )
+    frame, m = _pair_frame([5.0, 1.0], [2.0, 4.0])
+    np.testing.assert_array_equal(detect(frame, m).votes, [1, -1])
+    frame, m = _pair_frame([2.0, 2.0], [2.0, 2.0])
+    np.testing.assert_array_equal(detect(frame, m).votes, [1, 1])
 
 
 def test_detect_votes_antisymmetric_without_ties():
@@ -55,7 +65,9 @@ def test_detect_votes_antisymmetric_without_ties():
     a = rng.uniform(0.1, 5.0, size=50)
     b = rng.uniform(0.1, 5.0, size=50)
     b[np.isclose(a, b)] += 0.5
-    np.testing.assert_array_equal(detect_votes(a, b), -detect_votes(b, a))
+    frame, m = _pair_frame(a, b)
+    swapped, _ = _pair_frame(b, a)
+    np.testing.assert_array_equal(detect(frame, m).votes, -detect(swapped, m).votes)
 
 
 def test_ideal_majority_vote():
@@ -68,40 +80,36 @@ def test_ideal_majority_vote():
 # Oracle equivalence in the ideal channel
 # ---------------------------------------------------------------------------
 
-def air_vote_ideal(sign_matrix, mapping):
-    """Pipeline vote with unit gains, no noise, and pinned randomization.
+def air_vote_ideal(sign_patterns, mapping, low_rng):
+    """Pipeline votes, one frame per (devices, coordinates) pattern, with unit
+    gains, no noise, unit powers and every randomization symbol 1.
 
     With all symbols equal to 1, e_plus = 2 * (votes for +1)^2 and
     e_minus = 2 * (votes for -1)^2, so the energy comparison reproduces the
     count comparison exactly.
     """
     cfg = ChannelConfig(noise_var=0.0, fading="none")
-    num_devices = sign_matrix.shape[0]
-    frames = np.stack(
-        [encode_signs(row, mapping, seed=0, randomize=False) for row in sign_matrix]
-    )
-    real = sample_channel(num_devices, mapping.num_symbols, mapping.num_subcarriers, cfg, seed=0)
-    received = superpose(frames, np.ones(num_devices), real, cfg, seed=0)
-    return detect(received, mapping).votes
+    num_frames, num_devices = sign_patterns.shape[:2]
+    frame_rngs = [low_rng] * num_frames
+    return air_detect(
+        sign_patterns, np.ones(num_devices), mapping, cfg, [low_rng] * num_devices, frame_rngs, frame_rngs
+    ).votes
 
 
-def test_energy_detection_equals_majority_vote_exhaustive():
+def test_energy_detection_equals_majority_vote_exhaustive(low_rng):
     mapping = build_subcarrier_map(2, 4, 1)
-    for bits in itertools.product([-1, 1], repeat=6):  # all 2^(3*2) patterns
-        signs = np.array(bits).reshape(3, 2)
-        np.testing.assert_array_equal(
-            air_vote_ideal(signs, mapping), ideal_majority_vote(signs)
-        )
+    patterns = np.array(list(itertools.product([-1, 1], repeat=6))).reshape(-1, 3, 2)  # all 2^(3*2)
+    votes = air_vote_ideal(patterns, mapping, low_rng)
+    for signs, vote in zip(patterns, votes):
+        np.testing.assert_array_equal(vote, ideal_majority_vote(signs))
 
 
-def test_energy_detection_equals_majority_vote_random_patterns():
+def test_energy_detection_equals_majority_vote_random_patterns(low_rng):
     mapping = build_subcarrier_map(10, 20, 1)
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        signs = rng.choice([-1, 1], size=(31, 10))
-        np.testing.assert_array_equal(
-            air_vote_ideal(signs, mapping), ideal_majority_vote(signs)
-        )
+    patterns = np.random.default_rng(21).choice([-1, 1], size=(200, 31, 10))
+    votes = air_vote_ideal(patterns, mapping, low_rng)
+    for signs, vote in zip(patterns, votes):
+        np.testing.assert_array_equal(vote, ideal_majority_vote(signs))
 
 
 def test_detection_invariant_to_global_phase():
@@ -122,8 +130,9 @@ def test_detection_result_fields_consistent():
     received = rng.normal(size=(1, 8)) + 1j * rng.normal(size=(1, 8))
     result = detect(received, mapping)
     assert np.all(result.e_plus >= 0) and np.all(result.e_minus >= 0)
-    np.testing.assert_allclose(result.delta, result.e_plus - result.e_minus)
-    np.testing.assert_array_equal(result.votes, detect_votes(result.e_plus, result.e_minus))
+    np.testing.assert_array_equal(result.e_plus, np.abs(received[0, 0::2]) ** 2)
+    np.testing.assert_array_equal(result.e_minus, np.abs(received[0, 1::2]) ** 2)
+    np.testing.assert_array_equal(result.votes, np.where(result.e_plus < result.e_minus, -1, 1))
 
 
 def test_detect_frame_axis_matches_per_frame_detect():
@@ -133,7 +142,7 @@ def test_detect_frame_axis_matches_per_frame_detect():
     batch = detect(received, mapping)
     for f in range(3):
         single = detect(received[f], mapping)
-        for name in ("e_plus", "e_minus", "delta", "votes"):
+        for name in ("e_plus", "e_minus", "votes"):
             np.testing.assert_array_equal(getattr(batch, name)[f], getattr(single, name))
 
 
@@ -151,16 +160,12 @@ def test_received_energy_is_exponential():
     cfg = ChannelConfig(noise_var=noise_var)
     samples = []
     for rep in range(10):  # 1e4 samples total
-        frames = np.stack(
-            [
-                encode_signs(np.ones(q, dtype=int), mapping, seed=(rep, m))
-                for m in range(voters)
-            ]
+        result = air_detect(
+            np.ones((1, voters, q), dtype=int), np.ones(voters), mapping, cfg,
+            [np.random.default_rng((rep, m)) for m in range(voters)],
+            [np.random.default_rng((rep, 100))], [np.random.default_rng((rep, 200))],
         )
-        real = sample_channel(voters, 50, 40, cfg, seed=(rep, 100))
-        received = superpose(frames, np.ones(voters), real, cfg, seed=(rep, 200))
-        e_plus, _ = measure_energies(received, mapping)
-        samples.append(e_plus)
+        samples.append(result.e_plus[0])
     samples = np.concatenate(samples)
     mean_energy = 2.0 * voters * 1.0 + noise_var
     result = stats.kstest(samples, "expon", args=(0.0, mean_energy))

@@ -1,4 +1,3 @@
-import functools
 import json
 import re
 from dataclasses import fields, replace
@@ -130,10 +129,14 @@ def test_power_cap_respected():
     assert np.all(state.powers <= 1.5 + 1e-12)
 
 
-def test_pipeline_votes_match_ideal_votes_in_clean_channel(monkeypatch):
-    # Pinned randomization, unit gains, no noise, unit powers: the AirComp
-    # vote stream must equal the perfect majority-vote stream bit for bit.
-    monkeypatch.setattr(analysis, "encode_signs", functools.partial(encode_signs, randomize=False))
+def test_pipeline_votes_match_ideal_votes_in_clean_channel(monkeypatch, low_rng):
+    # Unit randomization symbols, unit gains, no noise, unit powers: the
+    # AirComp vote stream must equal the perfect majority-vote stream bit
+    # for bit.
+    monkeypatch.setattr(
+        analysis, "encode_signs",
+        lambda signs, mapping, device_rngs: encode_signs(signs, mapping, [low_rng] * len(device_rngs)),
+    )
     clean = dict(channel=ChannelConfig(noise_var=0.0, fading="none"))
     config_air = small_config(scheme="fsk_mv", seed=11, **clean)
     config_ideal = small_config(scheme="ideal_signsgd_mv", seed=11)

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from airvote.analysis import mc_error_prob
+from airvote.analysis import mc_error_prob, mc_mean_energy
 from airvote.cli import main as cli_main
 
 # The c10 acceptance config; 21 parameters fit one 4 x 16 frame.
@@ -57,6 +57,17 @@ TINY_MC_ESTIMATES = {
     (15, 2.0, 0.2): 0.24,
 }
 
+# mean-energy suite points: (devices, mean_tx_power, noise_var) -> estimate at
+# 2000 trials (two frames, the second partial) with the suite's seed for the
+# point.  Pinned with equal per-device powers and no power draw; a change of
+# the draw order moves these by far more than the tolerance.
+TINY_MEAN_ENERGY = {
+    (2, 1.0, 0.1): 4.106066988665727,
+    (5, 1.5, 1.0): 16.677213199429513,
+    (31, 3.0, 0.1): 186.23075802780625,
+}
+MEAN_ENERGY_REL_TOL = 1e-9  # float rounding only
+
 
 def _train_digests(tmp_path, **values):
     out = tmp_path / f"{values['scheme']}.jsonl"
@@ -85,3 +96,10 @@ def test_mc_error_prob_matches_golden_estimates(point):
     devices, snr, q = point
     estimate, _ = mc_error_prob(devices, q, snr, 1000, seed=(0, devices, int(snr * 10), int(q * 100)))
     assert estimate == TINY_MC_ESTIMATES[point]
+
+
+@pytest.mark.parametrize("point", sorted(TINY_MEAN_ENERGY))
+def test_mc_mean_energy_matches_golden_estimates(point):
+    devices, power, noise = point
+    estimate = mc_mean_energy(devices, power, noise, 2000, seed=(0, devices, int(power * 2), int(noise * 10)))
+    assert estimate == pytest.approx(TINY_MEAN_ENERGY[point], rel=MEAN_ENERGY_REL_TOL)

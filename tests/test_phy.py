@@ -55,24 +55,29 @@ def test_map_bins_distinct_and_fsk_adjacent(q, a, s):
 # Encoding
 # ---------------------------------------------------------------------------
 
+def _rngs(*seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 def test_encode_positive_sign():
     m = build_subcarrier_map(1, 2, 1)
-    frame = encode_signs(np.array([1]), m, seed=0)
+    frame = encode_signs(np.array([[1]]), m, _rngs(0))[0]
     assert abs(frame[0, 0]) == pytest.approx(np.sqrt(2.0))
     assert frame[0, 1] == 0
 
 
 def test_encode_negative_sign():
     m = build_subcarrier_map(1, 2, 1)
-    frame = encode_signs(np.array([-1]), m, seed=0)
+    frame = encode_signs(np.array([[-1]]), m, _rngs(0))[0]
     assert frame[0, 0] == 0
     assert abs(frame[0, 1]) == pytest.approx(np.sqrt(2.0))
 
 
-def test_encode_pinned_randomization():
+def test_encode_pinned_randomization(low_rng):
     m = build_subcarrier_map(3, 6, 1)
-    frame = encode_signs(np.array([1, -1, 1]), m, seed=5, randomize=False)
-    np.testing.assert_allclose(frame[0, [0, 3, 4]], np.sqrt(2.0))
+    frame = encode_signs(np.array([[1, -1, 1]]), m, [low_rng])[0]
+    np.testing.assert_array_equal(frame[0, [0, 3, 4]], np.sqrt(2.0))
+    np.testing.assert_array_equal(frame[0, [1, 2, 5]], 0.0)
 
 
 def test_encode_per_coordinate_energy_and_exactly_one_active():
@@ -80,7 +85,7 @@ def test_encode_per_coordinate_energy_and_exactly_one_active():
     m = build_subcarrier_map(16, 8, 4)
     for trial in range(20):
         signs = rng.choice([-1, 1], size=16)
-        frame = encode_signs(signs, m, seed=trial)
+        frame = encode_signs(signs[None], m, _rngs(trial))[0]
         e_plus = np.abs(frame[m.sym_plus, m.sub_plus]) ** 2
         e_minus = np.abs(frame[m.sym_minus, m.sub_minus]) ** 2
         np.testing.assert_allclose(e_plus + e_minus, SYMBOL_ENERGY, atol=1e-12)
@@ -92,34 +97,36 @@ def test_encode_per_coordinate_energy_and_exactly_one_active():
 
 def test_encode_deterministic_and_validates():
     m = build_subcarrier_map(4, 8, 1)
-    signs = np.array([1, -1, -1, 1])
-    a = encode_signs(signs, m, seed=9)
-    b = encode_signs(signs, m, seed=9)
+    signs = np.array([[1, -1, -1, 1]])
+    a = encode_signs(signs, m, _rngs(9))
+    b = encode_signs(signs, m, _rngs(9))
     np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
-        encode_signs(np.array([1, 0, -1, 1]), m, seed=0)
+        encode_signs(np.array([[1, 0, -1, 1]]), m, _rngs(0))
     with pytest.raises(ValueError):
-        encode_signs(np.array([1, -1]), m, seed=0)
+        encode_signs(np.array([[1, -1]]), m, _rngs(0))
+    with pytest.raises(ValueError, match="device generators"):
+        encode_signs(np.array([1, -1, -1, 1]), m, _rngs(0))
 
 
 def test_encode_batch_matches_stacked_single_vector_encodes():
     m = build_subcarrier_map(6, 8, 2)
     signs = np.random.default_rng(3).choice([-1, 1], size=(3, 4, 6))
-    # one generator per device draws that device's frames in order
-    batch = encode_signs(signs, m, device_rngs=[np.random.default_rng((7, d)) for d in range(4)])
-    rngs = [np.random.default_rng((7, d)) for d in range(4)]
-    reference = [[encode_signs(signs[f, d], m, seed=rngs[d]) for d in range(4)] for f in range(3)]
-    np.testing.assert_array_equal(batch, np.array(reference))
-    # one generator draws every vector in C order
-    rng = np.random.default_rng(5)
-    reference = [encode_signs(row, m, seed=rng) for row in signs.reshape(-1, 6)]
-    np.testing.assert_array_equal(encode_signs(signs, m, seed=5), np.array(reference).reshape(3, 4, 2, 8))
-    pinned = [encode_signs(row, m, randomize=False) for row in signs.reshape(-1, 6)]
-    np.testing.assert_array_equal(
-        encode_signs(signs, m, randomize=False), np.array(pinned).reshape(3, 4, 2, 8)
-    )
+    batch = encode_signs(signs, m, _rngs(*[(7, d) for d in range(4)]))
+    # frame at a time on the same continuing generators: the block size of
+    # a batched call cannot change the symbols
+    rngs = _rngs(*[(7, d) for d in range(4)])
+    np.testing.assert_array_equal(batch, np.array([encode_signs(signs[f], m, rngs) for f in range(3)]))
+    # built by hand: each device draws the phases of its frames in order
+    rngs = _rngs(*[(7, d) for d in range(4)])
+    phases = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=(3, 6)) for rng in rngs], axis=1)
+    expected = np.zeros((3, 4, 2, 8), dtype=np.complex128)
+    for (f, d, j), sign in np.ndenumerate(signs):
+        sym, sub = (m.sym_plus[j], m.sub_plus[j]) if sign > 0 else (m.sym_minus[j], m.sub_minus[j])
+        expected[f, d, sym, sub] = np.sqrt(SYMBOL_ENERGY) * np.exp(1j * phases[f, d, j])
+    np.testing.assert_array_equal(batch, expected)
     with pytest.raises(ValueError, match="device generators"):
-        encode_signs(signs, m, device_rngs=[np.random.default_rng(0)] * 3)
+        encode_signs(signs, m, _rngs(0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
