@@ -38,7 +38,6 @@ from .experiment import (
 )
 from .learner import (
     Dataset,
-    DatasetShard,
     IdxFormatError,
     ModelState,
     SoftmaxRegression,

@@ -186,7 +186,8 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 
 # Largest complex (frames, devices, symbols, subcarriers) array the kernel
 # builds at once.  A 7,850-parameter round (19 frames of 13 x 64 bins from
-# 31 devices, 7.8 MB) fits one block; larger models run in several.
+# 31 devices, 7.8 MB) fits one block; larger models run in several.  The
+# learner's batched gradients gather their features under the same budget.
 BLOCK_BYTES = 8 * 2**20
 
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,16 @@ SUITE_ALIASES = {
     "lemma32": "error-prob",
 }
 SUITES = (*analysis.SUITE_TABLES, "all")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option; rejects nan and infinities."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +66,7 @@ def build_parser() -> _Parser:
     group = bounds.add_mutually_exclusive_group(required=True)
     group.add_argument("--cost", choices=analysis.COMM_SCHEMES,
                        help="uplink bits per round for a compression scheme")
-    group.add_argument("--failure-prob", type=float, metavar="GRAD_SNR",
+    group.add_argument("--failure-prob", type=_finite_float, metavar="GRAD_SNR",
                        help="single-device sign-flip tail bound")
     group.add_argument("--error-prob", action="store_true",
                        help="majority-vote detection error bound")
@@ -64,13 +75,13 @@ def build_parser() -> _Parser:
                        help="bound on the running mean L1 gradient norm")
     bounds.add_argument("--devices", type=int, default=31)
     bounds.add_argument("--dim", type=int, default=10_000)
-    bounds.add_argument("--snr", type=float, default=2.0)
-    bounds.add_argument("--grad-snr", type=float, default=3.0)
-    bounds.add_argument("--gamma", type=float, default=1.0)
+    bounds.add_argument("--snr", type=_finite_float, default=2.0)
+    bounds.add_argument("--grad-snr", type=_finite_float, default=3.0)
+    bounds.add_argument("--gamma", type=_finite_float, default=1.0)
     bounds.add_argument("--rounds", type=int, default=1000)
-    bounds.add_argument("--smoothness-l1", type=float, default=1.0)
-    bounds.add_argument("--sigma-l1", type=float, default=1.0)
-    bounds.add_argument("--loss-gap", type=float, default=1.0)
+    bounds.add_argument("--smoothness-l1", type=_finite_float, default=1.0)
+    bounds.add_argument("--sigma-l1", type=_finite_float, default=1.0)
+    bounds.add_argument("--loss-gap", type=_finite_float, default=1.0)
     bounds.add_argument("--batch-size", type=int, default=None)
     bounds.add_argument("--strict-derivation", action="store_true")
 

@@ -43,9 +43,7 @@ from .seeding import (
     STREAM_BATCH,
     STREAM_CHANNEL,
     STREAM_DATASET,
-    STREAM_ENCODE,
     STREAM_INIT,
-    STREAM_NOISE,
     STREAM_PARTITION,
     derive_rng,
 )
@@ -142,7 +140,7 @@ class RunState:
     predictor: object
     train: Dataset
     test: Dataset
-    shards: list
+    shards: list              # per-device int64 sample indices
     num_frames: int
     mapping: SubcarrierMap
     last_vote: np.ndarray | None = None
@@ -203,11 +201,10 @@ def prepare_run(config: ExperimentConfig) -> RunState:
     predictor = make_predictor(config.training, train)
     shards = partition(train, config.training.num_devices, config.training.partition_mode,
                        seed=derive_rng(config.master_seed, STREAM_PARTITION))
-    smallest = min(len(s) for s in shards)
-    if config.training.batch_size > smallest:
-        raise ValueError(
-            f"batch_size {config.training.batch_size} exceeds the smallest shard ({smallest})"
-        )
+    smallest = int(np.argmin([len(s) for s in shards]))
+    if config.training.batch_size > len(shards[smallest]):
+        raise ValueError(f"batch_size {config.training.batch_size} exceeds the smallest shard "
+                         f"({len(shards[smallest])} samples, device {smallest})")
     model = predictor.init_state(seed=derive_rng(config.master_seed, STREAM_INIT))
     num_frames, mapping = _coordinate_chunks(predictor.num_params, config.phy)
     return RunState(model, np.ones(config.training.num_devices), predictor, train, test,
@@ -219,30 +216,25 @@ def prepare_run(config: ExperimentConfig) -> RunState:
 # ---------------------------------------------------------------------------
 
 def _air_vote(sign_matrix: np.ndarray, powers: np.ndarray, state: RunState,
-              config: ExperimentConfig, round_idx: int) -> np.ndarray:
+              config: ExperimentConfig, round_idx: int, device_rngs) -> np.ndarray:
     """Encode, superpose over the fading channel, and detect every frame of
     the round in one kernel call.
 
     The coordinates are cut into state.num_frames full frames, the last
     padded with +1 votes that are dropped after detection.  Device m draws
-    its randomization symbols for all frames, in order, from the generator
-    at path (round, 0, m); frame f has its own channel and noise generators
-    at (round, f).  A run whose model fits one frame therefore matches the
-    earlier per-frame, per-device generator layout byte for byte.
+    its randomization symbols for all frames, in order, from
+    `device_rngs[m]`, the generator its mini batch came from; frame f draws
+    its channel and then its noise from one generator at (round, f).
     """
     num_devices, num_params = sign_matrix.shape
     mapping = state.mapping
     padded = np.ones((num_devices, state.num_frames * mapping.num_coordinates), dtype=np.int8)
     padded[:, :num_params] = sign_matrix
     signs = padded.reshape(num_devices, state.num_frames, -1).transpose(1, 0, 2)
-    seed = config.master_seed
-    frames = range(state.num_frames)
-    result = air_detect(
-        signs, powers, mapping, config.channel,
-        device_rngs=[derive_rng(seed, STREAM_ENCODE, round_idx, 0, m) for m in range(num_devices)],
-        channel_rngs=[derive_rng(seed, STREAM_CHANNEL, round_idx, f) for f in frames],
-        noise_rngs=[derive_rng(seed, STREAM_NOISE, round_idx, f) for f in frames],
-    )
+    frame_rngs = [derive_rng(config.master_seed, STREAM_CHANNEL, round_idx, f)
+                  for f in range(state.num_frames)]
+    result = air_detect(signs, powers, mapping, config.channel, device_rngs,
+                        channel_rngs=frame_rngs, noise_rngs=frame_rngs)
     return result.votes.reshape(-1)[:num_params]
 
 
@@ -250,11 +242,10 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
     """Execute one communication round; returns metrics on evaluation rounds
     (every eval_every completed rounds, and always after the last round)."""
     training = config.training
-    grads = [
-        compute_local_gradient(state.model, state.predictor, state.train, shard, training.batch_size,
-                               seed=derive_rng(config.master_seed, STREAM_BATCH, round_idx, device))
-        for device, shard in enumerate(state.shards)
-    ]
+    device_rngs = [derive_rng(config.master_seed, STREAM_BATCH, round_idx, m)
+                   for m in range(training.num_devices)]
+    grads = compute_local_gradient(state.model, state.predictor, state.train, state.shards,
+                                   training.batch_size, device_rngs)
     emit = (round_idx + 1) % config.eval_every == 0 or round_idx == training.rounds - 1
     vote_agreement = None
     empirical_perr = None
@@ -265,12 +256,12 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
         model = ModelState(state.model.weights - training.learning_rate * direction,
                            state.model.round + 1)
     else:
-        sign_matrix = sign_quantize(np.stack(grads))
+        sign_matrix = sign_quantize(grads)
         ideal = ideal_majority_vote(sign_matrix)
         if config.scheme == "ideal_signsgd_mv":
             vote = ideal
         else:
-            vote = _air_vote(sign_matrix, powers, state, config, round_idx)
+            vote = _air_vote(sign_matrix, powers, state, config, round_idx, device_rngs)
         if emit:
             vote_agreement = float(np.mean(vote == ideal))
             reference = sign_quantize(full_gradient(state.model, state.predictor, state.train))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import analysis
+
 IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
 
@@ -51,22 +53,6 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass
-class DatasetShard:
-    """Indices of the samples owned by one device."""
-
-    owner: int
-    sample_indices: np.ndarray
-
-    def __post_init__(self):
-        self.sample_indices = np.asarray(self.sample_indices, dtype=np.int64)
-        if len(np.unique(self.sample_indices)) != self.sample_indices.size:
-            raise ValueError(f"shard of device {self.owner} has duplicate indices")
-
-    def __len__(self) -> int:
-        return self.sample_indices.size
 
 
 @dataclass
@@ -179,8 +165,8 @@ def make_synthetic_dataset(
     return Dataset(features, labels, num_classes)
 
 
-def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[DatasetShard]:
-    """Split a dataset into one disjoint shard per device.
+def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[np.ndarray]:
+    """Split a dataset into disjoint int64 sample-index arrays, one per device.
 
     iid: a seeded permutation cut into near-equal chunks.  non-iid: samples
     sorted by label, cut into 2*num_devices chunks, and each device gets two
@@ -193,17 +179,12 @@ def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[Datas
         raise ValueError(f"cannot split {n} samples across {num_devices} devices")
     rng = np.random.default_rng(seed)
     if mode == "iid":
-        order = rng.permutation(n)
-        chunks = np.array_split(order, num_devices)
-        return [DatasetShard(m, chunk) for m, chunk in enumerate(chunks)]
+        return np.array_split(rng.permutation(n), num_devices)
     if mode == "non-iid":
-        order = np.argsort(dataset.labels, kind="stable")
-        chunks = np.array_split(order, 2 * num_devices)
+        chunks = np.array_split(np.argsort(dataset.labels, kind="stable"), 2 * num_devices)
         assignment = rng.permutation(2 * num_devices)
-        return [
-            DatasetShard(m, np.concatenate([chunks[assignment[2 * m]], chunks[assignment[2 * m + 1]]]))
-            for m in range(num_devices)
-        ]
+        return [np.concatenate([chunks[assignment[2 * m]], chunks[assignment[2 * m + 1]]])
+                for m in range(num_devices)]
     raise ValueError(f"unknown partition mode {mode!r}")
 
 
@@ -212,18 +193,40 @@ def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[Datas
 # ---------------------------------------------------------------------------
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy over the sample axis -2 of (..., n, classes)
+    logits, and its gradient in the logits."""
+    probs = _softmax(logits)
+    labels = labels[..., None]
+    picked = np.take_along_axis(probs, labels, axis=-1)
+    loss = -np.mean(np.log(picked[..., 0] + 1e-300), axis=-1)
+    np.put_along_axis(probs, labels, picked - 1.0, axis=-1)
+    probs /= logits.shape[-2]
+    return loss, probs
+
+
+def _flat(features: np.ndarray, *parts) -> np.ndarray:
+    """Gradient parts joined into (*leading axes of features, num_params)."""
+    return np.concatenate([p.reshape(*features.shape[:-2], -1) for p in parts], axis=-1)
 
 
 class SoftmaxRegression:
-    """Linear softmax classifier; parameters are [W.ravel(), bias]."""
+    """Linear softmax classifier; parameters are [W.ravel(), bias].
+
+    `loss_and_gradient` maps (..., n, input_dim) features and (..., n)
+    labels to the mean losses (...) and gradients (..., num_params) of each
+    batch; `matmul` on swapped axes, not einsum, keeps batching fast.
+    """
 
     def __init__(self, input_dim: int, num_classes: int):
         self.input_dim = input_dim
@@ -245,18 +248,13 @@ class SoftmaxRegression:
         return features @ w + b
 
     def loss_and_gradient(self, weights, features, labels):
-        n = features.shape[0]
-        probs = _softmax(self.logits(weights, features))
-        loss = -np.mean(np.log(probs[np.arange(n), labels] + 1e-300))
-        probs[np.arange(n), labels] -= 1.0
-        probs /= n
-        grad_w = features.T @ probs
-        grad_b = probs.sum(axis=0)
-        return loss, np.concatenate([grad_w.ravel(), grad_b])
+        loss, d_logits = _cross_entropy(self.logits(weights, features), labels)
+        return loss, _flat(features, features.swapaxes(-1, -2) @ d_logits, d_logits.sum(axis=-2))
 
 
 class TanhMlp:
-    """One hidden tanh layer; exercises the non-convex training path."""
+    """One hidden tanh layer; exercises the non-convex training path.
+    Batches over leading axes as SoftmaxRegression does."""
 
     def __init__(self, input_dim: int, num_classes: int, hidden_units: int = 32):
         self.input_dim = input_dim
@@ -290,20 +288,11 @@ class TanhMlp:
 
     def loss_and_gradient(self, weights, features, labels):
         w1, b1, w2, b2 = self._unpack(weights)
-        n = features.shape[0]
         hidden = np.tanh(features @ w1 + b1)
-        probs = _softmax(hidden @ w2 + b2)
-        loss = -np.mean(np.log(probs[np.arange(n), labels] + 1e-300))
-        probs[np.arange(n), labels] -= 1.0
-        probs /= n
-        grad_w2 = hidden.T @ probs
-        grad_b2 = probs.sum(axis=0)
-        d_hidden = (probs @ w2.T) * (1.0 - hidden**2)
-        grad_w1 = features.T @ d_hidden
-        grad_b1 = d_hidden.sum(axis=0)
-        return loss, np.concatenate(
-            [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
-        )
+        loss, d_logits = _cross_entropy(hidden @ w2 + b2, labels)
+        d_hidden = (d_logits @ w2.T) * (1.0 - hidden**2)
+        return loss, _flat(features, features.swapaxes(-1, -2) @ d_hidden, d_hidden.sum(axis=-2),
+                           hidden.swapaxes(-1, -2) @ d_logits, d_logits.sum(axis=-2))
 
 
 def make_predictor(config: TrainingConfig, dataset: Dataset):
@@ -320,27 +309,42 @@ def compute_local_gradient(
     state: ModelState,
     predictor,
     dataset: Dataset,
-    shard: DatasetShard,
+    shards: list[np.ndarray],
     batch_size: int,
-    seed,
+    device_rngs,
 ) -> np.ndarray:
-    """Mean loss gradient, a flat vector like the weights, over a seeded
-    batch drawn from the shard without replacement."""
-    if batch_size > len(shard):
-        raise ValueError(
-            f"batch_size {batch_size} exceeds shard size {len(shard)} of device {shard.owner}"
-        )
-    rng = np.random.default_rng(seed)
-    batch = rng.choice(shard.sample_indices, size=batch_size, replace=False)
+    """(devices, params) mean loss gradients, one row per device.
+
+    Device m draws `batch_size` samples without replacement from
+    `shards[m]` with `device_rngs[m]`, and its row is the gradient over
+    that batch.  The batches' features are gathered and differentiated in
+    blocks of devices whose (block, batch_size, input_dim) features stay
+    within analysis.BLOCK_BYTES; every row depends only on its own device,
+    so the block size cannot change a result.
+    """
+    for device, shard in enumerate(shards):
+        if batch_size > len(shard):
+            raise ValueError(
+                f"batch_size {batch_size} exceeds shard size {len(shard)} of device {device}"
+            )
+    batches = np.stack([
+        rng.choice(shard, size=batch_size, replace=False) for shard, rng in zip(shards, device_rngs)
+    ])
+    block = max(1, analysis.BLOCK_BYTES // (batch_size * dataset.features[0].nbytes))
+    losses = np.empty(len(shards))
+    grads = np.empty((len(shards), predictor.num_params))
     with np.errstate(invalid="ignore", over="ignore"):
-        loss, grad = predictor.loss_and_gradient(
-            state.weights, dataset.features[batch], dataset.labels[batch]
-        )
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+        for lo in range(0, len(shards), block):
+            rows = batches[lo : lo + block]
+            losses[lo : lo + block], grads[lo : lo + block] = predictor.loss_and_gradient(
+                state.weights, dataset.features[rows], dataset.labels[rows]
+            )
+    finite = np.isfinite(losses) & np.isfinite(grads).all(axis=1)
+    if not finite.all():
         raise FloatingPointError(
-            f"non-finite gradient at round {state.round} on device {shard.owner}"
+            f"non-finite gradient at round {state.round} on device {np.argmin(finite)}"
         )
-    return grad
+    return grads
 
 
 def full_gradient(state: ModelState, predictor, dataset: Dataset) -> np.ndarray:

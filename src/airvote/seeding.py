@@ -5,15 +5,10 @@ from (master_seed, stream, *path), so per-device and per-trial work can be
 reordered or parallelized without changing results.
 
 Paths used by the round loop, per round r:
-- STREAM_BATCH (r, m): device m's mini batch;
-- STREAM_ENCODE (r, 0, m): device m's randomization symbols for every
-  frame of the round, drawn frame after frame;
-- STREAM_CHANNEL (r, f) and STREAM_NOISE (r, f): frame f's fading, timing
-  offsets and receiver noise.
-
-Encode generators were once derived per (round, frame, device) at path
-(r, f, m).  Frame 0 keeps that path, so runs whose model fits one frame
-produce the same bytes under either layout; runs with more frames differ.
+- STREAM_BATCH (r, m): device m's mini batch, then its randomization
+  symbols for every frame of the round, drawn frame after frame;
+- STREAM_CHANNEL (r, f): frame f's fading and timing offsets, then its
+  receiver noise.
 """
 
 import numpy as np
@@ -22,9 +17,7 @@ import numpy as np
 STREAM_DATASET = 1
 STREAM_PARTITION = 2
 STREAM_BATCH = 3
-STREAM_ENCODE = 4
 STREAM_CHANNEL = 5
-STREAM_NOISE = 6
 STREAM_INIT = 7
 
 _MASK64 = (1 << 64) - 1

@@ -64,6 +64,21 @@ def test_bounds_convergence(capsys):
     assert float(capsys.readouterr().out) > 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--error-prob", "--snr", "nan"],
+        ["--tau", "--gamma", "inf"],
+        ["--failure-prob", "nan"],
+    ],
+)
+def test_bounds_rejects_non_finite_floats(capsys, argv):
+    assert main(["bounds", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not a finite number" in captured.err
+
+
 def test_train_missing_config(capsys):
     assert main(["train", "--config", "missing.toml"]) == 1
     assert "not found" in capsys.readouterr().err

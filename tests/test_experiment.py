@@ -70,7 +70,7 @@ def test_synthetic_train_test_share_class_means():
 def test_prepare_run_rejects_oversized_batch():
     config = small_config()
     config.training.batch_size = 101  # shards hold 100 samples each
-    with pytest.raises(ValueError, match="smallest shard"):
+    with pytest.raises(ValueError, match=r"smallest shard \(100 samples, device 0\)"):
         prepare_run(config)
 
 

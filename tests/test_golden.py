@@ -22,7 +22,9 @@ C10 = {
     "phy.subcarriers": 16, "phy.symbols": 4,
 }
 
-# sha256 of (metrics JSONL, summary CSV) per scheme.
+# sha256 of (metrics JSONL, summary CSV) per scheme.  The over-the-air
+# schemes are pinned under one generator per (round, device) for the batch
+# and the symbols, and one per (round, frame) for the channel and the noise.
 C10_DIGESTS = {
     "ideal_signsgd_mv": (
         "a24501b0db1b8662de0eb9f08ffd2f582299b735f04ce42f435885173d10fdd6",
@@ -33,21 +35,21 @@ C10_DIGESTS = {
         "2e5acda45af809e2056bb4d96b596697921761bba3b03d0c2a02b9506fe65ce4",
     ),
     "fsk_mv": (
-        "3f933f651b0de5df3e1bdae7d92b9e4f2ff621f5f7105ef7f242b3d715653945",
-        "0b2e98304141437545a52f3393851981b2193e1517567f5700fe218bfdb4555a",
+        "dd11590085258b2e3f6dbd9da8650b5a80dc6fd019ad6c4b1a5e7049fed3b046",
+        "797a144e51b989ae3d3c5006348e7ece8558c106eeabe20d03a50f1351b21286",
     ),
     "fsk_mv_dpc": (
-        "e4b9caa544c2927276af1bbcaf76d484dfca7d5f0872104f64a4fd01df136a38",
-        "2c92e2d3b6a9f1cc4f034b8888fa7410218a772c3d71a2b74198855c31d1e837",
+        "9efb7318856f8ec4ed35e00a38f16e254097570f4ba24ad556951d5fc873fe29",
+        "c98a947682b79a7cdd86b83575f8f963c0d4ad7d7d29f9760df9f32a8e9b487e",
     ),
 }
 
 # c10 with one symbol per frame: 8 coordinates per frame, so 3 frames per
-# round, the last one padded.  Pinned under the per-(round, device)
-# randomization generators, which draw every frame of a device in order.
+# round, the last one padded.  Each device draws its batch and then every
+# frame's randomization symbols from one generator per (round, device).
 C10_MULTI_FRAME_DIGESTS = (
-    "9f6887269941f3498e16a7dda069e2ef0f478b7ba19b846a7f178d766b188e34",
-    "101bdf65c83beffb0ebd01822b07ac86e526d53cb3f810c6dd58ad298a72c569",
+    "2cb95be31b486140bf12f5e927e0784251c96aade701dfd4232cf9d600df33fb",
+    "a04a00d7c846bf35c797470456defab60e1f860503454d9bf340fbe859a8a545",
 )
 
 # perfbench's TINY_MC grid: (devices, snr, flip_prob) -> estimate at 1000

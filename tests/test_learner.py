@@ -4,9 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+from airvote import analysis
 from airvote.learner import (
     Dataset,
-    DatasetShard,
     IdxFormatError,
     ModelState,
     SoftmaxRegression,
@@ -122,7 +122,7 @@ def test_partition_iid_sizes():
     ds = make_synthetic_dataset(100, 3, 2, seed=0)
     shards = partition(ds, 4, "iid", seed=0)
     assert sorted(len(s) for s in shards) == [25, 25, 25, 25]
-    all_idx = np.concatenate([s.sample_indices for s in shards])
+    all_idx = np.concatenate(shards)
     assert len(np.unique(all_idx)) == 100  # disjoint cover
 
 
@@ -131,10 +131,10 @@ def test_partition_noniid_label_cardinality():
     ds = make_synthetic_dataset(6200, 4, 10, seed=5)
     shards = partition(ds, 31, "non-iid", seed=5)
     assert sum(len(s) for s in shards) == 6200
-    all_idx = np.concatenate([s.sample_indices for s in shards])
+    all_idx = np.concatenate(shards)
     assert len(np.unique(all_idx)) == 6200
     for shard in shards:
-        labels = np.unique(ds.labels[shard.sample_indices])
+        labels = np.unique(ds.labels[shard])
         assert labels.size <= 4
 
 
@@ -142,7 +142,7 @@ def test_partition_single_device():
     ds = make_synthetic_dataset(50, 3, 2, seed=1)
     for mode in ("iid", "non-iid"):
         (shard,) = partition(ds, 1, mode, seed=2)
-        assert sorted(shard.sample_indices) == list(range(50))
+        assert sorted(shard) == list(range(50))
 
 
 def test_partition_deterministic():
@@ -151,7 +151,14 @@ def test_partition_deterministic():
         a = partition(ds, 7, mode, seed=11)
         b = partition(ds, 7, mode, seed=11)
         for sa, sb in zip(a, b):
-            np.testing.assert_array_equal(sa.sample_indices, sb.sample_indices)
+            np.testing.assert_array_equal(sa, sb)
+
+
+def test_partition_returns_int64_index_arrays():
+    ds = make_synthetic_dataset(90, 3, 3, seed=4)
+    for mode in ("iid", "non-iid"):
+        for shard in partition(ds, 4, mode, seed=4):
+            assert isinstance(shard, np.ndarray) and shard.dtype == np.int64 and shard.ndim == 1
 
 
 def test_partition_bad_args():
@@ -210,13 +217,18 @@ def test_gradient_matches_finite_differences(kind):
     assert worst < 1e-4
 
 
+def rngs(*seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 def test_full_batch_gradient_ignores_seed():
     ds = make_synthetic_dataset(40, 3, 2, seed=0)
     shards = partition(ds, 2, "iid", seed=0)
     model = SoftmaxRegression(3, 2)
     state = ModelState(np.zeros(model.num_params))
-    g1 = compute_local_gradient(state, model, ds, shards[0], len(shards[0]), seed=1)
-    g2 = compute_local_gradient(state, model, ds, shards[0], len(shards[0]), seed=99)
+    g1 = compute_local_gradient(state, model, ds, shards, len(shards[0]), rngs(1, 2))
+    g2 = compute_local_gradient(state, model, ds, shards, len(shards[0]), rngs(99, 98))
+    assert g1.shape == (2, model.num_params)
     np.testing.assert_allclose(g1, g2, atol=1e-12)
 
 
@@ -225,22 +237,37 @@ def test_gradient_deterministic_and_batch_size_check():
     shards = partition(ds, 3, "iid", seed=2)
     model = SoftmaxRegression(4, 3)
     state = ModelState(np.full(model.num_params, 0.1))
-    a = compute_local_gradient(state, model, ds, shards[1], 8, seed=5)
-    b = compute_local_gradient(state, model, ds, shards[1], 8, seed=5)
+    a = compute_local_gradient(state, model, ds, shards, 8, rngs(5, 6, 7))
+    b = compute_local_gradient(state, model, ds, shards, 8, rngs(5, 6, 7))
     assert a.tobytes() == b.tobytes()
+    uneven = [shards[0], shards[1], shards[2][:19]]
+    with pytest.raises(ValueError, match="shard size 19 of device 2"):
+        compute_local_gradient(state, model, ds, uneven, 20, rngs(5, 6, 7))
     with pytest.raises(ValueError):
-        compute_local_gradient(state, model, ds, shards[1], 21, seed=5)
+        compute_local_gradient(state, model, ds, shards, 21, rngs(5, 6, 7))
 
 
-def test_gradient_nonfinite_error_names_round_and_device():
-    ds = make_synthetic_dataset(20, 3, 2, seed=0)
-    shards = partition(ds, 2, "iid", seed=0)
+def _sign_split_dataset():
+    # Feature 0 is -1 on devices 0 and 1 and +1 on device 2, so an infinite
+    # weight on it sends only device 2's logits to +inf.
+    features = np.ones((12, 3))
+    features[:8, 0] = -1.0
+    return Dataset(features, np.arange(12) % 2, 2), [np.arange(0, 4), np.arange(4, 8), np.arange(8, 12)]
+
+
+def test_gradient_nonfinite_error_names_round_and_device(monkeypatch):
+    ds, shards = _sign_split_dataset()
     model = SoftmaxRegression(3, 2)
     weights = np.zeros(model.num_params)
     weights[0] = np.inf
+    good = compute_local_gradient(ModelState(weights), model, ds, shards[:2], 4, rngs(0, 1))
+    assert np.all(np.isfinite(good))
     state = ModelState(weights, round=17)
-    with pytest.raises(FloatingPointError, match="round 17.*device 1"):
-        compute_local_gradient(state, model, ds, shards[1], 5, seed=0)
+    # All devices in one block, then one device per block.
+    for block_bytes in (analysis.BLOCK_BYTES, 1):
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", block_bytes)
+        with pytest.raises(FloatingPointError, match="round 17 on device 2$"):
+            compute_local_gradient(state, model, ds, shards, 4, rngs(0, 1, 2))
 
 
 def test_devicewise_mean_of_full_shard_gradients_is_full_gradient():
@@ -250,12 +277,47 @@ def test_devicewise_mean_of_full_shard_gradients_is_full_gradient():
     shards = partition(ds, 4, "iid", seed=8)
     model = SoftmaxRegression(5, 3)
     state = ModelState(np.linspace(-0.2, 0.2, model.num_params))
-    per_device = [
-        compute_local_gradient(state, model, ds, s, len(s), seed=0) for s in shards
-    ]
+    per_device = compute_local_gradient(state, model, ds, shards, len(shards[0]), rngs(0, 0, 0, 0))
     np.testing.assert_allclose(
         np.mean(per_device, axis=0), full_gradient(state, model, ds), atol=1e-10
     )
+
+
+def _model(kind, d, c):
+    return SoftmaxRegression(d, c) if kind == "logistic" else TanhMlp(d, c, hidden_units=7)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_batched_loss_and_gradient_equals_per_batch_calls(kind):
+    rng = np.random.default_rng(12)
+    model = _model(kind, 9, 4)
+    weights = rng.normal(scale=0.5, size=model.num_params)
+    features = rng.normal(size=(2, 3, 16, 9))
+    labels = rng.integers(0, 4, size=(2, 3, 16))
+    losses, grads = model.loss_and_gradient(weights, features, labels)
+    assert losses.shape == (2, 3) and grads.shape == (2, 3, model.num_params)
+    for index in np.ndindex(2, 3):
+        loss, grad = model.loss_and_gradient(weights, features[index], labels[index])
+        assert losses[index] == loss
+        assert grads[index].tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_local_gradients_equal_per_device_calls_at_any_block_size(monkeypatch, kind):
+    ds = make_synthetic_dataset(400, 6, 3, seed=1)
+    shards = partition(ds, 5, "non-iid", seed=1)
+    model = _model(kind, 6, 3)
+    state = ModelState(np.random.default_rng(2).normal(scale=0.3, size=model.num_params))
+    seeds = [(3, m) for m in range(5)]
+    whole = compute_local_gradient(state, model, ds, shards, 16, rngs(*seeds))
+    # Two devices' features per block: three blocks for five devices.
+    monkeypatch.setattr(analysis, "BLOCK_BYTES", 2 * 16 * ds.features[0].nbytes)
+    blocked = compute_local_gradient(state, model, ds, shards, 16, rngs(*seeds))
+    assert blocked.tobytes() == whole.tobytes()
+    for m, (shard, rng) in enumerate(zip(shards, rngs(*seeds))):
+        batch = rng.choice(shard, size=16, replace=False)
+        _, grad = model.loss_and_gradient(state.weights, ds.features[batch], ds.labels[batch])
+        assert whole[m].tobytes() == grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +394,8 @@ def test_sign_vote_training_reaches_90_percent_train_accuracy():
     model = SoftmaxRegression(10, 2)
     state = ModelState(np.zeros(model.num_params))
     for round_idx in range(100):
-        signs = np.stack(
-            [
-                sign_quantize(
-                    compute_local_gradient(state, model, ds, shard, 64, seed=(round_idx, m))
-                )
-                for m, shard in enumerate(shards)
-            ]
-        )
+        device_rngs = rngs(*((round_idx, m) for m in range(len(shards))))
+        signs = sign_quantize(compute_local_gradient(state, model, ds, shards, 64, device_rngs))
         state = apply_global_update(state, ideal_majority_vote(signs), 0.004)
     accuracy, _ = evaluate(state, model, ds)
     assert accuracy > 0.90
@@ -355,7 +411,3 @@ def test_evaluate_trained_model_perfect_on_separable_data():
     acc, _ = evaluate(state, model, ds)
     assert acc == 1.0
 
-
-def test_shard_rejects_duplicates():
-    with pytest.raises(ValueError):
-        DatasetShard(0, np.array([1, 2, 2]))
