@@ -48,8 +48,8 @@ print("  (each coordinate pair holds exactly one X; amplitude is sqrt(2) on a ra
 # --- channel --------------------------------------------------------------
 config = ChannelConfig(noise_var=0.5, sync_error_max=0.25, fft_size=16)
 # fading gains with their timing ramps, then the noisy sum over devices
-realization = sample_channel(DEVICES, 1, 16, config, [np.random.default_rng(2)])
-received = superpose(frames[None], np.ones(DEVICES), realization, config, [np.random.default_rng(3)])[0]
+gains = sample_channel(DEVICES, 1, 16, config, [np.random.default_rng(2)])
+received = superpose(frames[None], np.ones(DEVICES), gains, config, [np.random.default_rng(3)])[0]
 
 # --- detect ---------------------------------------------------------------
 result = detect(received, mapping)

@@ -22,7 +22,7 @@ from .analysis import (
     mc_mean_energy,
     mean_energy,
 )
-from .channel import ChannelConfig, ChannelRealization, sample_channel, superpose
+from .channel import ChannelConfig, sample_channel, superpose
 from .detector import DetectionResult, detect, ideal_majority_vote
 from .experiment import (
     DatasetSpec,

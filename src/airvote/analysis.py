@@ -23,8 +23,6 @@ from .channel import ChannelConfig, sample_channel, superpose
 from .detector import DetectionResult, detect
 from .phy import SYMBOL_ENERGY, SubcarrierMap, build_subcarrier_map, encode_signs
 
-_SNR_TOLERANCE = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Closed forms
@@ -102,12 +100,8 @@ def exact_error_prob(num_devices: int, snr: float, flip_prob: float) -> float:
 
 @dataclass
 class BoundParams:
-    """Inputs of the convergence-rate evaluator.
-
-    `gamma` is the ratio of total rounds to batch size; when mean_tx_power
-    and noise_var are both supplied, snr is cross-checked against
-    symbol_energy * mean_tx_power / noise_var.
-    """
+    """Inputs of the convergence-rate evaluator; `gamma` is the ratio of
+    total rounds to batch size."""
 
     num_devices: int
     snr: float
@@ -116,9 +110,6 @@ class BoundParams:
     smoothness_l1: float = 1.0   # sum of per-coordinate smoothness constants
     sigma_l1: float = 1.0        # sum of per-coordinate gradient-noise scales
     loss_gap: float = 1.0        # initial loss minus its lower bound
-    symbol_energy: float = SYMBOL_ENERGY
-    mean_tx_power: float | None = None
-    noise_var: float | None = None
     batch_size: int | None = None
 
     def __post_init__(self):
@@ -129,12 +120,8 @@ class BoundParams:
         for name in ("snr", "gamma", "smoothness_l1", "sigma_l1", "loss_gap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.mean_tx_power is not None and self.noise_var is not None:
-            implied = self.symbol_energy * self.mean_tx_power / self.noise_var
-            if abs(implied - self.snr) > _SNR_TOLERANCE * abs(self.snr):
-                raise ValueError(
-                    f"snr={self.snr} inconsistent with symbol_energy*power/noise={implied}"
-                )
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 def convergence_tau(num_devices: int, snr: float, gamma: float) -> float:
@@ -185,25 +172,25 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Largest complex (frames, devices, symbols, subcarriers) array the kernel
-# builds at once.  A 7,850-parameter round (19 frames of 13 x 64 bins from
-# 31 devices, 7.8 MB) fits one block; larger models run in several.  The
-# learner's batched gradients gather their features under the same budget.
-BLOCK_BYTES = 8 * 2**20
+# builds at once: one 31-device oracle frame (32 x 64 bins, 0.97 MiB), or two
+# of the 19 frames of 13 x 64 bins a 7,850-parameter round sends.  Larger blocks
+# only raise peak memory.  The learner's gathered features share the budget.
+BLOCK_BYTES = 2**20
 
 
 def air_detect(signs, powers, mapping: SubcarrierMap, channel: ChannelConfig,
-               device_rngs, channel_rngs, noise_rngs) -> DetectionResult:
+               device_rngs, frame_rngs) -> DetectionResult:
     """Detection of frames of sign votes sent at once over the uplink.
 
     `signs` is (frames, devices, coordinates).  Every frame is encoded,
     faded by its own channel draw and timing ramps, superposed with noise
     and detected; the result holds (frames, coordinates) arrays.
     `device_rngs` holds one generator per device, drawing that device's
-    randomization symbols frame after frame; `channel_rngs` and
-    `noise_rngs` hold one generator per frame.  Frames go through in blocks
-    whose complex arrays stay within BLOCK_BYTES; since every generator
-    belongs to one device or one frame, the block size cannot change the
-    result.
+    randomization symbols frame after frame; `frame_rngs` holds one
+    generator per frame, drawing its channel and then its noise.  Frames go
+    through in blocks whose complex arrays stay within BLOCK_BYTES; since
+    every generator belongs to one device or one frame, the block size
+    cannot change the result.
     """
     signs = np.asarray(signs)
     num_frames, num_devices = signs.shape[:2]
@@ -212,10 +199,10 @@ def air_detect(signs, powers, mapping: SubcarrierMap, channel: ChannelConfig,
     block = max(1, BLOCK_BYTES // max(frame_bytes, 1))
     parts = []
     for lo in range(0, num_frames, block):
-        hi = min(lo + block, num_frames)
-        frames = encode_signs(signs[lo:hi], mapping, device_rngs)
-        realization = sample_channel(num_devices, *grid, channel, channel_rngs[lo:hi])
-        received = superpose(frames, powers, realization, channel, noise_rngs[lo:hi])
+        block_rngs = frame_rngs[lo:lo + block]
+        frames = encode_signs(signs[lo:lo + block], mapping, device_rngs)
+        gains = sample_channel(num_devices, *grid, channel, block_rngs)
+        received = superpose(frames, powers, gains, channel, block_rngs)
         result = detect(received, mapping)
         parts.append((result.e_plus, result.e_minus, result.votes))
     return DetectionResult(*(np.concatenate(field) for field in zip(*parts)))
@@ -227,22 +214,25 @@ def air_detect(signs, powers, mapping: SubcarrierMap, channel: ChannelConfig,
 
 _ORACLE_SUBCARRIERS = 64
 _ORACLE_SYMBOLS = 32  # 1024 coordinates per frame
+_ORACLE_MAP = build_subcarrier_map(_ORACLE_SUBCARRIERS * _ORACLE_SYMBOLS // 2, _ORACLE_SUBCARRIERS, _ORACLE_SYMBOLS)
 
 
-def _frame_batches(trials: int):
-    """Split `trials` independent single-coordinate experiments into OFDM
-    frames, one coordinate pair per trial; yields each frame's trial count
-    and its map."""
-    per_frame = _ORACLE_SUBCARRIERS * _ORACLE_SYMBOLS // 2
-    for done in range(0, trials, per_frame):
-        count = min(per_frame, trials - done)
-        yield count, build_subcarrier_map(count, _ORACLE_SUBCARRIERS, _ORACLE_SYMBOLS)
-
-
-def _air_detect_one_frame(signs, powers, mapping, channel, rng) -> DetectionResult:
-    """air_detect on one (devices, coordinates) frame, every draw from `rng`;
-    the devices share it, so their symbols come in device order."""
-    return air_detect(signs[None], powers, mapping, channel, [rng] * len(signs), [rng], [rng])
+def _oracle_detect(sign_sampler, powers, noise_var: float, trials: int, seed) -> DetectionResult:
+    """`trials` single-coordinate experiments over Rayleigh per-bin fading
+    in one air_detect call, filling oracle frames; the result holds
+    (trials,) arrays, the last frame's padding dropped.  `seed` spawns one
+    generator per device (randomization symbols), then one per frame: its
+    int8 (devices, coordinates) signs from `sign_sampler(rng, shape)`, then
+    its channel, then its noise."""
+    seeds = np.random.SeedSequence(seed)
+    device_rngs = [np.random.default_rng(s) for s in seeds.spawn(len(powers))]
+    per_frame = _ORACLE_MAP.num_coordinates
+    frame_rngs = [np.random.default_rng(s) for s in seeds.spawn(-(-trials // per_frame))]
+    signs = np.stack([sign_sampler(rng, (len(powers), per_frame)) for rng in frame_rngs])
+    channel = ChannelConfig(noise_var=noise_var, fading="per_bin")
+    result = air_detect(signs, powers, _ORACLE_MAP, channel, device_rngs, frame_rngs)
+    return DetectionResult(*(field.reshape(-1)[:trials] for field in
+                             (result.e_plus, result.e_minus, result.votes)))
 
 
 def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, trials: int, seed) -> float:
@@ -253,14 +243,9 @@ def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, 
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    cfg = ChannelConfig(noise_var=noise_var, fading="per_bin")
     powers = np.full(active_devices, mean_tx_power)
-    total = 0.0
-    for count, mapping in _frame_batches(trials):
-        signs = np.ones((active_devices, count), dtype=np.int8)
-        total += float(_air_detect_one_frame(signs, powers, mapping, cfg, rng).e_plus.sum())
-    return total / trials
+    result = _oracle_detect(lambda rng, shape: np.ones(shape, np.int8), powers, noise_var, trials, seed)
+    return float(result.e_plus.sum()) / trials
 
 
 def mc_flip_prob(grad_mean: float, grad_std: float, batch_size: int, trials: int, seed) -> tuple[float, float]:
@@ -300,15 +285,8 @@ def _mc_detection_errors(num_devices: int, sign_sampler, snr: float, trials: int
     noise_var = symbol_energy / snr."""
     if trials < MC_ERROR_PROB_MIN_TRIALS:
         raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
-    rng = np.random.default_rng(seed)
-    cfg = ChannelConfig(noise_var=SYMBOL_ENERGY / snr, fading="per_bin")
-    powers = np.ones(num_devices)
-    errors = 0
-    for count, mapping in _frame_batches(trials):
-        signs = sign_sampler(rng, (num_devices, count))
-        votes = _air_detect_one_frame(signs, powers, mapping, cfg, rng).votes
-        errors += int(np.sum(votes != 1))
-    estimate = errors / trials
+    votes = _oracle_detect(sign_sampler, np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed).votes
+    estimate = int(np.sum(votes != 1)) / trials
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / trials)
     return estimate, stderr
 
@@ -327,7 +305,7 @@ def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, s
         raise ValueError("num_devices and snr must be positive")
 
     def sampler(rng, shape):
-        return np.where(rng.random(shape) < flip_prob, -1, 1)
+        return np.where(rng.random(shape) < flip_prob, np.int8(-1), np.int8(1))
 
     return _mc_detection_errors(num_devices, sampler, snr, trials, seed)
 
@@ -340,7 +318,7 @@ def mc_error_prob_gaussian(num_devices: int, grad_snr: float, snr: float, trials
         raise ValueError("grad_snr, num_devices and snr must be positive")
 
     def sampler(rng, shape):
-        return np.where(grad_snr + rng.standard_normal(shape) < 0, -1, 1)
+        return np.where(grad_snr + rng.standard_normal(shape) < 0, np.int8(-1), np.int8(1))
 
     return _mc_detection_errors(num_devices, sampler, snr, trials, seed)
 

@@ -34,24 +34,15 @@ class ChannelConfig:
             raise ValueError(f"fading must be one of {FADING_MODES}")
 
 
-@dataclass
-class ChannelRealization:
-    """Per-device complex gains (frames x devices x symbols x subcarriers),
-    timing ramps included, plus the timing offsets (frames x devices)."""
-
-    coefficients: np.ndarray
-    timing_offsets: np.ndarray
-
-
 def sample_channel(
     num_devices: int,
     num_symbols: int,
     num_subcarriers: int,
     config: ChannelConfig,
     frame_rngs,
-) -> ChannelRealization:
-    """One realization per generator in `frame_rngs`, stacked on a leading
-    frame axis.
+) -> np.ndarray:
+    """Complex per-device gains (frames, devices, symbols, subcarriers),
+    timing ramps included, one frame per generator in `frame_rngs`.
 
     Gains are i.i.d. circularly-symmetric complex Gaussian with unit
     mean-square magnitude; per_frame fading reuses one gain per device
@@ -82,13 +73,13 @@ def sample_channel(
         phase = -2.0 * np.pi * (offsets[..., None] * l) / config.fft_size
         # Out of place on purpose: `*=` raised a round's peak RSS by 8 MB.
         coeff = coeff * np.exp(1j * phase)[..., None, :]
-    return ChannelRealization(coeff, offsets)
+    return coeff
 
 
-def superpose(frames, powers, realization: ChannelRealization, config: ChannelConfig,
-              frame_rngs) -> np.ndarray:
+def superpose(frames, powers, gains, config: ChannelConfig, frame_rngs) -> np.ndarray:
     """Received frames: sum over devices of sqrt(power) * gain * transmitted
-    bin, plus complex Gaussian noise of total variance noise_var.
+    bin, plus complex Gaussian noise of total variance noise_var; `gains`
+    comes from sample_channel.
 
     `frames` is (frames, devices, symbols, subcarriers), giving one received
     (symbols, subcarriers) frame per leading index; each draws its noise,
@@ -98,16 +89,13 @@ def superpose(frames, powers, realization: ChannelRealization, config: ChannelCo
     if frames.ndim != 4:
         raise ValueError("frames must be stacked as (frames, devices, symbols, subcarriers)")
     powers = np.asarray(powers, dtype=np.float64)
-    if frames.shape != realization.coefficients.shape:
-        raise ValueError(
-            f"frames shape {frames.shape} does not match channel shape "
-            f"{realization.coefficients.shape}"
-        )
+    if frames.shape != gains.shape:
+        raise ValueError(f"frames shape {frames.shape} does not match channel shape {gains.shape}")
     if powers.shape != (frames.shape[1],):
         raise ValueError(f"{powers.size} powers for {frames.shape[1]} devices")
     if len(frame_rngs) != frames.shape[0]:
         raise ValueError(f"{len(frame_rngs)} noise generators for frames of shape {frames.shape}")
-    weighted = np.sqrt(powers)[:, None, None] * realization.coefficients
+    weighted = np.sqrt(powers)[:, None, None] * gains
     weighted *= frames
     received = weighted.sum(axis=1)
     if config.noise_var > 0:

@@ -40,6 +40,13 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type of mc-verify's --seed: numpy seeds take no sign."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -60,7 +67,7 @@ def build_parser() -> _Parser:
                         help=f"one of {', '.join(SUITES)}")
     verify.add_argument("--trials", type=int, default=None,
                         help="override the per-suite default trial count")
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--seed", type=_nonnegative_int, default=0)
 
     bounds = sub.add_parser("bounds", help="evaluate a closed-form expression")
     group = bounds.add_mutually_exclusive_group(required=True)

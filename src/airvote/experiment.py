@@ -233,8 +233,7 @@ def _air_vote(sign_matrix: np.ndarray, powers: np.ndarray, state: RunState,
     signs = padded.reshape(num_devices, state.num_frames, -1).transpose(1, 0, 2)
     frame_rngs = [derive_rng(config.master_seed, STREAM_CHANNEL, round_idx, f)
                   for f in range(state.num_frames)]
-    result = air_detect(signs, powers, mapping, config.channel, device_rngs,
-                        channel_rngs=frame_rngs, noise_rngs=frame_rngs)
+    result = air_detect(signs, powers, mapping, config.channel, device_rngs, frame_rngs)
     return result.votes.reshape(-1)[:num_params]
 
 

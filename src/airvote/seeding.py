@@ -9,6 +9,9 @@ Paths used by the round loop, per round r:
   symbols for every frame of the round, drawn frame after frame;
 - STREAM_CHANNEL (r, f): frame f's fading and timing offsets, then its
   receiver noise.
+
+The Monte Carlo oracles keep the per-device, per-frame layout but spawn
+their generators from a seed per grid point (`analysis._oracle_detect`).
 """
 
 import numpy as np

@@ -113,9 +113,8 @@ def _pipeline_votes_ideal(sign_patterns, mapping, cfg, low_rng):
     """Votes of the production kernel with every randomization symbol 1,
     one frame per (devices, coordinates) sign pattern."""
     num_frames, num_devices = sign_patterns.shape[:2]
-    frame_rngs = [low_rng] * num_frames
     return air_detect(
-        sign_patterns, np.ones(num_devices), mapping, cfg, [low_rng] * num_devices, frame_rngs, frame_rngs
+        sign_patterns, np.ones(num_devices), mapping, cfg, [low_rng] * num_devices, [low_rng] * num_frames
     ).votes
 
 
@@ -162,7 +161,7 @@ def _detection_error_rate(sync_error_max: float, trials: int, seed: int):
         signs = np.where(rng.random((devices, count)) < 0.2, -1, 1)
         # every draw of the frame from rng: symbols device by device, then
         # the channel, then the noise
-        votes = air_detect(signs[None], np.ones(devices), mapping, cfg, [rng] * devices, [rng], [rng]).votes
+        votes = air_detect(signs[None], np.ones(devices), mapping, cfg, [rng] * devices, [rng]).votes
         errors += int(np.sum(votes != 1))
         done += count
     rate = errors / trials

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from airvote import analysis
 from airvote.analysis import (
     BoundParams,
     air_detect,
@@ -56,7 +57,6 @@ def test_mean_energy_depends_only_on_mean_power():
         np.ones((frames, 5, 1024), dtype=np.int8), powers, build_subcarrier_map(1024, 64, 32),
         ChannelConfig(noise_var=0.5), [np.random.default_rng((1, m)) for m in range(5)],
         [np.random.default_rng((2, f)) for f in range(frames)],
-        [np.random.default_rng((3, f)) for f in range(frames)],
     )
     assert result.e_plus.mean() == pytest.approx(mean_energy(5, 2.0, 2.0, 0.5), rel=0.02)
 
@@ -173,6 +173,21 @@ def test_mc_error_prob_validates():
         mc_error_prob(31, 0.1, 2.0, 999, seed=0)
 
 
+def test_oracle_block_size_does_not_change_estimates(monkeypatch):
+    # 2,500 trials fill three 1024-coordinate frames, the last one padded;
+    # at 5 devices the default block holds all three, at 1 byte one each.
+    def estimates():
+        return (
+            mc_error_prob(5, 0.2, 2.0, 2500, seed=(8, 5)),
+            mc_error_prob_gaussian(5, 0.5, 2.0, 2500, seed=(8, 6)),
+            mc_mean_energy(5, 1.5, 1.0, 2500, seed=(8, 7)),
+        )
+
+    whole = estimates()
+    monkeypatch.setattr(analysis, "BLOCK_BYTES", 1)
+    assert estimates() == whole
+
+
 def test_mc_error_prob_gaussian_dominated_by_bound():
     estimate, stderr = mc_error_prob_gaussian(31, 3.0, 2.0, trials=10_000, seed=7)
     assert estimate <= error_prob_bound(31, 2.0, 3.0) + 3.0 * stderr
@@ -231,12 +246,6 @@ def test_convergence_bound_strict_derivation():
     assert loose - strict == pytest.approx(trailing * (1.0 - 1.0 / 8.0), rel=1e-12)
     with pytest.raises(ValueError):
         convergence_bound(make_params(), strict_derivation=True)
-
-
-def test_bound_params_snr_crosscheck():
-    BoundParams(num_devices=31, snr=2.0, rounds=10, mean_tx_power=1.0, noise_var=1.0)
-    with pytest.raises(ValueError, match="inconsistent"):
-        BoundParams(num_devices=31, snr=2.0, rounds=10, mean_tx_power=1.0, noise_var=0.9)
 
 
 def test_bound_params_positivity():

@@ -79,6 +79,15 @@ def test_bounds_rejects_non_finite_floats(capsys, argv):
     assert "is not a finite number" in captured.err
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-4"])
+def test_bounds_rejects_batch_size_below_1(capsys, batch_size):
+    argv = ["bounds", "--convergence", "--strict-derivation", "--batch-size", batch_size]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "batch_size must be >= 1" in captured.err
+
+
 def test_train_missing_config(capsys):
     assert main(["train", "--config", "missing.toml"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -208,6 +217,14 @@ def test_mc_verify_rejects_nonpositive_trials(capsys, suite):
     captured = capsys.readouterr()
     assert captured.out == ""  # no suite ran, not even at its default trial count
     assert "trials must be >= " in captured.err
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_mc_verify_rejects_bad_seed_at_parse_time(capsys, seed):
+    assert main(["mc-verify", "--suite", "flip-prob", "--trials", "1000", "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed" in captured.err and "is not a nonnegative integer" in captured.err
 
 
 @pytest.mark.parametrize("suite", ["error-prob", "lemma32", "all"])

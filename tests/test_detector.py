@@ -39,7 +39,7 @@ def test_single_device_clean_energy():
     cfg = ChannelConfig(noise_var=0.0, fading="none")
     result = air_detect(
         np.ones((1, 1, 1)), np.array([1.0]), m, cfg,
-        [np.random.default_rng(123)], [np.random.default_rng(0)], [np.random.default_rng(0)],
+        [np.random.default_rng(123)], [np.random.default_rng(0)],
     )  # randomization on
     assert result.e_plus[0, 0] == pytest.approx(2.0)
     assert result.e_minus[0, 0] == pytest.approx(0.0)
@@ -90,9 +90,8 @@ def air_vote_ideal(sign_patterns, mapping, low_rng):
     """
     cfg = ChannelConfig(noise_var=0.0, fading="none")
     num_frames, num_devices = sign_patterns.shape[:2]
-    frame_rngs = [low_rng] * num_frames
     return air_detect(
-        sign_patterns, np.ones(num_devices), mapping, cfg, [low_rng] * num_devices, frame_rngs, frame_rngs
+        sign_patterns, np.ones(num_devices), mapping, cfg, [low_rng] * num_devices, [low_rng] * num_frames
     ).votes
 
 
@@ -163,7 +162,7 @@ def test_received_energy_is_exponential():
         result = air_detect(
             np.ones((1, voters, q), dtype=int), np.ones(voters), mapping, cfg,
             [np.random.default_rng((rep, m)) for m in range(voters)],
-            [np.random.default_rng((rep, 100))], [np.random.default_rng((rep, 200))],
+            [np.random.default_rng((rep, 100))],
         )
         samples.append(result.e_plus[0])
     samples = np.concatenate(samples)
