@@ -37,22 +37,27 @@ print("\nperfect majority vote:", ideal)
 
 # --- encode ---------------------------------------------------------------
 mapping = build_subcarrier_map(COORDS, num_subcarriers=16, num_symbols=1)
-# one generator per device for its randomization symbols; one frame is sent
-frames = encode_signs(signs[None], mapping, [np.random.default_rng((1, m)) for m in range(DEVICES)])[0]
+# one frame is sent: signs stacked as (frames, devices, coordinates), and one
+# generator per device for its randomization symbols
+frame_signs = signs[None]
+exponents = encode_signs(frame_signs, mapping, [np.random.default_rng((1, m)) for m in range(DEVICES)])
 print("\noccupied bins per device (X = energy on the bin):")
 for m in range(DEVICES):
-    row = "".join("X" if v else "." for v in np.abs(frames[m][0]) > 0)
+    lit = mapping.lit_subcarriers(signs[m])
+    row = "".join("X" if l in lit else "." for l in range(mapping.num_subcarriers))
     print(f"  device {m}: {row}")
 print("  (each coordinate pair holds exactly one X; amplitude is sqrt(2) on a random phase)")
 
 # --- channel --------------------------------------------------------------
 config = ChannelConfig(noise_var=0.5, sync_error_max=0.25, fft_size=16)
-# fading gains with their timing ramps, then the noisy sum over devices
-gains = sample_channel(DEVICES, 1, 16, config, [np.random.default_rng(2)])
-received = superpose(frames[None], np.ones(DEVICES), gains, config, [np.random.default_rng(3)])[0]
+# one generator for the frame: the lit bins' fading gains and timing offsets,
+# then the noise on the map's bins, added to the sum over devices
+frame_rngs = [np.random.default_rng(2)]
+faded = sample_channel(frame_signs, exponents, mapping, config, frame_rngs)
+received = superpose(frame_signs, faded, np.ones(DEVICES), config, frame_rngs)[0]
 
 # --- detect ---------------------------------------------------------------
-result = detect(received, mapping)
+result = detect(received)
 delta = result.e_plus - result.e_minus
 print("\nper-coordinate energies at the server:")
 print(f"  {'coord':>5} {'e_plus':>8} {'e_minus':>8} {'delta':>8}  vote  ideal")

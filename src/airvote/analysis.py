@@ -50,6 +50,15 @@ def failure_prob_bound(grad_snr: float) -> float:
     return 0.5 - grad_snr / (2.0 * math.sqrt(3.0))
 
 
+def _with_noise(signal: float, total: float, snr: float) -> float:
+    """(signal + 1/snr) / (total + 2/snr).  Below snr 1 both terms are
+    multiplied through by snr, so neither 1/snr nor snr*total overflows: a
+    subnormal snr gives 1/2, an infinite one signal/total."""
+    if snr >= 1.0:
+        return (signal + 1.0 / snr) / (total + 2.0 / snr)
+    return (signal * snr + 1.0) / (total * snr + 2.0)
+
+
 def error_prob_bound(num_devices: int, snr: float, grad_snr: float) -> float:
     """Upper bound on the majority-vote sign being detected wrongly,
     combining per-device flip odds (via grad_snr) with channel noise."""
@@ -57,8 +66,7 @@ def error_prob_bound(num_devices: int, snr: float, grad_snr: float) -> float:
         raise ValueError("num_devices must be >= 1")
     if snr <= 0 or grad_snr <= 0:
         raise ValueError("snr and grad_snr must be positive")
-    numerator = (num_devices / 2.0) * math.sqrt(2.0) / (3.0 * grad_snr) + 1.0 / snr
-    return numerator / (num_devices + 2.0 / snr)
+    return _with_noise((num_devices / 2.0) * math.sqrt(2.0) / (3.0 * grad_snr), num_devices, snr)
 
 
 def error_prob_intermediate_bound(num_devices: int, snr: float, flip_prob: float) -> float:
@@ -76,26 +84,45 @@ def error_prob_intermediate_bound(num_devices: int, snr: float, flip_prob: float
     if not 0.0 < flip_prob < 0.5:
         raise ValueError("flip_prob must lie in (0, 1/2)")
     q = flip_prob
-    return (num_devices * q * (1.0 - q) + 1.0 / snr) / (num_devices + 2.0 / snr)
+    return _with_noise(num_devices * q * (1.0 - q), num_devices, snr)
+
+
+def exact_error_prob_weighted(powers, flip_probs, snr: float) -> float:
+    """Exact misdetection probability of the energy detector with per-device
+    powers p_m and flip rates q_m: (sum p_m*q_m + 1/snr) / (sum p_m + 2/snr),
+    where snr = symbol_energy / noise_var is that of a unit-power device.
+
+    Both bin energies are exponential (Rayleigh fading per bin) with means
+    linear in the powers of the devices voting for the bin, plus noise_var,
+    and for independent exponentials P[wrong bin wins] = mean_wrong /
+    (mean_plus + mean_minus).  The denominator does not depend on the vote
+    split, so the expectation over independent flips is exact.  Flip rates
+    above 1/2 (devices that oppose the true sign) are covered too.
+    """
+    powers = np.asarray(powers, dtype=np.float64)
+    flip_probs = np.asarray(flip_probs, dtype=np.float64)
+    if powers.ndim != 1 or powers.size < 1 or flip_probs.shape != powers.shape:
+        raise ValueError("powers and flip_probs must be equal-length 1-D sequences")
+    if not (np.all(np.isfinite(powers)) and np.all(powers >= 0) and powers.sum() > 0):
+        raise ValueError("powers must be finite and >= 0, with a positive sum")
+    if not np.all((flip_probs >= 0) & (flip_probs <= 1)):
+        raise ValueError("flip_probs must lie in [0, 1]")
+    if not snr > 0:
+        raise ValueError("snr must be positive")
+    return _with_noise(float(powers @ flip_probs), float(powers.sum()), snr)
 
 
 def exact_error_prob(num_devices: int, snr: float, flip_prob: float) -> float:
-    """Exact misdetection probability of the constant-power energy detector.
-
-    Both bin energies are exponential with means linear in the vote counts
-    (symbol_energy * count * power + noise_var), and for independent
-    exponentials P[wrong bin wins] = mean_wrong / (mean_plus + mean_minus).
-    The denominator does not depend on the vote split, so taking the
-    expectation over a Binomial(K, 1-q) number of correct voters gives
-    (K*q + 1/snr) / (K + 2/snr) with no approximation.
-    """
+    """Exact misdetection probability of the constant-power energy detector:
+    (K*q + 1/snr) / (K + 2/snr), exact_error_prob_weighted at K unit powers
+    and one common flip rate q.  The weighted law sees the powers only
+    through sum p_m and sum p_m*q_m, so it is evaluated as one device of
+    power K, which keeps K*q exact."""
     if num_devices < 1:
         raise ValueError("num_devices must be >= 1")
-    if snr <= 0:
-        raise ValueError("snr must be positive")
     if not 0.0 < flip_prob < 0.5:
         raise ValueError("flip_prob must lie in (0, 1/2)")
-    return (num_devices * flip_prob + 1.0 / snr) / (num_devices + 2.0 / snr)
+    return exact_error_prob_weighted([num_devices], [flip_prob], snr)
 
 
 @dataclass
@@ -171,10 +198,11 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 # Over-the-air kernel, shared by the round loop and the oracles
 # ---------------------------------------------------------------------------
 
-# Largest complex (frames, devices, symbols, subcarriers) array the kernel
-# builds at once: one 31-device oracle frame (32 x 64 bins, 0.97 MiB), or two
-# of the 19 frames of 13 x 64 bins a 7,850-parameter round sends.  Larger blocks
-# only raise peak memory.  The learner's gathered features share the budget.
+# Largest complex (frames, devices, coordinates) array the kernel builds at
+# once: two 31-device oracle frames (1,024 coordinates, 0.48 MiB each), or five
+# of the 19 frames of 416 coordinates a 7,850-parameter round sends.  Larger
+# blocks only raise peak memory.  The learner's gathered features share the
+# budget.
 BLOCK_BYTES = 2**20
 
 
@@ -182,28 +210,28 @@ def air_detect(signs, powers, mapping: SubcarrierMap, channel: ChannelConfig,
                device_rngs, frame_rngs) -> DetectionResult:
     """Detection of frames of sign votes sent at once over the uplink.
 
-    `signs` is (frames, devices, coordinates).  Every frame is encoded,
-    faded by its own channel draw and timing ramps, superposed with noise
-    and detected; the result holds (frames, coordinates) arrays.
-    `device_rngs` holds one generator per device, drawing that device's
-    randomization symbols frame after frame; `frame_rngs` holds one
-    generator per frame, drawing its channel and then its noise.  Frames go
-    through in blocks whose complex arrays stay within BLOCK_BYTES; since
-    every generator belongs to one device or one frame, the block size
-    cannot change the result.
+    `signs` is (frames, devices, coordinates).  Every device's symbol on
+    the bin its sign lights is faded by its own gain and timing ramp, the
+    symbols are summed onto each coordinate's plus and minus bins with
+    noise, and the bins are detected; the result holds (frames,
+    coordinates) arrays.  `device_rngs` holds one generator per device,
+    drawing that device's symbol phases frame after frame; `frame_rngs`
+    holds one generator per frame, drawing its channel and then its noise.
+    Frames go through in blocks whose complex arrays stay within
+    BLOCK_BYTES; since every generator belongs to one device or one frame,
+    the block size cannot change the result.
     """
     signs = np.asarray(signs)
-    num_frames, num_devices = signs.shape[:2]
-    grid = (mapping.num_symbols, mapping.num_subcarriers)
-    frame_bytes = num_devices * grid[0] * grid[1] * np.dtype(np.complex128).itemsize
+    num_frames, num_devices, num_coordinates = signs.shape
+    frame_bytes = num_devices * num_coordinates * np.dtype(np.complex128).itemsize
     block = max(1, BLOCK_BYTES // max(frame_bytes, 1))
     parts = []
     for lo in range(0, num_frames, block):
+        block_signs = signs[lo:lo + block]
         block_rngs = frame_rngs[lo:lo + block]
-        frames = encode_signs(signs[lo:lo + block], mapping, device_rngs)
-        gains = sample_channel(num_devices, *grid, channel, block_rngs)
-        received = superpose(frames, powers, gains, channel, block_rngs)
-        result = detect(received, mapping)
+        exponents = encode_signs(block_signs, mapping, device_rngs)
+        faded = sample_channel(block_signs, exponents, mapping, channel, block_rngs)
+        result = detect(superpose(block_signs, faded, powers, channel, block_rngs))
         parts.append((result.e_plus, result.e_minus, result.votes))
     return DetectionResult(*(np.concatenate(field) for field in zip(*parts)))
 

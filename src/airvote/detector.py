@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phy import SubcarrierMap
-
 
 @dataclass
 class DetectionResult:
@@ -21,22 +19,17 @@ class DetectionResult:
     votes: np.ndarray
 
 
-def detect(received: np.ndarray, mapping: SubcarrierMap) -> DetectionResult:
+def detect(received: np.ndarray) -> DetectionResult:
     """Squared magnitudes of the paired bins of every coordinate and the
     vote they give: +1 where e_plus > e_minus, -1 where smaller, +1 on an
-    exact tie.  Received frames (..., symbols, subcarriers) give
-    (..., coordinates) arrays."""
+    exact tie.  Received bins (..., 2, coordinates), plus bins before minus
+    bins as `channel.superpose` stacks them, give (..., coordinates)
+    arrays."""
     received = np.asarray(received)
-    if received.ndim < 2:
-        raise ValueError("received frames must be at least 2-D (symbols x subcarriers)")
-    num_symbols, num_subcarriers = received.shape[-2:]
-    if mapping.num_symbols > num_symbols or mapping.num_subcarriers > num_subcarriers:
-        raise ValueError(
-            f"map addresses a {mapping.num_symbols} x {mapping.num_subcarriers} grid "
-            f"but the frame is {num_symbols} x {num_subcarriers}"
-        )
-    e_plus = np.abs(received[..., mapping.sym_plus, mapping.sub_plus]) ** 2
-    e_minus = np.abs(received[..., mapping.sym_minus, mapping.sub_minus]) ** 2
+    if received.ndim < 2 or received.shape[-2] != 2:
+        raise ValueError(f"received bins of shape {received.shape}; expected (..., 2, coordinates)")
+    energies = np.abs(received) ** 2
+    e_plus, e_minus = energies[..., 0, :], energies[..., 1, :]
     return DetectionResult(e_plus, e_minus, np.where(e_plus < e_minus, -1, 1).astype(np.int8))
 
 

@@ -21,19 +21,19 @@ SYMBOL_ENERGY = 2.0
 class SubcarrierMap:
     """Coordinate-to-bin assignment; arrays are indexed by coordinate."""
 
-    sym_plus: np.ndarray
     sub_plus: np.ndarray
-    sym_minus: np.ndarray
     sub_minus: np.ndarray
     num_subcarriers: int
     num_symbols: int
 
     @property
     def num_coordinates(self) -> int:
-        return self.sym_plus.size
+        return self.sub_plus.size
 
-    def grid_shape(self) -> tuple[int, int]:
-        return (self.num_symbols, self.num_subcarriers)
+    def lit_subcarriers(self, signs) -> np.ndarray:
+        """Subcarrier of the bin each sign lights: the plus bin's for +1,
+        the minus bin's for -1; `signs` ends in the coordinate axis."""
+        return np.where(np.asarray(signs) > 0, self.sub_plus, self.sub_minus)
 
 
 def build_subcarrier_map(num_coordinates: int, num_subcarriers: int, num_symbols: int) -> SubcarrierMap:
@@ -52,14 +52,9 @@ def build_subcarrier_map(num_coordinates: int, num_subcarriers: int, num_symbols
             f"{num_coordinates} coordinates need {2 * num_coordinates} bins, "
             f"but a {num_symbols} x {num_subcarriers} frame provides {capacity}"
         )
-    j = np.arange(num_coordinates)
-    pairs_per_symbol = num_subcarriers // 2
-    sym = j // pairs_per_symbol
-    sub_even = 2 * (j % pairs_per_symbol)
+    sub_even = 2 * (np.arange(num_coordinates) % (num_subcarriers // 2))
     return SubcarrierMap(
-        sym_plus=sym,
         sub_plus=sub_even,
-        sym_minus=sym.copy(),
         sub_minus=sub_even + 1,
         num_subcarriers=num_subcarriers,
         num_symbols=num_symbols,
@@ -67,45 +62,34 @@ def build_subcarrier_map(num_coordinates: int, num_subcarriers: int, num_symbols
 
 
 def encode_signs(signs, mapping: SubcarrierMap, device_rngs) -> np.ndarray:
-    """Frequency-domain frames for sign vectors stacked on leading axes.
+    """Symbol exponents j*phi, (frames, devices, coordinates) complex, for
+    sign vectors stacked the same way.
 
-    `signs` has shape (..., devices, coordinates) and the result (...,
-    devices, symbols, subcarriers), one frame per sign vector.  The bin
-    matching each sign holds sqrt(SYMBOL_ENERGY) * exp(j*phi) with phi
-    uniform on [0, 2*pi); the paired bin stays zero.  Transmit power is
-    applied later, during superposition.
+    Each device lights one bin of every coordinate's pair, the plus bin for
+    +1 and the minus bin for -1, with the symbol sqrt(SYMBOL_ENERGY) *
+    exp(j*phi); the paired bin stays empty.  phi is uniform on [0, 2*pi)
+    and the real parts are 0: the channel adds its timing ramp to the
+    exponents and exponentiates them in place (`channel.sample_channel`),
+    and transmit power is applied during superposition.
 
-    `device_rngs` holds one generator per device, each drawing the phases
-    of its device's vectors in C order of the leading axes; for (frames,
-    devices, coordinates) signs that is frame after frame.
+    `device_rngs` holds one generator per device, each drawing its device's
+    phases frame after frame.
     """
     signs = np.asarray(signs)
-    if signs.shape[-1:] != (mapping.num_coordinates,):
+    if signs.ndim != 3 or signs.shape[-1] != mapping.num_coordinates:
         raise ValueError(
             f"sign vectors of shape {signs.shape} for a map of "
-            f"{mapping.num_coordinates} coordinates"
+            f"{mapping.num_coordinates} coordinates; expected (frames, devices, coordinates)"
         )
     if not np.all(np.abs(signs) == 1):
         raise ValueError("signs must be exactly -1 or +1")
-    if signs.ndim < 2 or len(device_rngs) != signs.shape[-2]:
+    num_frames, num_devices, num_coordinates = signs.shape
+    if len(device_rngs) != num_devices:
         raise ValueError(f"{len(device_rngs)} device generators for signs of shape {signs.shape}")
-    # Symbols are exp(1j * phi); the in-place steps compute exactly what
-    # np.exp(1j * phi) and a scalar product would, without temporaries.
-    amplitude = np.zeros(signs.shape, dtype=np.complex128)
-    per_device = signs.shape[:-2] + signs.shape[-1:]
+    exponents = np.zeros(signs.shape, dtype=np.complex128)
     for device, rng in enumerate(device_rngs):
-        amplitude.imag[..., device, :] = rng.uniform(0.0, 2.0 * np.pi, size=per_device)
-    np.exp(amplitude, out=amplitude)
-    amplitude *= np.sqrt(SYMBOL_ENERGY)
-    num_symbols, num_subcarriers = mapping.grid_shape()
-    bins = np.where(
-        signs > 0,
-        mapping.sym_plus * num_subcarriers + mapping.sub_plus,
-        mapping.sym_minus * num_subcarriers + mapping.sub_minus,
-    ).reshape(-1, signs.shape[-1])
-    frames = np.zeros((bins.shape[0], num_symbols * num_subcarriers), dtype=np.complex128)
-    np.put_along_axis(frames, bins, amplitude.reshape(bins.shape), axis=1)
-    return frames.reshape(signs.shape[:-1] + (num_symbols, num_subcarriers))
+        exponents.imag[:, device] = rng.uniform(0.0, 2.0 * np.pi, size=(num_frames, num_coordinates))
+    return exponents
 
 
 # ---------------------------------------------------------------------------

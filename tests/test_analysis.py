@@ -14,6 +14,7 @@ from airvote.analysis import (
     error_prob_bound,
     error_prob_intermediate_bound,
     exact_error_prob,
+    exact_error_prob_weighted,
     failure_prob_bound,
     mc_error_prob,
     mc_error_prob_gaussian,
@@ -23,8 +24,8 @@ from airvote.analysis import (
     run_error_prob_suite,
     run_flip_prob_suite,
 )
-from airvote.channel import ChannelConfig
-from airvote.phy import build_subcarrier_map
+from airvote.channel import FADING_MODES, ChannelConfig
+from airvote.phy import SYMBOL_ENERGY, build_subcarrier_map
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +143,80 @@ def test_exact_error_prob_formula():
     # (K*q + 1/snr) / (K + 2/snr)
     assert exact_error_prob(31, 2.0, 0.2) == pytest.approx((31 * 0.2 + 0.5) / 32.0)
     assert exact_error_prob(31, 2.0, 0.2) > error_prob_intermediate_bound(31, 2.0, 0.2)
+
+
+def test_closed_forms_reach_their_limits_at_extreme_snr():
+    # 1/snr overflows at a subnormal snr, snr*K at a huge one.
+    for form in (exact_error_prob, error_prob_intermediate_bound):
+        assert form(31, 1e-320, 0.2) == 0.5
+    assert exact_error_prob(31, 1e308, 0.2) == pytest.approx(0.2, rel=1e-12)
+    assert exact_error_prob(31, math.inf, 0.2) == pytest.approx(0.2, rel=1e-12)
+    assert error_prob_intermediate_bound(31, 1e308, 0.2) == pytest.approx(0.16, rel=1e-12)
+
+
+def test_exact_error_prob_weighted_formula():
+    powers, flips = [0.5, 1.0, 2.0, 3.0, 4.0], [0.05, 0.1, 0.2, 0.3, 0.45]
+    expected = (np.dot(powers, flips) + 0.5) / (sum(powers) + 1.0)
+    assert exact_error_prob_weighted(powers, flips, 2.0) == pytest.approx(expected, rel=1e-12)
+    # equal powers: the constant-power law, whatever the common power
+    assert exact_error_prob_weighted([3.0] * 31, [0.2] * 31, 2.0 / 3.0) == pytest.approx(
+        exact_error_prob(31, 2.0, 0.2), rel=1e-12
+    )
+    # a device that opposes the true sign is covered too
+    assert exact_error_prob_weighted([1.0, 1.0], [0.0, 1.0], 1e308) == pytest.approx(0.5)
+
+
+def test_exact_error_prob_weighted_validates():
+    for powers, flips, snr in (([1.0], [0.1, 0.2], 2.0), ([], [], 2.0), ([0.0], [0.1], 2.0),
+                               ([-1.0, 2.0], [0.1, 0.1], 2.0), ([1.0], [1.5], 2.0), ([1.0], [0.1], 0.0),
+                               ([np.inf], [0.1], 2.0), ([1.0], [0.1], np.nan)):
+        with pytest.raises(ValueError):
+            exact_error_prob_weighted(powers, flips, snr)
+
+
+def test_kernel_matches_weighted_error_law_with_unequal_powers():
+    # The power-control path: spread powers and per-device flip rates through
+    # the production kernel under per-bin fading, 262,144 trials.
+    powers = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
+    flips = np.array([0.05, 0.1, 0.2, 0.3, 0.45])
+    snr, frames, mapping = 2.0, 256, build_subcarrier_map(1024, 64, 32)
+    rng = np.random.default_rng(31)
+    signs = np.where(rng.random((frames, 5, 1024)) < flips[:, None], -1, 1).astype(np.int8)
+    votes = air_detect(
+        signs, powers, mapping, ChannelConfig(noise_var=SYMBOL_ENERGY / snr, fading="per_bin"),
+        [np.random.default_rng((32, m)) for m in range(5)], [np.random.default_rng((33, f)) for f in range(frames)],
+    ).votes
+    estimate = float(np.mean(votes != 1))
+    stderr = math.sqrt(estimate * (1.0 - estimate) / votes.size)
+    assert estimate == pytest.approx(exact_error_prob_weighted(powers, flips, snr), abs=4 * stderr)
+
+
+@pytest.mark.parametrize("fading", FADING_MODES)
+def test_kernel_draws_only_the_documented_values(fading):
+    # Frame generators draw the lit bins' gains (real parts, then imaginary
+    # parts), one timing offset per device, then the noise of the map's
+    # bins, none of the 4 bins the 6-coordinate map leaves unused; device
+    # generators draw their symbol phases frame after frame.
+    devices, frames, coordinates = 3, 4, 6
+    signs = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(frames, devices, coordinates))
+    channel = ChannelConfig(noise_var=0.5, sync_error_max=0.2, fading=fading)
+    device_rngs = [np.random.default_rng((1, m)) for m in range(devices)]
+    frame_rngs = [np.random.default_rng((2, f)) for f in range(frames)]
+    air_detect(signs, np.ones(devices), build_subcarrier_map(coordinates, 16, 1), channel, device_rngs, frame_rngs)
+    gains = {"per_bin": (devices, coordinates), "per_frame": (devices,), "none": None}[fading]
+    for f, rng in enumerate(frame_rngs):
+        replay = np.random.default_rng((2, f))
+        if gains is not None:
+            replay.standard_normal(gains)
+            replay.standard_normal(gains)
+        replay.uniform(0.0, 0.2, size=devices)
+        replay.standard_normal((2, coordinates))
+        replay.standard_normal((2, coordinates))
+        assert rng.bit_generator.state == replay.bit_generator.state
+    for m, rng in enumerate(device_rngs):
+        replay = np.random.default_rng((1, m))
+        replay.uniform(0.0, 2.0 * np.pi, size=(frames, coordinates))
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_mc_error_prob_single_device_passthrough():

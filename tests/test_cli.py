@@ -55,6 +55,14 @@ def test_bounds_error_prob(capsys):
     assert float(capsys.readouterr().out) == pytest.approx(0.09173718825271866)
 
 
+@pytest.mark.parametrize("snr, expected", [("1e-320", 0.5), ("1e308", 2.0 ** 0.5 / 18.0)])
+def test_bounds_error_prob_extreme_snr(capsys, snr, expected):
+    # 1/snr overflows at a subnormal snr and snr*K at a huge one; the bound
+    # must still reach its limits, 1/2 and sqrt(2)/(6*grad_snr).
+    assert main(["bounds", "--error-prob", "--devices", "31", "--snr", snr, "--grad-snr", "3"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-12)
+
+
 def test_bounds_convergence(capsys):
     code = main(
         ["bounds", "--convergence", "--devices", "31", "--snr", "2", "--rounds", "400",

@@ -1,0 +1,24 @@
+"""The walkthrough demo runs end to end against the installed layer API."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_energy_vote_walkthrough_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    demo = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "energy_vote_walkthrough.py")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert demo.returncode == 0, demo.stderr
+    assert "vote agreement with the perfect majority vote:" in demo.stdout
+    # each device row shows one lit bin per coordinate pair
+    rows = re.findall(r"^  device \d+: (\S+)$", demo.stdout, flags=re.MULTILINE)
+    assert len(rows) == 5
+    assert all(len(row) == 16 and all(row[k:k + 2].count("X") == 1 for k in range(0, 16, 2)) for row in rows)

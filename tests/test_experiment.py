@@ -55,7 +55,7 @@ def test_coordinate_chunks_split_and_reuse_maps():
     for num_params, frames in [(21, 2), (32, 2), (33, 3), (5, 1)]:
         num_frames, mapping = _coordinate_chunks(num_params, PhyConfig(num_subcarriers=16, num_symbols=2))
         assert num_frames == frames
-        assert mapping.num_coordinates == 16 and mapping.grid_shape() == (2, 16)
+        assert mapping.num_coordinates == 16 and (mapping.num_symbols, mapping.num_subcarriers) == (2, 16)
 
 
 def test_synthetic_train_test_share_class_means():

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from airvote.channel import ChannelConfig, sample_channel, superpose
 from airvote.phy import (
     SYMBOL_ENERGY,
     build_subcarrier_map,
@@ -20,10 +21,11 @@ from airvote.phy import (
 
 def test_map_layout_q2_a4_s1():
     m = build_subcarrier_map(2, 4, 1)
-    np.testing.assert_array_equal(m.sym_plus, [0, 0])
     np.testing.assert_array_equal(m.sub_plus, [0, 2])
-    np.testing.assert_array_equal(m.sym_minus, [0, 0])
     np.testing.assert_array_equal(m.sub_minus, [1, 3])
+    assert (m.num_coordinates, m.num_subcarriers, m.num_symbols) == (2, 4, 1)
+    # a third coordinate starts the next symbol at subcarrier 0
+    np.testing.assert_array_equal(build_subcarrier_map(3, 4, 2).sub_plus, [0, 2, 0])
 
 
 def test_map_capacity_error():
@@ -42,71 +44,93 @@ def test_map_requires_even_subcarriers():
 )
 def test_map_bins_distinct_and_fsk_adjacent(q, a, s):
     m = build_subcarrier_map(q, a, s)
-    flat = np.concatenate(
-        [m.sym_plus * a + m.sub_plus, m.sym_minus * a + m.sub_minus]
-    )
+    # row-major: coordinate j sits in symbol j // (a/2), both bins alike
+    sym = np.arange(q) // (a // 2)
+    flat = np.concatenate([sym * a + m.sub_plus, sym * a + m.sub_minus])
     assert len(np.unique(flat)) == 2 * q  # bijective: no bin reused
-    np.testing.assert_array_equal(m.sym_minus, m.sym_plus)
     np.testing.assert_array_equal(m.sub_minus, m.sub_plus + 1)
-    assert m.sym_plus.max() < s and m.sub_minus.max() < a
+    assert sym.max() < m.num_symbols == s and m.sub_minus.max() < a
+    assert m.num_coordinates == q
 
 
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
 
+def test_lit_subcarriers_follow_the_sign():
+    m = build_subcarrier_map(3, 6, 2)
+    signs = np.array([[[1, -1, 1], [-1, -1, 1]]])
+    np.testing.assert_array_equal(m.lit_subcarriers(signs), [[[0, 3, 4], [1, 3, 4]]])
+
+
 def _rngs(*seeds):
     return [np.random.default_rng(seed) for seed in seeds]
 
 
+def _received(signs, exponents, m):
+    """Received plus and minus bins of one unit-power device per sign row,
+    over a unit-gain, aligned, noiseless channel."""
+    cfg = ChannelConfig(noise_var=0.0, fading="none")
+    frame_rngs = _rngs(*range(len(signs)))  # draw only the zero offsets
+    faded = sample_channel(signs, exponents, m, cfg, frame_rngs)
+    return superpose(signs, faded, np.ones(signs.shape[1]), cfg, frame_rngs)
+
+
 def test_encode_positive_sign():
     m = build_subcarrier_map(1, 2, 1)
-    frame = encode_signs(np.array([[1]]), m, _rngs(0))[0]
-    assert abs(frame[0, 0]) == pytest.approx(np.sqrt(2.0))
-    assert frame[0, 1] == 0
+    signs = np.array([[[1]]])
+    exponents = encode_signs(signs, m, _rngs(0))
+    assert exponents.shape == (1, 1, 1) and exponents.dtype == np.complex128
+    assert exponents[0, 0, 0].real == 0.0 and 0.0 <= exponents[0, 0, 0].imag < 2.0 * np.pi
+    received = _received(signs, exponents, m)[0]
+    assert abs(received[0, 0]) == pytest.approx(np.sqrt(2.0))
+    assert received[1, 0] == 0
 
 
 def test_encode_negative_sign():
     m = build_subcarrier_map(1, 2, 1)
-    frame = encode_signs(np.array([[-1]]), m, _rngs(0))[0]
-    assert frame[0, 0] == 0
-    assert abs(frame[0, 1]) == pytest.approx(np.sqrt(2.0))
+    signs = np.array([[[-1]]])
+    received = _received(signs, encode_signs(signs, m, _rngs(0)), m)[0]
+    assert received[0, 0] == 0
+    assert abs(received[1, 0]) == pytest.approx(np.sqrt(2.0))
 
 
 def test_encode_pinned_randomization(low_rng):
     m = build_subcarrier_map(3, 6, 1)
-    frame = encode_signs(np.array([[1, -1, 1]]), m, [low_rng])[0]
-    np.testing.assert_array_equal(frame[0, [0, 3, 4]], np.sqrt(2.0))
-    np.testing.assert_array_equal(frame[0, [1, 2, 5]], 0.0)
+    signs = np.array([[[1, -1, 1]]])
+    exponents = encode_signs(signs, m, [low_rng])
+    np.testing.assert_array_equal(exponents, 0.0)
+    received = _received(signs, exponents, m)[0]
+    np.testing.assert_array_equal(received, np.sqrt(2.0) * np.array([[1, 0, 1], [0, 1, 0]]))
 
 
 def test_encode_per_coordinate_energy_and_exactly_one_active():
     rng = np.random.default_rng(1)
     m = build_subcarrier_map(16, 8, 4)
     for trial in range(20):
-        signs = rng.choice([-1, 1], size=16)
-        frame = encode_signs(signs[None], m, _rngs(trial))[0]
-        e_plus = np.abs(frame[m.sym_plus, m.sub_plus]) ** 2
-        e_minus = np.abs(frame[m.sym_minus, m.sub_minus]) ** 2
+        signs = rng.choice([-1, 1], size=(1, 1, 16))
+        received = _received(signs, encode_signs(signs, m, _rngs(trial)), m)[0]
+        e_plus, e_minus = np.abs(received) ** 2
         np.testing.assert_allclose(e_plus + e_minus, SYMBOL_ENERGY, atol=1e-12)
         assert np.all((e_plus == 0) ^ (e_minus == 0))
-        # randomization symbols stay on the unit circle
-        active = np.where(signs > 0, frame[m.sym_plus, m.sub_plus], frame[m.sym_minus, m.sub_minus])
-        np.testing.assert_allclose(np.abs(active), np.sqrt(2.0), atol=1e-12)
+        # the lit bin is the one the sign names
+        np.testing.assert_array_equal(e_plus > 0, signs[0, 0] > 0)
 
 
 def test_encode_deterministic_and_validates():
     m = build_subcarrier_map(4, 8, 1)
-    signs = np.array([[1, -1, -1, 1]])
+    signs = np.array([[[1, -1, -1, 1]]])
     a = encode_signs(signs, m, _rngs(9))
     b = encode_signs(signs, m, _rngs(9))
     np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
-        encode_signs(np.array([[1, 0, -1, 1]]), m, _rngs(0))
+        encode_signs(np.array([[[1, 0, -1, 1]]]), m, _rngs(0))
     with pytest.raises(ValueError):
-        encode_signs(np.array([[1, -1]]), m, _rngs(0))
+        encode_signs(np.array([[[1, -1]]]), m, _rngs(0))
+    with pytest.raises(ValueError, match="frames, devices, coordinates"):
+        encode_signs(np.array([[1, -1, -1, 1]]), m, _rngs(0))
     with pytest.raises(ValueError, match="device generators"):
-        encode_signs(np.array([1, -1, -1, 1]), m, _rngs(0))
+        encode_signs(signs, m, _rngs(0, 1))
 
 
 def test_encode_batch_matches_stacked_single_vector_encodes():
@@ -114,17 +138,14 @@ def test_encode_batch_matches_stacked_single_vector_encodes():
     signs = np.random.default_rng(3).choice([-1, 1], size=(3, 4, 6))
     batch = encode_signs(signs, m, _rngs(*[(7, d) for d in range(4)]))
     # frame at a time on the same continuing generators: the block size of
-    # a batched call cannot change the symbols
+    # a batched call cannot change the exponents
     rngs = _rngs(*[(7, d) for d in range(4)])
-    np.testing.assert_array_equal(batch, np.array([encode_signs(signs[f], m, rngs) for f in range(3)]))
+    np.testing.assert_array_equal(batch, np.concatenate([encode_signs(signs[f:f + 1], m, rngs) for f in range(3)]))
     # built by hand: each device draws the phases of its frames in order
     rngs = _rngs(*[(7, d) for d in range(4)])
-    phases = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=(3, 6)) for rng in rngs], axis=1)
-    expected = np.zeros((3, 4, 2, 8), dtype=np.complex128)
-    for (f, d, j), sign in np.ndenumerate(signs):
-        sym, sub = (m.sym_plus[j], m.sub_plus[j]) if sign > 0 else (m.sym_minus[j], m.sub_minus[j])
-        expected[f, d, sym, sub] = np.sqrt(SYMBOL_ENERGY) * np.exp(1j * phases[f, d, j])
-    np.testing.assert_array_equal(batch, expected)
+    expected = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=(3, 6)) for rng in rngs], axis=1)
+    np.testing.assert_array_equal(batch.imag, expected)
+    np.testing.assert_array_equal(batch.real, 0.0)
     with pytest.raises(ValueError, match="device generators"):
         encode_signs(signs, m, _rngs(0, 0, 0))
 
