@@ -13,10 +13,10 @@ import numpy as np
 
 from airvote import (
     ChannelConfig,
-    build_subcarrier_map,
     detect,
     encode_signs,
     ideal_majority_vote,
+    lit_subcarriers,
     mean_power,
     sample_channel,
     signed_agreement,
@@ -26,6 +26,7 @@ from airvote import (
 
 DEVICES = 5
 COORDS = 8
+SUBCARRIERS = 16  # one symbol holds all eight coordinate pairs
 
 rng = np.random.default_rng(7)
 signs = rng.choice([-1, 1], size=(DEVICES, COORDS))
@@ -36,24 +37,23 @@ print(signs)
 print("\nperfect majority vote:", ideal)
 
 # --- encode ---------------------------------------------------------------
-mapping = build_subcarrier_map(COORDS, num_subcarriers=16, num_symbols=1)
 # one frame is sent: signs stacked as (frames, devices, coordinates), and one
 # generator per device for its randomization symbols
 frame_signs = signs[None]
-exponents = encode_signs(frame_signs, mapping, [np.random.default_rng((1, m)) for m in range(DEVICES)])
+exponents = encode_signs(frame_signs, [np.random.default_rng((1, m)) for m in range(DEVICES)])
 print("\noccupied bins per device (X = energy on the bin):")
 for m in range(DEVICES):
-    lit = mapping.lit_subcarriers(signs[m])
-    row = "".join("X" if l in lit else "." for l in range(mapping.num_subcarriers))
+    lit = lit_subcarriers(signs[m], SUBCARRIERS)
+    row = "".join("X" if l in lit else "." for l in range(SUBCARRIERS))
     print(f"  device {m}: {row}")
 print("  (each coordinate pair holds exactly one X; amplitude is sqrt(2) on a random phase)")
 
 # --- channel --------------------------------------------------------------
 config = ChannelConfig(noise_var=0.5, sync_error_max=0.25, fft_size=16)
 # one generator for the frame: the lit bins' fading gains and timing offsets,
-# then the noise on the map's bins, added to the sum over devices
+# then the noise on the coordinates' bins, added to the sum over devices
 frame_rngs = [np.random.default_rng(2)]
-faded = sample_channel(frame_signs, exponents, mapping, config, frame_rngs)
+faded = sample_channel(frame_signs, exponents, SUBCARRIERS, config, frame_rngs)
 received = superpose(frame_signs, faded, np.ones(DEVICES), config, frame_rngs)[0]
 
 # --- detect ---------------------------------------------------------------

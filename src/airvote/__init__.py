@@ -27,7 +27,6 @@ from .detector import DetectionResult, detect, ideal_majority_vote
 from .experiment import (
     DatasetSpec,
     ExperimentConfig,
-    PhyConfig,
     RoundMetrics,
     RunState,
     load_config,
@@ -54,9 +53,9 @@ from .learner import (
 )
 from .phy import (
     SYMBOL_ENERGY,
-    SubcarrierMap,
-    build_subcarrier_map,
+    PhyConfig,
     encode_signs,
+    lit_subcarriers,
     mean_power,
     signed_agreement,
     update_power,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ChannelConfig, sample_channel, superpose
 from .detector import DetectionResult, detect
-from .phy import SYMBOL_ENERGY, SubcarrierMap, build_subcarrier_map, encode_signs
+from .phy import SYMBOL_ENERGY, PhyConfig, encode_signs
 
 
 # ---------------------------------------------------------------------------
@@ -206,61 +206,72 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 BLOCK_BYTES = 2**20
 
 
-def air_detect(signs, powers, mapping: SubcarrierMap, channel: ChannelConfig,
+def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
                device_rngs, frame_rngs) -> DetectionResult:
-    """Detection of frames of sign votes sent at once over the uplink.
+    """Detection of every device's row of sign votes sent over the uplink.
 
-    `signs` is (frames, devices, coordinates).  Every device's symbol on
-    the bin its sign lights is faded by its own gain and timing ramp, the
-    symbols are summed onto each coordinate's plus and minus bins with
-    noise, and the bins are detected; the result holds (frames,
-    coordinates) arrays.  `device_rngs` holds one generator per device,
-    drawing that device's symbol phases frame after frame; `frame_rngs`
-    holds one generator per frame, drawing its channel and then its noise.
-    Frames go through in blocks whose complex arrays stay within
+    `signs` is (devices, coordinates).  The rows are cut into frames of
+    phy.frame_coordinates, the last padded with +1 votes.  Every device's
+    symbol on the bin its sign lights is faded by its own gain and timing
+    ramp, the symbols are summed onto each coordinate's plus and minus bins
+    with noise, and the bins are detected; the result holds (coordinates,)
+    arrays, the padding dropped.  `device_rngs` holds one generator per
+    device, drawing that device's symbol phases frame after frame;
+    `frame_rngs` holds one generator per frame, drawing its channel and then
+    its noise.  Frames go through in blocks whose complex arrays stay within
     BLOCK_BYTES; since every generator belongs to one device or one frame,
-    the block size cannot change the result.
+    and no coordinate's result depends on another's sign, neither the block
+    size nor the padding can change the result.
     """
     signs = np.asarray(signs)
-    num_frames, num_devices, num_coordinates = signs.shape
-    frame_bytes = num_devices * num_coordinates * np.dtype(np.complex128).itemsize
+    if signs.ndim != 2:
+        raise ValueError(f"signs of shape {signs.shape}; expected (devices, coordinates)")
+    num_devices, num_coordinates = signs.shape
+    per_frame = phy.frame_coordinates
+    num_frames = -(-num_coordinates // per_frame)
+    if len(frame_rngs) != num_frames:
+        raise ValueError(f"{len(frame_rngs)} frame generators for {num_coordinates} coordinates "
+                         f"in frames of {per_frame}")
+    frame_bytes = num_devices * per_frame * np.dtype(np.complex128).itemsize
     block = max(1, BLOCK_BYTES // max(frame_bytes, 1))
     parts = []
     for lo in range(0, num_frames, block):
-        block_signs = signs[lo:lo + block]
-        block_rngs = frame_rngs[lo:lo + block]
-        exponents = encode_signs(block_signs, mapping, device_rngs)
-        faded = sample_channel(block_signs, exponents, mapping, channel, block_rngs)
+        frames = min(block, num_frames - lo)
+        # a padded copy per block, not of every row at once: peak memory
+        block_signs = np.ones((num_devices, frames * per_frame), dtype=signs.dtype)
+        sent = signs[:, lo * per_frame:(lo + frames) * per_frame]
+        block_signs[:, :sent.shape[1]] = sent
+        block_signs = block_signs.reshape(num_devices, frames, per_frame).transpose(1, 0, 2)
+        block_rngs = frame_rngs[lo:lo + frames]
+        exponents = encode_signs(block_signs, device_rngs)
+        faded = sample_channel(block_signs, exponents, phy.num_subcarriers, channel, block_rngs)
         result = detect(superpose(block_signs, faded, powers, channel, block_rngs))
         parts.append((result.e_plus, result.e_minus, result.votes))
-    return DetectionResult(*(np.concatenate(field) for field in zip(*parts)))
+    return DetectionResult(*(np.concatenate(field, axis=None)[:num_coordinates] for field in zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo oracles
 # ---------------------------------------------------------------------------
 
-_ORACLE_SUBCARRIERS = 64
-_ORACLE_SYMBOLS = 32  # 1024 coordinates per frame
-_ORACLE_MAP = build_subcarrier_map(_ORACLE_SUBCARRIERS * _ORACLE_SYMBOLS // 2, _ORACLE_SUBCARRIERS, _ORACLE_SYMBOLS)
+_ORACLE_PHY = PhyConfig(num_subcarriers=64, num_symbols=32)  # 1024 coordinates per frame
 
 
 def _oracle_detect(sign_sampler, powers, noise_var: float, trials: int, seed) -> DetectionResult:
     """`trials` single-coordinate experiments over Rayleigh per-bin fading
-    in one air_detect call, filling oracle frames; the result holds
-    (trials,) arrays, the last frame's padding dropped.  `seed` spawns one
-    generator per device (randomization symbols), then one per frame: its
-    int8 (devices, coordinates) signs from `sign_sampler(rng, shape)`, then
-    its channel, then its noise."""
+    in one air_detect call; the result holds (trials,) arrays.  `seed`
+    spawns one generator per device (randomization symbols), then one per
+    oracle frame: its int8 (devices, frame coordinates) signs from
+    `sign_sampler(rng, shape)`, then its channel, then its noise.  The last
+    frame's signs past `trials` are drawn but not sent; air_detect pads in
+    their place."""
     seeds = np.random.SeedSequence(seed)
     device_rngs = [np.random.default_rng(s) for s in seeds.spawn(len(powers))]
-    per_frame = _ORACLE_MAP.num_coordinates
+    per_frame = _ORACLE_PHY.frame_coordinates
     frame_rngs = [np.random.default_rng(s) for s in seeds.spawn(-(-trials // per_frame))]
-    signs = np.stack([sign_sampler(rng, (len(powers), per_frame)) for rng in frame_rngs])
+    signs = np.concatenate([sign_sampler(rng, (len(powers), per_frame)) for rng in frame_rngs], axis=1)
     channel = ChannelConfig(noise_var=noise_var, fading="per_bin")
-    result = air_detect(signs, powers, _ORACLE_MAP, channel, device_rngs, frame_rngs)
-    return DetectionResult(*(field.reshape(-1)[:trials] for field in
-                             (result.e_plus, result.e_minus, result.votes)))
+    return air_detect(signs[:, :trials], powers, _ORACLE_PHY, channel, device_rngs, frame_rngs)
 
 
 def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, trials: int, seed) -> float:

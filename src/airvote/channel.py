@@ -1,8 +1,8 @@
 """Rayleigh fading, timing-offset phase ramps, and multi-device superposition.
 
 The uplink is modeled directly in the frequency domain: each (symbol,
-subcarrier) bin is one scalar complex observation.  Only the bins of the
-subcarrier map are simulated, and each device only on the bin it lights.  A
+subcarrier) bin is one scalar complex observation.  Only the coordinates'
+paired bins are simulated, and each device only on the bin it lights.  A
 timing offset inside the cyclic prefix shows up as a linear phase ramp
 across subcarriers and leaves magnitudes untouched, which is why energy
 detection shrugs it off.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phy import SYMBOL_ENERGY, SubcarrierMap
+from .phy import SYMBOL_ENERGY, lit_subcarriers
 
 FADING_MODES = ("per_bin", "per_frame", "none")
 
@@ -38,7 +38,7 @@ class ChannelConfig:
             raise ValueError(f"fading must be one of {FADING_MODES}")
 
 
-def sample_channel(signs, exponents, mapping: SubcarrierMap, config: ChannelConfig, frame_rngs) -> np.ndarray:
+def sample_channel(signs, exponents, num_subcarriers: int, config: ChannelConfig, frame_rngs) -> np.ndarray:
     """Each device's unit symbol exp(j*phi) as the receiver sees it on the
     bin its sign lights: (frames, devices, coordinates) complex, one frame
     per generator in `frame_rngs`.  `exponents` holds the j*phi that
@@ -50,7 +50,8 @@ def sample_channel(signs, exponents, mapping: SubcarrierMap, config: ChannelConf
     reuses one gain per device across the whole frame, "none" pins every
     gain to 1 for ideal-channel runs.  Timing offsets are uniform in [0,
     sync_error_max], and rotate the symbol by exp(-j*2*pi*l*offset/fft_size)
-    on its lit subcarrier l, which leaves magnitudes unchanged.  Only lit
+    on its lit subcarrier l (`phy.lit_subcarriers` of a frame of
+    `num_subcarriers`), which leaves magnitudes unchanged.  Only lit
     bins are drawn: the paired bins carry nothing from the device.
 
     Frame f's generator draws the real parts of its gains, then their
@@ -77,7 +78,7 @@ def sample_channel(signs, exponents, mapping: SubcarrierMap, config: ChannelConf
         offsets = rng.uniform(0.0, config.sync_error_max, size=num_devices)
         if offsets.any():  # with every offset 0 the ramp is exactly 1
             slopes = (-2.0 * np.pi / config.fft_size) * offsets
-            symbols.imag += slopes[:, None] * mapping.lit_subcarriers(frame_signs)
+            symbols.imag += slopes[:, None] * lit_subcarriers(frame_signs, num_subcarriers)
         np.exp(symbols, out=symbols)
         if config.fading != "none":
             symbols *= gains

@@ -38,7 +38,7 @@ from .learner import (
     partition,
     sign_quantize,
 )
-from .phy import SubcarrierMap, build_subcarrier_map, mean_power, update_power
+from .phy import PhyConfig, mean_power, update_power
 from .seeding import (
     STREAM_BATCH,
     STREAM_CHANNEL,
@@ -54,21 +54,6 @@ _MNIST_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
-
-
-@dataclass
-class PhyConfig:
-    num_subcarriers: int = 64
-    num_symbols: int = 8
-    power_cap: float | None = None
-
-    def __post_init__(self):
-        if self.num_subcarriers < 2 or self.num_subcarriers % 2:
-            raise ValueError("num_subcarriers must be a positive even number")
-        if self.num_symbols < 1:
-            raise ValueError("num_symbols must be positive")
-        if self.power_cap is not None and not (math.isfinite(self.power_cap) and self.power_cap >= 1.0):
-            raise ValueError("power_cap must be finite and no lower than the initial power of 1")
 
 
 @dataclass
@@ -141,8 +126,7 @@ class RunState:
     train: Dataset
     test: Dataset
     shards: list              # per-device int64 sample indices
-    num_frames: int
-    mapping: SubcarrierMap
+    num_frames: int           # frames of the uplink per round
     last_vote: np.ndarray | None = None
 
 
@@ -184,16 +168,13 @@ def build_datasets(spec: DatasetSpec, master_seed: int) -> tuple[Dataset, Datase
         load_idx_dataset(*(_find_idx_file(Path(spec.path), stem) for stem in _MNIST_FILES[part]))
         for part in ("train", "test")
     )
+    if test.features.shape[1] != train.features.shape[1]:
+        raise ValueError(f"the test set's images have {test.features.shape[1]} pixels, "
+                         f"the train set's {train.features.shape[1]}")
+    if test.num_classes > train.num_classes:
+        raise ValueError(f"the test set's labels reach {test.num_classes - 1}, "
+                         f"the train set's only {train.num_classes - 1}")
     return _subsample(train, spec.samples, rng), _subsample(test, spec.test_samples, rng)
-
-
-def _coordinate_chunks(num_params: int, phy: PhyConfig) -> tuple[int, SubcarrierMap]:
-    """Number of sequential frames the model coordinates need, and the
-    full-frame map every frame uses.  The last frame is padded; each frame
-    has its own channel realization per round."""
-    capacity = phy.num_subcarriers * phy.num_symbols // 2
-    mapping = build_subcarrier_map(capacity, phy.num_subcarriers, phy.num_symbols)
-    return -(-num_params // capacity), mapping
 
 
 def prepare_run(config: ExperimentConfig) -> RunState:
@@ -206,9 +187,9 @@ def prepare_run(config: ExperimentConfig) -> RunState:
         raise ValueError(f"batch_size {config.training.batch_size} exceeds the smallest shard "
                          f"({len(shards[smallest])} samples, device {smallest})")
     model = predictor.init_state(seed=derive_rng(config.master_seed, STREAM_INIT))
-    num_frames, mapping = _coordinate_chunks(predictor.num_params, config.phy)
+    num_frames = -(-predictor.num_params // config.phy.frame_coordinates)
     return RunState(model, np.ones(config.training.num_devices), predictor, train, test,
-                    shards, num_frames, mapping)
+                    shards, num_frames)
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +201,13 @@ def _air_vote(sign_matrix: np.ndarray, powers: np.ndarray, state: RunState,
     """Encode, superpose over the fading channel, and detect every frame of
     the round in one kernel call.
 
-    The coordinates are cut into state.num_frames full frames, the last
-    padded with +1 votes that are dropped after detection.  Device m draws
-    its randomization symbols for all frames, in order, from
+    Device m draws its randomization symbols for all frames, in order, from
     `device_rngs[m]`, the generator its mini batch came from; frame f draws
     its channel and then its noise from one generator at (round, f).
     """
-    num_devices, num_params = sign_matrix.shape
-    mapping = state.mapping
-    padded = np.ones((num_devices, state.num_frames * mapping.num_coordinates), dtype=np.int8)
-    padded[:, :num_params] = sign_matrix
-    signs = padded.reshape(num_devices, state.num_frames, -1).transpose(1, 0, 2)
     frame_rngs = [derive_rng(config.master_seed, STREAM_CHANNEL, round_idx, f)
                   for f in range(state.num_frames)]
-    result = air_detect(signs, powers, mapping, config.channel, device_rngs, frame_rngs)
-    return result.votes.reshape(-1)[:num_params]
+    return air_detect(sign_matrix, powers, config.phy, config.channel, device_rngs, frame_rngs).votes
 
 
 def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tuple[RunState, RoundMetrics | None]:
@@ -251,9 +224,7 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
     powers = state.powers
     vote = None
     if config.scheme == "fedavg_ideal":
-        direction = np.mean(grads, axis=0)
-        model = ModelState(state.model.weights - training.learning_rate * direction,
-                           state.model.round + 1)
+        model = apply_global_update(state.model, np.mean(grads, axis=0), training.learning_rate)
     else:
         sign_matrix = sign_quantize(grads)
         ideal = ideal_majority_vote(sign_matrix)

@@ -358,12 +358,12 @@ def sign_quantize(values) -> np.ndarray:
     return np.where(np.asarray(values) < 0, -1, 1).astype(np.int8)
 
 
-def apply_global_update(state: ModelState, vote: np.ndarray, learning_rate: float) -> ModelState:
-    """Step every weight by -learning_rate * vote and advance the round."""
-    vote = np.asarray(vote)
-    if vote.shape != state.weights.shape:
-        raise ValueError(f"vote length {vote.size} does not match model size {state.weights.size}")
-    return ModelState(state.weights - learning_rate * vote, state.round + 1)
+def apply_global_update(state: ModelState, direction: np.ndarray, learning_rate: float) -> ModelState:
+    """Step every weight by -learning_rate * direction and advance the round."""
+    direction = np.asarray(direction)
+    if direction.shape != state.weights.shape:
+        raise ValueError(f"direction length {direction.size} does not match model size {state.weights.size}")
+    return ModelState(state.weights - learning_rate * direction, state.round + 1)
 
 
 def evaluate(state: ModelState, predictor, dataset: Dataset) -> tuple[float, float]:

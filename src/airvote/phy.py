@@ -9,6 +9,7 @@ non-coherently at the receiver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,51 +18,39 @@ import numpy as np
 SYMBOL_ENERGY = 2.0
 
 
-@dataclass(frozen=True)
-class SubcarrierMap:
-    """Coordinate-to-bin assignment; arrays are indexed by coordinate."""
+@dataclass
+class PhyConfig:
+    """OFDM frame of num_symbols x num_subcarriers bins.  Coordinate j of a
+    frame lights subcarrier 2k (+1) or 2k + 1 (-1) of symbol j // (A/2),
+    with k = j mod (A/2) and A = num_subcarriers."""
 
-    sub_plus: np.ndarray
-    sub_minus: np.ndarray
-    num_subcarriers: int
-    num_symbols: int
+    num_subcarriers: int = 64
+    num_symbols: int = 8
+    power_cap: float | None = None
+
+    def __post_init__(self):
+        if self.num_subcarriers < 2 or self.num_subcarriers % 2:
+            raise ValueError("num_subcarriers must be a positive even number")
+        if self.num_symbols < 1:
+            raise ValueError("num_symbols must be positive")
+        if self.power_cap is not None and not (math.isfinite(self.power_cap) and self.power_cap >= 1.0):
+            raise ValueError("power_cap must be finite and no lower than the initial power of 1")
 
     @property
-    def num_coordinates(self) -> int:
-        return self.sub_plus.size
-
-    def lit_subcarriers(self, signs) -> np.ndarray:
-        """Subcarrier of the bin each sign lights: the plus bin's for +1,
-        the minus bin's for -1; `signs` ends in the coordinate axis."""
-        return np.where(np.asarray(signs) > 0, self.sub_plus, self.sub_minus)
+    def frame_coordinates(self) -> int:
+        """Coordinates one frame carries: a pair of bins each."""
+        return self.num_subcarriers * self.num_symbols // 2
 
 
-def build_subcarrier_map(num_coordinates: int, num_subcarriers: int, num_symbols: int) -> SubcarrierMap:
-    """Row-major layout: coordinate j sits on bins (j // (A/2), 2k) and
-    (j // (A/2), 2k + 1) with k = j mod (A/2), i.e. adjacent even/odd
-    subcarriers of the same symbol."""
-    if num_coordinates < 1:
-        raise ValueError("num_coordinates must be positive")
-    if num_subcarriers < 2 or num_subcarriers % 2:
-        raise ValueError("num_subcarriers must be a positive even number")
-    if num_symbols < 1:
-        raise ValueError("num_symbols must be positive")
-    capacity = num_subcarriers * num_symbols
-    if 2 * num_coordinates > capacity:
-        raise ValueError(
-            f"{num_coordinates} coordinates need {2 * num_coordinates} bins, "
-            f"but a {num_symbols} x {num_subcarriers} frame provides {capacity}"
-        )
-    sub_even = 2 * (np.arange(num_coordinates) % (num_subcarriers // 2))
-    return SubcarrierMap(
-        sub_plus=sub_even,
-        sub_minus=sub_even + 1,
-        num_subcarriers=num_subcarriers,
-        num_symbols=num_symbols,
-    )
+def lit_subcarriers(signs, num_subcarriers: int) -> np.ndarray:
+    """Subcarrier of the bin each sign lights: 2k for +1 and 2k + 1 for -1,
+    k = j mod (num_subcarriers / 2) for coordinate j of the frame; `signs`
+    ends in the coordinate axis."""
+    signs = np.asarray(signs)
+    return 2 * (np.arange(signs.shape[-1]) % (num_subcarriers // 2)) + (signs < 0)
 
 
-def encode_signs(signs, mapping: SubcarrierMap, device_rngs) -> np.ndarray:
+def encode_signs(signs, device_rngs) -> np.ndarray:
     """Symbol exponents j*phi, (frames, devices, coordinates) complex, for
     sign vectors stacked the same way.
 
@@ -76,11 +65,8 @@ def encode_signs(signs, mapping: SubcarrierMap, device_rngs) -> np.ndarray:
     phases frame after frame.
     """
     signs = np.asarray(signs)
-    if signs.ndim != 3 or signs.shape[-1] != mapping.num_coordinates:
-        raise ValueError(
-            f"sign vectors of shape {signs.shape} for a map of "
-            f"{mapping.num_coordinates} coordinates; expected (frames, devices, coordinates)"
-        )
+    if signs.ndim != 3:
+        raise ValueError(f"sign vectors of shape {signs.shape}; expected (frames, devices, coordinates)")
     if not np.all(np.abs(signs) == 1):
         raise ValueError("signs must be exactly -1 or +1")
     num_frames, num_devices, num_coordinates = signs.shape

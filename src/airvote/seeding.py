@@ -12,9 +12,10 @@ Paths used by the round loop, per round r:
   order: the real parts of the gains of the bins the devices light (one per
   device and coordinate for per_bin fading, one per device for per_frame,
   none for "none"), then their imaginary parts; one timing offset per
-  device; the noise of the map's 2 x coordinates bins, real parts (plus
-  bins, then minus bins) before imaginary parts.  No bin outside the map
-  and no bin a device leaves dark is ever drawn.
+  device; the noise of the frame's 2 x coordinates bins, real parts (plus
+  bins, then minus bins) before imaginary parts.  A frame holds
+  num_subcarriers * num_symbols / 2 coordinates, the last frame of a round
+  padded with +1 votes; no bin a device leaves dark is ever drawn.
 
 The Monte Carlo oracles keep the per-device, per-frame layout but spawn
 their generators from a seed per grid point (`analysis._oracle_detect`);

@@ -31,7 +31,6 @@ from airvote.cli import main as cli_main
 from airvote.detector import ideal_majority_vote
 from airvote.experiment import DatasetSpec, ExperimentConfig, PhyConfig, run_rounds
 from airvote.learner import SoftmaxRegression, TanhMlp, TrainingConfig
-from airvote.phy import build_subcarrier_map
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -109,13 +108,15 @@ def test_c3b_error_prob_below_half_and_runtime(error_prob_rows):
 # 4. Ideal-channel oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _pipeline_votes_ideal(sign_patterns, mapping, cfg, low_rng):
+def _pipeline_votes_ideal(sign_patterns, cfg, low_rng):
     """Votes of the production kernel with every randomization symbol 1,
-    one frame per (devices, coordinates) sign pattern."""
-    num_frames, num_devices = sign_patterns.shape[:2]
+    one one-symbol frame per (devices, coordinates) sign pattern."""
+    num_frames, num_devices, num_coordinates = sign_patterns.shape
+    rows = sign_patterns.transpose(1, 0, 2).reshape(num_devices, -1)
+    phy = PhyConfig(num_subcarriers=2 * num_coordinates, num_symbols=1)
     return air_detect(
-        sign_patterns, np.ones(num_devices), mapping, cfg, [low_rng] * num_devices, [low_rng] * num_frames
-    ).votes
+        rows, np.ones(num_devices), phy, cfg, [low_rng] * num_devices, [low_rng] * num_frames
+    ).votes.reshape(num_frames, num_coordinates)
 
 
 def test_c4_oracle_equivalence(low_rng):
@@ -123,16 +124,16 @@ def test_c4_oracle_equivalence(low_rng):
     rng = np.random.default_rng(0)
     groups = (
         # 64 patterns at (M=3, q=2)
-        (build_subcarrier_map(2, 4, 1), np.array(list(itertools.product([-1, 1], repeat=6))).reshape(-1, 3, 2)),
+        np.array(list(itertools.product([-1, 1], repeat=6))).reshape(-1, 3, 2),
         # 4096 patterns at (M=3, q=4)
-        (build_subcarrier_map(4, 8, 1), np.array(list(itertools.product([-1, 1], repeat=12))).reshape(-1, 3, 4)),
+        np.array(list(itertools.product([-1, 1], repeat=12))).reshape(-1, 3, 4),
         # random patterns at (M=31, q=10)
-        (build_subcarrier_map(10, 20, 1), rng.choice([-1, 1], size=(1000, 31, 10))),
+        rng.choice([-1, 1], size=(1000, 31, 10)),
     )
     mismatches = 0
     cases = 0
-    for mapping, patterns in groups:
-        votes = _pipeline_votes_ideal(patterns, mapping, cfg, low_rng)
+    for patterns in groups:
+        votes = _pipeline_votes_ideal(patterns, cfg, low_rng)
         cases += len(patterns)
         mismatches += sum(
             not np.array_equal(vote, ideal_majority_vote(signs)) for signs, vote in zip(patterns, votes)
@@ -153,15 +154,15 @@ def _detection_error_rate(sync_error_max: float, trials: int, seed: int):
     cfg = ChannelConfig(noise_var=0.5, sync_error_max=sync_error_max, fft_size=64)
     rng = np.random.default_rng(seed)
     devices = 31
+    phy = PhyConfig(num_subcarriers=64, num_symbols=32)
     errors = 0
     done = 0
     while done < trials:
-        count = min(1024, trials - done)
-        mapping = build_subcarrier_map(count, 64, 32)
+        count = min(phy.frame_coordinates, trials - done)
         signs = np.where(rng.random((devices, count)) < 0.2, -1, 1)
         # every draw of the frame from rng: symbols device by device, then
-        # the channel, then the noise
-        votes = air_detect(signs[None], np.ones(devices), mapping, cfg, [rng] * devices, [rng]).votes
+        # the channel, then the noise; a short last frame is padded
+        votes = air_detect(signs, np.ones(devices), phy, cfg, [rng] * devices, [rng]).votes
         errors += int(np.sum(votes != 1))
         done += count
     rate = errors / trials

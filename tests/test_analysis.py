@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from airvote import analysis
@@ -25,7 +29,7 @@ from airvote.analysis import (
     run_flip_prob_suite,
 )
 from airvote.channel import FADING_MODES, ChannelConfig
-from airvote.phy import SYMBOL_ENERGY, build_subcarrier_map
+from airvote.phy import SYMBOL_ENERGY, PhyConfig
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +59,7 @@ def test_mean_energy_depends_only_on_mean_power():
     powers = np.array([0.5, 1.0, 2.0, 3.0, 3.5])
     frames = 100
     result = air_detect(
-        np.ones((frames, 5, 1024), dtype=np.int8), powers, build_subcarrier_map(1024, 64, 32),
+        np.ones((5, frames * 1024), dtype=np.int8), powers, PhyConfig(num_subcarriers=64, num_symbols=32),
         ChannelConfig(noise_var=0.5), [np.random.default_rng((1, m)) for m in range(5)],
         [np.random.default_rng((2, f)) for f in range(frames)],
     )
@@ -179,11 +183,11 @@ def test_kernel_matches_weighted_error_law_with_unequal_powers():
     # the production kernel under per-bin fading, 262,144 trials.
     powers = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
     flips = np.array([0.05, 0.1, 0.2, 0.3, 0.45])
-    snr, frames, mapping = 2.0, 256, build_subcarrier_map(1024, 64, 32)
+    snr, frames, phy = 2.0, 256, PhyConfig(num_subcarriers=64, num_symbols=32)
     rng = np.random.default_rng(31)
     signs = np.where(rng.random((frames, 5, 1024)) < flips[:, None], -1, 1).astype(np.int8)
     votes = air_detect(
-        signs, powers, mapping, ChannelConfig(noise_var=SYMBOL_ENERGY / snr, fading="per_bin"),
+        signs.transpose(1, 0, 2).reshape(5, -1), powers, phy, ChannelConfig(noise_var=SYMBOL_ENERGY / snr, fading="per_bin"),
         [np.random.default_rng((32, m)) for m in range(5)], [np.random.default_rng((33, f)) for f in range(frames)],
     ).votes
     estimate = float(np.mean(votes != 1))
@@ -194,15 +198,16 @@ def test_kernel_matches_weighted_error_law_with_unequal_powers():
 @pytest.mark.parametrize("fading", FADING_MODES)
 def test_kernel_draws_only_the_documented_values(fading):
     # Frame generators draw the lit bins' gains (real parts, then imaginary
-    # parts), one timing offset per device, then the noise of the map's
-    # bins, none of the 4 bins the 6-coordinate map leaves unused; device
-    # generators draw their symbol phases frame after frame.
+    # parts), one timing offset per device, then the noise of the frame's
+    # bins; device generators draw their symbol phases frame after frame.
+    # 22 coordinates fill four 6-coordinate frames, the last one padded.
     devices, frames, coordinates = 3, 4, 6
-    signs = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(frames, devices, coordinates))
+    signs = np.random.default_rng(0).choice(np.array([-1, 1], dtype=np.int8), size=(devices, 22))
     channel = ChannelConfig(noise_var=0.5, sync_error_max=0.2, fading=fading)
     device_rngs = [np.random.default_rng((1, m)) for m in range(devices)]
     frame_rngs = [np.random.default_rng((2, f)) for f in range(frames)]
-    air_detect(signs, np.ones(devices), build_subcarrier_map(coordinates, 16, 1), channel, device_rngs, frame_rngs)
+    phy = PhyConfig(num_subcarriers=2 * coordinates, num_symbols=1)
+    air_detect(signs, np.ones(devices), phy, channel, device_rngs, frame_rngs)
     gains = {"per_bin": (devices, coordinates), "per_frame": (devices,), "none": None}[fading]
     for f, rng in enumerate(frame_rngs):
         replay = np.random.default_rng((2, f))
@@ -217,6 +222,76 @@ def test_kernel_draws_only_the_documented_values(fading):
         replay = np.random.default_rng((1, m))
         replay.uniform(0.0, 2.0 * np.pi, size=(frames, coordinates))
         assert rng.bit_generator.state == replay.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The kernel's frame contract
+# ---------------------------------------------------------------------------
+
+def _kernel(signs, powers, phy, channel, num_frames, seed=0):
+    """air_detect on fresh generators: one per device, one per frame."""
+    device_rngs = [np.random.default_rng((seed, 0, m)) for m in range(len(powers))]
+    frame_rngs = [np.random.default_rng((seed, 1, f)) for f in range(num_frames)]
+    return air_detect(signs, powers, phy, channel, device_rngs, frame_rngs)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A small frame, 0-4 devices and their powers, a coordinate count of up
+    to three frames, and sign rows that fill every frame."""
+    phy = PhyConfig(num_subcarriers=2 * draw(st.integers(1, 4)), num_symbols=draw(st.integers(1, 3)))
+    devices = draw(st.integers(0, 4))
+    coordinates = draw(st.integers(1, 3 * phy.frame_coordinates))
+    num_frames = -(-coordinates // phy.frame_coordinates)
+    sign = st.sampled_from([-1, 1])
+    full = draw(hnp.arrays(np.int8, (devices, num_frames * phy.frame_coordinates), elements=sign))
+    powers = draw(hnp.arrays(np.float64, devices, elements=st.floats(0.25, 8.0)))
+    return phy, powers, coordinates, num_frames, full
+
+
+@pytest.mark.parametrize("sync_error_max", [0.0, 0.3])
+@pytest.mark.parametrize("fading", FADING_MODES)
+@given(inputs=_kernel_inputs(), data=st.data())
+def test_kernel_results_ignore_other_coordinates_signs(fading, sync_error_max, inputs, data):
+    # Flipping any other coordinates' signs, or replacing the last frame's
+    # tail by the kernel's +1 padding, leaves a coordinate's energies and
+    # vote bit-identical.
+    phy, powers, coordinates, num_frames, full = inputs
+    channel = ChannelConfig(noise_var=0.5, sync_error_max=sync_error_max, fft_size=16, fading=fading)
+    keep = data.draw(hnp.arrays(np.bool_, coordinates))
+    changed = np.where(keep, full[:, :coordinates], -full[:, :coordinates])
+    whole = _kernel(full, powers, phy, channel, num_frames)
+    padded = _kernel(changed, powers, phy, channel, num_frames)
+    assert whole.votes.shape == (full.shape[1],) and padded.votes.shape == (coordinates,)
+    for name in ("e_plus", "e_minus", "votes"):
+        np.testing.assert_array_equal(getattr(whole, name)[:coordinates][keep], getattr(padded, name)[keep])
+
+
+@pytest.mark.parametrize("fading", FADING_MODES)
+@given(inputs=_kernel_inputs(), k=st.integers(-8, 8), noise_var=st.just(0.0) | st.floats(0.01, 4.0))
+def test_kernel_scaling_powers_and_noise_together(fading, inputs, k, noise_var):
+    # Multiplying every power and the noise variance by 4**k scales every
+    # received amplitude by exactly 2**k: the energies by exactly 4**k, and
+    # the votes not at all.
+    phy, powers, _, num_frames, full = inputs
+    channel = ChannelConfig(noise_var=noise_var, sync_error_max=0.3, fft_size=16, fading=fading)
+    base = _kernel(full, powers, phy, channel, num_frames)
+    scale = 4.0**k
+    scaled = _kernel(full, powers * scale, phy, replace(channel, noise_var=noise_var * scale), num_frames)
+    np.testing.assert_array_equal(scaled.votes, base.votes)
+    np.testing.assert_array_equal(scaled.e_plus, base.e_plus * scale)
+    np.testing.assert_array_equal(scaled.e_minus, base.e_minus * scale)
+
+
+def test_kernel_needs_one_generator_per_frame():
+    phy = PhyConfig(num_subcarriers=4, num_symbols=1)  # 2 coordinates per frame
+    signs = np.ones((2, 5), dtype=np.int8)  # 3 frames, the last one padded
+    for frames in (0, 2, 4):
+        with pytest.raises(ValueError, match=f"{frames} frame generators for 5 coordinates"):
+            _kernel(signs, np.ones(2), phy, ChannelConfig(), frames)
+    with pytest.raises(ValueError, match="expected \\(devices, coordinates\\)"):
+        _kernel(signs[None], np.ones(2), phy, ChannelConfig(), 3)
+    assert _kernel(signs, np.ones(2), phy, ChannelConfig(), 3).votes.shape == (5,)
 
 
 def test_mc_error_prob_single_device_passthrough():

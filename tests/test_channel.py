@@ -9,7 +9,7 @@ from airvote.channel import (
     sample_channel,
     superpose,
 )
-from airvote.phy import SYMBOL_ENERGY, build_subcarrier_map
+from airvote.phy import SYMBOL_ENERGY
 
 
 def _rngs(*seeds):
@@ -21,8 +21,7 @@ def _gains(shape, cfg, seed, signs=None):
     their timing ramps, one frame per leading index of `shape`."""
     signs = np.ones(shape, dtype=np.int8) if signs is None else signs
     num_frames, _, num_coordinates = shape
-    mapping = build_subcarrier_map(num_coordinates, 2 * num_coordinates, 1)
-    return sample_channel(signs, np.zeros(shape, dtype=np.complex128), mapping, cfg, _rngs(*[(seed, f) for f in range(num_frames)]))
+    return sample_channel(signs, np.zeros(shape, dtype=np.complex128), 2 * num_coordinates, cfg, _rngs(*[(seed, f) for f in range(num_frames)]))
 
 
 def _timing_offsets(rotated, aligned, lit, fft_size):
@@ -41,7 +40,7 @@ def _timing_offsets(rotated, aligned, lit, fft_size):
 
 
 def _random_signs(shape, seed):
-    """Random signs and the subcarrier each one lights on a one-symbol map."""
+    """Random signs and the subcarrier each one lights in a one-symbol frame."""
     signs = np.random.default_rng(seed).choice(np.array([-1, 1], dtype=np.int8), size=shape)
     return signs, 2 * np.arange(shape[-1]) + (signs < 0)
 
@@ -83,8 +82,7 @@ def test_sample_channel_none_is_identity_gain():
     np.testing.assert_array_equal(gains, np.ones((1, 2, 6)))
     # with unit gains and no ramp the result is the symbol itself
     phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(1, 2, 6))
-    symbols = sample_channel(np.ones((1, 2, 6)), 1j * phases, build_subcarrier_map(6, 12, 1),
-                             ChannelConfig(fading="none"), _rngs(0))
+    symbols = sample_channel(np.ones((1, 2, 6)), 1j * phases, 12, ChannelConfig(fading="none"), _rngs(0))
     np.testing.assert_array_equal(symbols, np.exp(1j * phases))
 
 
@@ -99,14 +97,13 @@ def test_sample_channel_deterministic():
 
 
 def test_sample_channel_validates():
-    mapping = build_subcarrier_map(4, 8, 1)
     signs = np.ones((2, 3, 4))
     with pytest.raises(ValueError, match="exponents of shape"):
-        sample_channel(signs, np.zeros((2, 3, 5), dtype=np.complex128), mapping, ChannelConfig(), _rngs(0, 1))
+        sample_channel(signs, np.zeros((2, 3, 5), dtype=np.complex128), 8, ChannelConfig(), _rngs(0, 1))
     with pytest.raises(ValueError, match="complex128"):
-        sample_channel(signs, np.zeros((2, 3, 4)), mapping, ChannelConfig(), _rngs(0, 1))
+        sample_channel(signs, np.zeros((2, 3, 4)), 8, ChannelConfig(), _rngs(0, 1))
     with pytest.raises(ValueError, match="channel generators"):
-        sample_channel(signs, np.zeros((2, 3, 4), dtype=np.complex128), mapping, ChannelConfig(), _rngs(0))
+        sample_channel(signs, np.zeros((2, 3, 4), dtype=np.complex128), 8, ChannelConfig(), _rngs(0))
 
 
 def test_config_validation():
@@ -240,19 +237,18 @@ def test_frame_axis_matches_per_frame_calls(fading):
     rng = np.random.default_rng(11)
     signs, lit = _random_signs((3, 4, 8), 11)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=signs.shape)
-    mapping = build_subcarrier_map(8, 16, 1)
     powers = np.array([1.0, 2.0, 0.5, 3.0])
 
     def generators(tag):
         return _rngs(*[(tag, f) for f in range(3)])
 
-    faded = sample_channel(signs, 1j * phases, mapping, cfg, generators(0))
+    faded = sample_channel(signs, 1j * phases, 16, cfg, generators(0))
     received = superpose(signs, faded, powers, cfg, generators(1))
     assert faded.shape == (3, 4, 8) and received.shape == (3, 2, 8)
-    aligned = sample_channel(signs, 1j * phases, mapping, replace(cfg, sync_error_max=0.0), generators(0))
+    aligned = sample_channel(signs, 1j * phases, 16, replace(cfg, sync_error_max=0.0), generators(0))
     for f, (channel_rng, noise_rng) in enumerate(zip(generators(0), generators(1))):
         one = slice(f, f + 1)
-        single = sample_channel(signs[one], 1j * phases[one], mapping, cfg, [channel_rng])
+        single = sample_channel(signs[one], 1j * phases[one], 16, cfg, [channel_rng])
         np.testing.assert_array_equal(faded[f], single[0])
         np.testing.assert_array_equal(
             _timing_offsets(faded, aligned, lit, 16)[f], _timing_offsets(single, aligned[one], lit[one], 16)[0]

@@ -1,10 +1,13 @@
 import csv
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from airvote import analysis
 from airvote.cli import main
+from airvote.experiment import summary_path
 
 CONFIG_TEMPLATE = """
 scheme = fsk_mv_dpc
@@ -168,6 +171,34 @@ def test_train_reruns_are_byte_identical(tmp_path):
     assert main(["train", "--config", str(config_a)]) == 0
     assert main(["train", "--config", str(config_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def _write_idx(directory, part, images, labels):
+    """IDX image and label files of one MNIST part ("train" or "t10k")."""
+    images = np.asarray(images, dtype=np.uint8)
+    (directory / f"{part}-images-idx3-ubyte").write_bytes(struct.pack(">IIII", 2051, *images.shape) + images.tobytes())
+    (directory / f"{part}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, len(labels)) + bytes(labels))
+
+
+@pytest.mark.parametrize(
+    "test_side,test_labels,message",
+    [(4, [0, 1, 2, 3], "the test set's labels reach 3, the train set's only 2"),
+     (3, [0, 1, 2, 1], "the test set's images have 9 pixels, the train set's 16")],
+)
+def test_train_rejects_idx_test_set_that_does_not_fit_the_train_set(tmp_path, capsys, test_side, test_labels, message):
+    rng = np.random.default_rng(0)
+    _write_idx(tmp_path, "train", rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
+    config_path, output = write_config(tmp_path)
+    config_path.write_text(config_path.read_text() + f"dataset.kind = mnist\ndataset.path = {tmp_path}\n")
+    # a test set that fits the train set trains
+    _write_idx(tmp_path, "t10k", rng.integers(0, 256, (4, 4, 4)), [0, 1, 2, 1])
+    assert main(["train", "--config", str(config_path)]) == 0
+    output.unlink()
+    summary_path(output).unlink()
+    _write_idx(tmp_path, "t10k", rng.integers(0, 256, (4, test_side, test_side)), test_labels)
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not output.exists() and not summary_path(output).exists()  # rejected before any round
 
 
 def test_mc_verify_flip_prob_suite(capsys):

@@ -7,7 +7,7 @@ from scipy import stats
 from airvote.analysis import air_detect
 from airvote.channel import ChannelConfig
 from airvote.detector import detect, ideal_majority_vote
-from airvote.phy import build_subcarrier_map
+from airvote.phy import PhyConfig
 
 
 def test_measure_energies_values():
@@ -31,14 +31,13 @@ def test_measure_energies_out_of_range():
 
 def test_single_device_clean_energy():
     # One device, unit gain, no noise: the active bin carries energy 2.
-    m = build_subcarrier_map(1, 2, 1)
     cfg = ChannelConfig(noise_var=0.0, fading="none")
     result = air_detect(
-        np.ones((1, 1, 1)), np.array([1.0]), m, cfg,
+        np.ones((1, 1)), np.array([1.0]), PhyConfig(num_subcarriers=2, num_symbols=1), cfg,
         [np.random.default_rng(123)], [np.random.default_rng(0)],
     )  # randomization on
-    assert result.e_plus[0, 0] == pytest.approx(2.0)
-    assert result.e_minus[0, 0] == pytest.approx(0.0)
+    assert result.e_plus[0] == pytest.approx(2.0)
+    assert result.e_minus[0] == pytest.approx(0.0)
 
 
 def _pair_bins(e_plus, e_minus):
@@ -69,33 +68,34 @@ def test_ideal_majority_vote():
 # Oracle equivalence in the ideal channel
 # ---------------------------------------------------------------------------
 
-def air_vote_ideal(sign_patterns, mapping, low_rng):
-    """Pipeline votes, one frame per (devices, coordinates) pattern, with unit
-    gains, no noise, unit powers and every randomization symbol 1.
+def air_vote_ideal(sign_patterns, low_rng):
+    """Pipeline votes, one one-symbol frame per (devices, coordinates)
+    pattern, with unit gains, no noise, unit powers and every randomization
+    symbol 1.
 
     With all symbols equal to 1, e_plus = 2 * (votes for +1)^2 and
     e_minus = 2 * (votes for -1)^2, so the energy comparison reproduces the
     count comparison exactly.
     """
     cfg = ChannelConfig(noise_var=0.0, fading="none")
-    num_frames, num_devices = sign_patterns.shape[:2]
+    num_frames, num_devices, num_coordinates = sign_patterns.shape
+    rows = sign_patterns.transpose(1, 0, 2).reshape(num_devices, -1)
+    phy = PhyConfig(num_subcarriers=2 * num_coordinates, num_symbols=1)
     return air_detect(
-        sign_patterns, np.ones(num_devices), mapping, cfg, [low_rng] * num_devices, [low_rng] * num_frames
-    ).votes
+        rows, np.ones(num_devices), phy, cfg, [low_rng] * num_devices, [low_rng] * num_frames
+    ).votes.reshape(num_frames, num_coordinates)
 
 
 def test_energy_detection_equals_majority_vote_exhaustive(low_rng):
-    mapping = build_subcarrier_map(2, 4, 1)
     patterns = np.array(list(itertools.product([-1, 1], repeat=6))).reshape(-1, 3, 2)  # all 2^(3*2)
-    votes = air_vote_ideal(patterns, mapping, low_rng)
+    votes = air_vote_ideal(patterns, low_rng)
     for signs, vote in zip(patterns, votes):
         np.testing.assert_array_equal(vote, ideal_majority_vote(signs))
 
 
 def test_energy_detection_equals_majority_vote_random_patterns(low_rng):
-    mapping = build_subcarrier_map(10, 20, 1)
     patterns = np.random.default_rng(21).choice([-1, 1], size=(200, 31, 10))
-    votes = air_vote_ideal(patterns, mapping, low_rng)
+    votes = air_vote_ideal(patterns, low_rng)
     for signs, vote in zip(patterns, votes):
         np.testing.assert_array_equal(vote, ideal_majority_vote(signs))
 
@@ -141,16 +141,16 @@ def test_received_energy_is_exponential():
     # 2 * 5 * 1 + noise_var.
     voters, noise_var = 5, 0.5
     q = 1000
-    mapping = build_subcarrier_map(q, 40, 50)
+    phy = PhyConfig(num_subcarriers=40, num_symbols=50)  # one frame of q coordinates
     cfg = ChannelConfig(noise_var=noise_var)
     samples = []
     for rep in range(10):  # 1e4 samples total
         result = air_detect(
-            np.ones((1, voters, q), dtype=int), np.ones(voters), mapping, cfg,
+            np.ones((voters, q), dtype=int), np.ones(voters), phy, cfg,
             [np.random.default_rng((rep, m)) for m in range(voters)],
             [np.random.default_rng((rep, 100))],
         )
-        samples.append(result.e_plus[0])
+        samples.append(result.e_plus)
     samples = np.concatenate(samples)
     mean_energy = 2.0 * voters * 1.0 + noise_var
     result = stats.kstest(samples, "expon", args=(0.0, mean_energy))

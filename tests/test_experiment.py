@@ -13,7 +13,6 @@ from airvote.experiment import (
     DatasetSpec,
     ExperimentConfig,
     PhyConfig,
-    _coordinate_chunks,
     build_datasets,
     config_from_values,
     load_config,
@@ -50,12 +49,15 @@ def small_config(scheme="fsk_mv_dpc", seed=0, **overrides):
 # Setup pieces
 # ---------------------------------------------------------------------------
 
-def test_coordinate_chunks_split_and_reuse_maps():
-    # every frame, the padded last one too, uses the full-frame map
-    for num_params, frames in [(21, 2), (32, 2), (33, 3), (5, 1)]:
-        num_frames, mapping = _coordinate_chunks(num_params, PhyConfig(num_subcarriers=16, num_symbols=2))
-        assert num_frames == frames
-        assert mapping.num_coordinates == 16 and (mapping.num_symbols, mapping.num_subcarriers) == (2, 16)
+def test_prepare_run_counts_frames():
+    # softmax regression has (input_dim + 1) x classes parameters; every
+    # frame, the padded last one too, carries 16 coordinates
+    phy = PhyConfig(num_subcarriers=16, num_symbols=2)
+    for (input_dim, classes), frames in [((6, 3), 2), ((15, 2), 2), ((10, 3), 3), ((1, 2), 1)]:
+        state = prepare_run(small_config(phy=phy, dataset=DatasetSpec(
+            samples=400, test_samples=100, input_dim=input_dim, classes=classes)))
+        assert state.num_frames == frames
+        assert phy.frame_coordinates == 16 and (phy.num_symbols, phy.num_subcarriers) == (2, 16)
 
 
 def test_synthetic_train_test_share_class_means():
@@ -135,7 +137,7 @@ def test_pipeline_votes_match_ideal_votes_in_clean_channel(monkeypatch, low_rng)
     # for bit.
     monkeypatch.setattr(
         analysis, "encode_signs",
-        lambda signs, mapping, device_rngs: encode_signs(signs, mapping, [low_rng] * len(device_rngs)),
+        lambda signs, device_rngs: encode_signs(signs, [low_rng] * len(device_rngs)),
     )
     clean = dict(channel=ChannelConfig(noise_var=0.0, fading="none"))
     config_air = small_config(scheme="fsk_mv", seed=11, **clean)

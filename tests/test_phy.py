@@ -7,8 +7,9 @@ from hypothesis.extra import numpy as hnp
 from airvote.channel import ChannelConfig, sample_channel, superpose
 from airvote.phy import (
     SYMBOL_ENERGY,
-    build_subcarrier_map,
+    PhyConfig,
     encode_signs,
+    lit_subcarriers,
     mean_power,
     signed_agreement,
     update_power,
@@ -16,26 +17,21 @@ from airvote.phy import (
 
 
 # ---------------------------------------------------------------------------
-# Subcarrier map
+# Frame layout
 # ---------------------------------------------------------------------------
 
 def test_map_layout_q2_a4_s1():
-    m = build_subcarrier_map(2, 4, 1)
-    np.testing.assert_array_equal(m.sub_plus, [0, 2])
-    np.testing.assert_array_equal(m.sub_minus, [1, 3])
-    assert (m.num_coordinates, m.num_subcarriers, m.num_symbols) == (2, 4, 1)
+    np.testing.assert_array_equal(lit_subcarriers([1, 1], 4), [0, 2])
+    np.testing.assert_array_equal(lit_subcarriers([-1, -1], 4), [1, 3])
+    phy = PhyConfig(num_subcarriers=4, num_symbols=1)
+    assert (phy.frame_coordinates, phy.num_subcarriers, phy.num_symbols) == (2, 4, 1)
     # a third coordinate starts the next symbol at subcarrier 0
-    np.testing.assert_array_equal(build_subcarrier_map(3, 4, 2).sub_plus, [0, 2, 0])
-
-
-def test_map_capacity_error():
-    with pytest.raises(ValueError, match="6 bins"):
-        build_subcarrier_map(3, 4, 1)
+    np.testing.assert_array_equal(lit_subcarriers([1, 1, 1], 4), [0, 2, 0])
 
 
 def test_map_requires_even_subcarriers():
     with pytest.raises(ValueError):
-        build_subcarrier_map(2, 5, 1)
+        PhyConfig(num_subcarriers=5, num_symbols=1)
 
 
 @pytest.mark.parametrize(
@@ -43,14 +39,19 @@ def test_map_requires_even_subcarriers():
     [(1, 2, 1), (2, 4, 1), (4, 4, 2), (7, 4, 4), (32, 8, 8), (210, 64, 7), (1024, 64, 32)],
 )
 def test_map_bins_distinct_and_fsk_adjacent(q, a, s):
-    m = build_subcarrier_map(q, a, s)
-    # row-major: coordinate j sits in symbol j // (a/2), both bins alike
-    sym = np.arange(q) // (a // 2)
-    flat = np.concatenate([sym * a + m.sub_plus, sym * a + m.sub_minus])
-    assert len(np.unique(flat)) == 2 * q  # bijective: no bin reused
-    np.testing.assert_array_equal(m.sub_minus, m.sub_plus + 1)
-    assert sym.max() < m.num_symbols == s and m.sub_minus.max() < a
-    assert m.num_coordinates == q
+    phy = PhyConfig(num_subcarriers=a, num_symbols=s)
+    assert q <= phy.frame_coordinates
+    # q coordinates, and a full frame: no bin is reused within a frame
+    for count in (q, phy.frame_coordinates):
+        sub_plus, sub_minus = lit_subcarriers(np.ones(count), a), lit_subcarriers(-np.ones(count), a)
+        # row-major: coordinate j sits in symbol j // (a/2), both bins alike
+        sym = np.arange(count) // (a // 2)
+        flat = np.concatenate([sym * a + sub_plus, sym * a + sub_minus])
+        assert len(np.unique(flat)) == 2 * count  # bijective: no bin reused
+        np.testing.assert_array_equal(sub_minus, sub_plus + 1)
+        assert sym.max() < phy.num_symbols == s and sub_minus.max() < a
+        assert sub_plus.size == count
+    assert len(flat) == a * s  # a full frame lights every bin of the frame
 
 
 # ---------------------------------------------------------------------------
@@ -58,58 +59,53 @@ def test_map_bins_distinct_and_fsk_adjacent(q, a, s):
 # ---------------------------------------------------------------------------
 
 def test_lit_subcarriers_follow_the_sign():
-    m = build_subcarrier_map(3, 6, 2)
     signs = np.array([[[1, -1, 1], [-1, -1, 1]]])
-    np.testing.assert_array_equal(m.lit_subcarriers(signs), [[[0, 3, 4], [1, 3, 4]]])
+    np.testing.assert_array_equal(lit_subcarriers(signs, 6), [[[0, 3, 4], [1, 3, 4]]])
 
 
 def _rngs(*seeds):
     return [np.random.default_rng(seed) for seed in seeds]
 
 
-def _received(signs, exponents, m):
+def _received(signs, exponents, num_subcarriers):
     """Received plus and minus bins of one unit-power device per sign row,
     over a unit-gain, aligned, noiseless channel."""
     cfg = ChannelConfig(noise_var=0.0, fading="none")
     frame_rngs = _rngs(*range(len(signs)))  # draw only the zero offsets
-    faded = sample_channel(signs, exponents, m, cfg, frame_rngs)
+    faded = sample_channel(signs, exponents, num_subcarriers, cfg, frame_rngs)
     return superpose(signs, faded, np.ones(signs.shape[1]), cfg, frame_rngs)
 
 
 def test_encode_positive_sign():
-    m = build_subcarrier_map(1, 2, 1)
     signs = np.array([[[1]]])
-    exponents = encode_signs(signs, m, _rngs(0))
+    exponents = encode_signs(signs, _rngs(0))
     assert exponents.shape == (1, 1, 1) and exponents.dtype == np.complex128
     assert exponents[0, 0, 0].real == 0.0 and 0.0 <= exponents[0, 0, 0].imag < 2.0 * np.pi
-    received = _received(signs, exponents, m)[0]
+    received = _received(signs, exponents, 2)[0]
     assert abs(received[0, 0]) == pytest.approx(np.sqrt(2.0))
     assert received[1, 0] == 0
 
 
 def test_encode_negative_sign():
-    m = build_subcarrier_map(1, 2, 1)
     signs = np.array([[[-1]]])
-    received = _received(signs, encode_signs(signs, m, _rngs(0)), m)[0]
+    received = _received(signs, encode_signs(signs, _rngs(0)), 2)[0]
     assert received[0, 0] == 0
     assert abs(received[1, 0]) == pytest.approx(np.sqrt(2.0))
 
 
 def test_encode_pinned_randomization(low_rng):
-    m = build_subcarrier_map(3, 6, 1)
     signs = np.array([[[1, -1, 1]]])
-    exponents = encode_signs(signs, m, [low_rng])
+    exponents = encode_signs(signs, [low_rng])
     np.testing.assert_array_equal(exponents, 0.0)
-    received = _received(signs, exponents, m)[0]
+    received = _received(signs, exponents, 6)[0]
     np.testing.assert_array_equal(received, np.sqrt(2.0) * np.array([[1, 0, 1], [0, 1, 0]]))
 
 
 def test_encode_per_coordinate_energy_and_exactly_one_active():
     rng = np.random.default_rng(1)
-    m = build_subcarrier_map(16, 8, 4)
     for trial in range(20):
-        signs = rng.choice([-1, 1], size=(1, 1, 16))
-        received = _received(signs, encode_signs(signs, m, _rngs(trial)), m)[0]
+        signs = rng.choice([-1, 1], size=(1, 1, 16))  # four symbols of 8 subcarriers
+        received = _received(signs, encode_signs(signs, _rngs(trial)), 8)[0]
         e_plus, e_minus = np.abs(received) ** 2
         np.testing.assert_allclose(e_plus + e_minus, SYMBOL_ENERGY, atol=1e-12)
         assert np.all((e_plus == 0) ^ (e_minus == 0))
@@ -118,36 +114,32 @@ def test_encode_per_coordinate_energy_and_exactly_one_active():
 
 
 def test_encode_deterministic_and_validates():
-    m = build_subcarrier_map(4, 8, 1)
     signs = np.array([[[1, -1, -1, 1]]])
-    a = encode_signs(signs, m, _rngs(9))
-    b = encode_signs(signs, m, _rngs(9))
+    a = encode_signs(signs, _rngs(9))
+    b = encode_signs(signs, _rngs(9))
     np.testing.assert_array_equal(a, b)
     with pytest.raises(ValueError):
-        encode_signs(np.array([[[1, 0, -1, 1]]]), m, _rngs(0))
-    with pytest.raises(ValueError):
-        encode_signs(np.array([[[1, -1]]]), m, _rngs(0))
+        encode_signs(np.array([[[1, 0, -1, 1]]]), _rngs(0))
     with pytest.raises(ValueError, match="frames, devices, coordinates"):
-        encode_signs(np.array([[1, -1, -1, 1]]), m, _rngs(0))
+        encode_signs(np.array([[1, -1, -1, 1]]), _rngs(0))
     with pytest.raises(ValueError, match="device generators"):
-        encode_signs(signs, m, _rngs(0, 1))
+        encode_signs(signs, _rngs(0, 1))
 
 
 def test_encode_batch_matches_stacked_single_vector_encodes():
-    m = build_subcarrier_map(6, 8, 2)
     signs = np.random.default_rng(3).choice([-1, 1], size=(3, 4, 6))
-    batch = encode_signs(signs, m, _rngs(*[(7, d) for d in range(4)]))
+    batch = encode_signs(signs, _rngs(*[(7, d) for d in range(4)]))
     # frame at a time on the same continuing generators: the block size of
     # a batched call cannot change the exponents
     rngs = _rngs(*[(7, d) for d in range(4)])
-    np.testing.assert_array_equal(batch, np.concatenate([encode_signs(signs[f:f + 1], m, rngs) for f in range(3)]))
+    np.testing.assert_array_equal(batch, np.concatenate([encode_signs(signs[f:f + 1], rngs) for f in range(3)]))
     # built by hand: each device draws the phases of its frames in order
     rngs = _rngs(*[(7, d) for d in range(4)])
     expected = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=(3, 6)) for rng in rngs], axis=1)
     np.testing.assert_array_equal(batch.imag, expected)
     np.testing.assert_array_equal(batch.real, 0.0)
     with pytest.raises(ValueError, match="device generators"):
-        encode_signs(signs, m, _rngs(0, 0, 0))
+        encode_signs(signs, _rngs(0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
