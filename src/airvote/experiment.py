@@ -46,6 +46,7 @@ from .seeding import (
     STREAM_INIT,
     STREAM_PARTITION,
     derive_rng,
+    derive_rngs,
 )
 
 SCHEMES = ("ideal_signsgd_mv", "fedavg_ideal", "fsk_mv", "fsk_mv_dpc")
@@ -196,26 +197,17 @@ def prepare_run(config: ExperimentConfig) -> RunState:
 # Round loop
 # ---------------------------------------------------------------------------
 
-def _air_vote(sign_matrix: np.ndarray, powers: np.ndarray, state: RunState,
-              config: ExperimentConfig, round_idx: int, device_rngs) -> np.ndarray:
-    """Encode, superpose over the fading channel, and detect every frame of
-    the round in one kernel call.
-
-    Device m draws its randomization symbols for all frames, in order, from
-    `device_rngs[m]`, the generator its mini batch came from; frame f draws
-    its channel and then its noise from one generator at (round, f).
-    """
-    frame_rngs = [derive_rng(config.master_seed, STREAM_CHANNEL, round_idx, f)
-                  for f in range(state.num_frames)]
-    return air_detect(sign_matrix, powers, config.phy, config.channel, device_rngs, frame_rngs).votes
-
-
 def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tuple[RunState, RoundMetrics | None]:
     """Execute one communication round; returns metrics on evaluation rounds
-    (every eval_every completed rounds, and always after the last round)."""
+    (every eval_every completed rounds, and always after the last round).
+    One `derive_rngs` call gives the generators of the round's paths, which
+    the `seeding` docstring lists; one kernel call carries every frame."""
     training = config.training
-    device_rngs = [derive_rng(config.master_seed, STREAM_BATCH, round_idx, m)
-                   for m in range(training.num_devices)]
+    devices = training.num_devices
+    frames = state.num_frames if config.scheme in ("fsk_mv", "fsk_mv_dpc") else 0
+    rngs = derive_rngs(config.master_seed, [(STREAM_BATCH, round_idx, m) for m in range(devices)]
+                       + [(STREAM_CHANNEL, round_idx, f) for f in range(frames)])
+    device_rngs, frame_rngs = rngs[:devices], rngs[devices:]
     grads = compute_local_gradient(state.model, state.predictor, state.train, state.shards,
                                    training.batch_size, device_rngs)
     emit = (round_idx + 1) % config.eval_every == 0 or round_idx == training.rounds - 1
@@ -231,7 +223,8 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
         if config.scheme == "ideal_signsgd_mv":
             vote = ideal
         else:
-            vote = _air_vote(sign_matrix, powers, state, config, round_idx, device_rngs)
+            vote = air_detect(sign_matrix, powers, config.phy, config.channel,
+                              device_rngs, frame_rngs).votes
         if emit:
             vote_agreement = float(np.mean(vote == ideal))
             reference = sign_quantize(full_gradient(state.model, state.predictor, state.train))

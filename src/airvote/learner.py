@@ -192,26 +192,22 @@ def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[np.nd
 # Classifiers
 # ---------------------------------------------------------------------------
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the sample axis -2 of (..., n, classes)
-    logits, and its gradient in the logits."""
-    probs = _softmax(logits)
-    labels = labels[..., None]
-    picked = np.take_along_axis(probs, labels, axis=-1)
-    loss = -np.mean(np.log(picked[..., 0] + 1e-300), axis=-1)
-    np.put_along_axis(probs, labels, picked - 1.0, axis=-1)
-    probs /= logits.shape[-2]
+    """Mean cross-entropy over the sample axis -1 of class-major (...,
+    classes, n) logits, and its gradient in the logits; the softmax's
+    reductions over the classes axis -2 run along rows of n samples."""
+    probs = np.exp(logits - logits.max(axis=-2, keepdims=True))
+    probs /= probs.sum(axis=-2, keepdims=True)
+    labels = labels[..., None, :]
+    picked = np.take_along_axis(probs, labels, axis=-2)
+    loss = -np.mean(np.log(picked[..., 0, :] + 1e-300), axis=-1)
+    np.put_along_axis(probs, labels, picked - 1.0, axis=-2)
+    probs /= logits.shape[-1]
     return loss, probs
 
 
@@ -225,7 +221,8 @@ class SoftmaxRegression:
 
     `loss_and_gradient` maps (..., n, input_dim) features and (..., n)
     labels to the mean losses (...) and gradients (..., num_params) of each
-    batch; `matmul` on swapped axes, not einsum, keeps batching fast.
+    batch.  It works on class-major (..., classes, n) logits; `matmul` on
+    swapped axes, not einsum, keeps batching fast.
     """
 
     def __init__(self, input_dim: int, num_classes: int):
@@ -248,8 +245,9 @@ class SoftmaxRegression:
         return features @ w + b
 
     def loss_and_gradient(self, weights, features, labels):
-        loss, d_logits = _cross_entropy(self.logits(weights, features), labels)
-        return loss, _flat(features, features.swapaxes(-1, -2) @ d_logits, d_logits.sum(axis=-2))
+        w, b = self._unpack(weights)
+        loss, d_logits = _cross_entropy(w.T @ features.swapaxes(-1, -2) + b[:, None], labels)
+        return loss, _flat(features, (d_logits @ features).swapaxes(-1, -2), d_logits.sum(axis=-1))
 
 
 class TanhMlp:
@@ -289,10 +287,10 @@ class TanhMlp:
     def loss_and_gradient(self, weights, features, labels):
         w1, b1, w2, b2 = self._unpack(weights)
         hidden = np.tanh(features @ w1 + b1)
-        loss, d_logits = _cross_entropy(hidden @ w2 + b2, labels)
-        d_hidden = (d_logits @ w2.T) * (1.0 - hidden**2)
+        loss, d_logits = _cross_entropy(w2.T @ hidden.swapaxes(-1, -2) + b2[:, None], labels)
+        d_hidden = (w2 @ d_logits).swapaxes(-1, -2) * (1.0 - hidden**2)
         return loss, _flat(features, features.swapaxes(-1, -2) @ d_hidden, d_hidden.sum(axis=-2),
-                           hidden.swapaxes(-1, -2) @ d_logits, d_logits.sum(axis=-2))
+                           (d_logits @ hidden).swapaxes(-1, -2), d_logits.sum(axis=-1))
 
 
 def make_predictor(config: TrainingConfig, dataset: Dataset):

@@ -287,19 +287,65 @@ def _model(kind, d, c):
     return SoftmaxRegression(d, c) if kind == "logistic" else TanhMlp(d, c, hidden_units=7)
 
 
+def row_major_loss_and_gradient(model, weights, features, labels):
+    """The sample-major formula: (..., n, classes) logits, softmax over the
+    trailing axis, weight gradients from features.T @ d_logits."""
+    def cross_entropy(logits):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        onehot = labels[..., None] == np.arange(logits.shape[-1])
+        loss = -np.mean(np.log(np.sum(probs * onehot, axis=-1)), axis=-1)
+        return loss, (probs - onehot) / logits.shape[-2]
+
+    def flat(*parts):
+        return np.concatenate([p.reshape(*features.shape[:-2], -1) for p in parts], axis=-1)
+
+    xt = features.swapaxes(-1, -2)
+    if isinstance(model, SoftmaxRegression):
+        w, b = model._unpack(weights)
+        loss, d_logits = cross_entropy(features @ w + b)
+        return loss, flat(xt @ d_logits, d_logits.sum(axis=-2))
+    w1, b1, w2, b2 = model._unpack(weights)
+    hidden = np.tanh(features @ w1 + b1)
+    loss, d_logits = cross_entropy(hidden @ w2 + b2)
+    d_hidden = (d_logits @ w2.T) * (1.0 - hidden**2)
+    return loss, flat(xt @ d_hidden, d_hidden.sum(axis=-2),
+                      hidden.swapaxes(-1, -2) @ d_logits, d_logits.sum(axis=-2))
+
+
+@pytest.mark.parametrize("classes", [2, 3, 8, 10, 17])
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_class_major_loss_and_gradient_matches_row_major_formula(kind, classes):
+    rng = np.random.default_rng(classes)
+    model = _model(kind, 9, classes)
+    weights = rng.normal(scale=0.5, size=model.num_params)
+    features = rng.normal(size=(3, 40, 9))
+    labels = rng.integers(0, classes, size=(3, 40))
+    losses, grads = model.loss_and_gradient(weights, features, labels)
+    ref_losses, ref_grads = row_major_loss_and_gradient(model, weights, features, labels)
+    np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+    # Relative to each batch's largest gradient entry, so entries that cancel
+    # to near zero are compared on the scale of their summands.
+    scale = np.abs(ref_grads).max(axis=-1, keepdims=True)
+    assert np.max(np.abs(grads - ref_grads) / scale) <= 1e-12
+
+
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
 def test_batched_loss_and_gradient_equals_per_batch_calls(kind):
+    # At 10 classes the softmax sums 8 or more terms, where numpy's
+    # summation order depends on the layout of the reduced axis.
     rng = np.random.default_rng(12)
-    model = _model(kind, 9, 4)
-    weights = rng.normal(scale=0.5, size=model.num_params)
-    features = rng.normal(size=(2, 3, 16, 9))
-    labels = rng.integers(0, 4, size=(2, 3, 16))
-    losses, grads = model.loss_and_gradient(weights, features, labels)
-    assert losses.shape == (2, 3) and grads.shape == (2, 3, model.num_params)
-    for index in np.ndindex(2, 3):
-        loss, grad = model.loss_and_gradient(weights, features[index], labels[index])
-        assert losses[index] == loss
-        assert grads[index].tobytes() == grad.tobytes()
+    for classes in (4, 10):
+        model = _model(kind, 9, classes)
+        weights = rng.normal(scale=0.5, size=model.num_params)
+        features = rng.normal(size=(2, 3, 16, 9))
+        labels = rng.integers(0, classes, size=(2, 3, 16))
+        losses, grads = model.loss_and_gradient(weights, features, labels)
+        assert losses.shape == (2, 3) and grads.shape == (2, 3, model.num_params)
+        for index in np.ndindex(2, 3):
+            loss, grad = model.loss_and_gradient(weights, features[index], labels[index])
+            assert losses[index] == loss
+            assert grads[index].tobytes() == grad.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
