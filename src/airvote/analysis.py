@@ -198,12 +198,18 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 # Over-the-air kernel, shared by the round loop and the oracles
 # ---------------------------------------------------------------------------
 
-# Largest complex (frames, devices, coordinates) array the kernel builds at
-# once: two 31-device oracle frames (1,024 coordinates, 0.48 MiB each), or five
-# of the 19 frames of 416 coordinates a 7,850-parameter round sends.  Larger
-# blocks only raise peak memory.  The learner's gathered features share the
-# budget.
+# Most bytes a step of any batched loop (`blocks`) holds: two 31-device oracle
+# frames of the kernel's complex arrays (1,024 coordinates, 0.48 MiB each), or
+# five of the 19 frames of 416 coordinates a 7,850-parameter round sends.
+# Larger blocks only raise peak memory; an oracle call of one kernel block
+# costs heap page faults (see _oracle_detect).
 BLOCK_BYTES = 2**20
+
+
+def blocks(count: int, item_bytes: int) -> list[tuple[int, int]]:
+    """In-order (lo, hi) ranges of `count` items, each within BLOCK_BYTES or of one item."""
+    step = max(1, BLOCK_BYTES // max(item_bytes, 1))
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
@@ -233,16 +239,14 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
         raise ValueError(f"{len(frame_rngs)} frame generators for {num_coordinates} coordinates "
                          f"in frames of {per_frame}")
     frame_bytes = num_devices * per_frame * np.dtype(np.complex128).itemsize
-    block = max(1, BLOCK_BYTES // max(frame_bytes, 1))
     parts = []
-    for lo in range(0, num_frames, block):
-        frames = min(block, num_frames - lo)
+    for lo, hi in blocks(num_frames, frame_bytes):
         # a padded copy per block, not of every row at once: peak memory
-        block_signs = np.ones((num_devices, frames * per_frame), dtype=signs.dtype)
-        sent = signs[:, lo * per_frame:(lo + frames) * per_frame]
+        block_signs = np.ones((num_devices, (hi - lo) * per_frame), dtype=signs.dtype)
+        sent = signs[:, lo * per_frame:hi * per_frame]
         block_signs[:, :sent.shape[1]] = sent
-        block_signs = block_signs.reshape(num_devices, frames, per_frame).transpose(1, 0, 2)
-        block_rngs = frame_rngs[lo:lo + frames]
+        block_signs = block_signs.reshape(num_devices, hi - lo, per_frame).transpose(1, 0, 2)
+        block_rngs = frame_rngs[lo:hi]
         exponents = encode_signs(block_signs, device_rngs)
         faded = sample_channel(block_signs, exponents, phy.num_subcarriers, channel, block_rngs)
         result = detect(superpose(block_signs, faded, powers, channel, block_rngs))
@@ -257,34 +261,43 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
 _ORACLE_PHY = PhyConfig(num_subcarriers=64, num_symbols=32)  # 1024 coordinates per frame
 
 
-def _oracle_detect(sign_sampler, powers, noise_var: float, trials: int, seed) -> DetectionResult:
-    """`trials` single-coordinate experiments over Rayleigh per-bin fading
-    in one air_detect call; the result holds (trials,) arrays.  `seed`
-    spawns one generator per device (randomization symbols), then one per
-    oracle frame: its int8 (devices, frame coordinates) signs from
-    `sign_sampler(rng, shape)`, then its channel, then its noise.  The last
-    frame's signs past `trials` are drawn but not sent; air_detect pads in
-    their place."""
+def _oracle_detect(sign_sampler, powers, noise_var: float, trials: int, seed):
+    """`trials` single-coordinate experiments over Rayleigh per-bin fading,
+    yielded in trial order, one DetectionResult per air_detect call.  `seed`
+    spawns one generator per device (randomization symbols), carried across
+    calls, then, call by call, one per oracle frame: its int8 (devices, frame
+    coordinates) signs from `sign_sampler(rng, shape)`, then its channel and
+    noise; so no draw depends on the call size.  The last frame's signs past
+    `trials` are drawn but not sent.  A call's signs and results (K + 17 bytes
+    a trial) fill BLOCK_BYTES, about ten kernel blocks at K = 31: a call per
+    kernel block had glibc trim and re-fault the heap top (7x faults, +10% time)."""
     seeds = np.random.SeedSequence(seed)
     device_rngs = [np.random.default_rng(s) for s in seeds.spawn(len(powers))]
     per_frame = _ORACLE_PHY.frame_coordinates
-    frame_rngs = [np.random.default_rng(s) for s in seeds.spawn(-(-trials // per_frame))]
-    signs = np.concatenate([sign_sampler(rng, (len(powers), per_frame)) for rng in frame_rngs], axis=1)
     channel = ChannelConfig(noise_var=noise_var, fading="per_bin")
-    return air_detect(signs[:, :trials], powers, _ORACLE_PHY, channel, device_rngs, frame_rngs)
+    for lo, hi in blocks(-(-trials // per_frame), per_frame * (len(powers) + 17)):
+        frame_rngs = [np.random.default_rng(s) for s in seeds.spawn(hi - lo)]
+        signs = np.concatenate([sign_sampler(rng, (len(powers), per_frame)) for rng in frame_rngs], axis=1)
+        yield air_detect(signs[:, :trials - lo * per_frame], powers, _ORACLE_PHY, channel, device_rngs, frame_rngs)
+
+
+def _binomial(hits: int, trials: int) -> tuple[float, float]:
+    """Frequency of `hits` in `trials` with its binomial standard error."""
+    return (estimate := hits / trials), math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / trials)
 
 
 def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, trials: int, seed) -> float:
     """Empirical mean bin energy from the full encode/fade/superpose path.
 
     All devices vote +1 at power mean_tx_power, so every trial's plus-bin
-    takes the whole cohort.
+    takes the whole cohort; summing frame by frame keeps its bits call-size free.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     powers = np.full(active_devices, mean_tx_power)
-    result = _oracle_detect(lambda rng, shape: np.ones(shape, np.int8), powers, noise_var, trials, seed)
-    return float(result.e_plus.sum()) / trials
+    results = _oracle_detect(lambda rng, shape: np.ones(shape, np.int8), powers, noise_var, trials, seed)
+    sums = (np.add.reduceat(r.e_plus, range(0, r.e_plus.size, _ORACLE_PHY.frame_coordinates)) for r in results)
+    return float(sum(frame_sum for call in sums for frame_sum in call)) / trials
 
 
 def mc_flip_prob(grad_mean: float, grad_std: float, batch_size: int, trials: int, seed) -> tuple[float, float]:
@@ -298,20 +311,12 @@ def mc_flip_prob(grad_mean: float, grad_std: float, batch_size: int, trials: int
     if grad_mean == 0 or grad_std <= 0 or batch_size < 1 or trials < 1:
         raise ValueError("grad_mean must be nonzero; grad_std, batch_size, trials positive")
     rng = np.random.default_rng(seed)
-    true_sign = 1.0 if grad_mean > 0 else -1.0
     flips = 0
-    chunk = max(1, 2_000_000 // batch_size)
-    done = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        draws = grad_mean + grad_std * rng.standard_normal((count, batch_size))
+    for lo, hi in blocks(trials, batch_size * np.dtype(np.float64).itemsize):
+        draws = grad_mean + grad_std * rng.standard_normal((hi - lo, batch_size))
         means = draws.mean(axis=1)
-        signs = np.where(means < 0, -1.0, 1.0)
-        flips += int(np.sum(signs != true_sign))
-        done += count
-    estimate = flips / trials
-    stderr = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / trials)
-    return estimate, stderr
+        flips += int(np.sum((means < 0) != (grad_mean < 0)))
+    return _binomial(flips, trials)
 
 
 # Fewest trials an error-probability estimate accepts.
@@ -324,10 +329,8 @@ def _mc_detection_errors(num_devices: int, sign_sampler, snr: float, trials: int
     noise_var = symbol_energy / snr."""
     if trials < MC_ERROR_PROB_MIN_TRIALS:
         raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
-    votes = _oracle_detect(sign_sampler, np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed).votes
-    estimate = int(np.sum(votes != 1)) / trials
-    stderr = math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / trials)
-    return estimate, stderr
+    results = _oracle_detect(sign_sampler, np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed)
+    return _binomial(sum(int(np.sum(result.votes != 1)) for result in results), trials)
 
 
 def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, seed) -> tuple[float, float]:

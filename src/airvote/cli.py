@@ -186,11 +186,12 @@ def _cmd_plot_data(args) -> int:
     scheme = args.scheme
     if scheme is None:
         sidecar = summary_path(source)
+        scheme = "unknown"
         if sidecar.exists():
             with sidecar.open() as fh:
-                scheme = next(csv.DictReader(fh))["scheme"]
-        else:
-            scheme = "unknown"
+                scheme = next(csv.DictReader(fh), {}).get("scheme")
+            if scheme is None:
+                raise ValueError(f"summary {sidecar} has no scheme row to label the records with")
     rows = []
     with source.open() as fh:
         for number, line in enumerate(fh, 1):

@@ -328,13 +328,12 @@ def compute_local_gradient(
     batches = np.stack([
         rng.choice(shard, size=batch_size, replace=False) for shard, rng in zip(shards, device_rngs)
     ])
-    block = max(1, analysis.BLOCK_BYTES // (batch_size * dataset.features[0].nbytes))
     losses = np.empty(len(shards))
     grads = np.empty((len(shards), predictor.num_params))
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, len(shards), block):
-            rows = batches[lo : lo + block]
-            losses[lo : lo + block], grads[lo : lo + block] = predictor.loss_and_gradient(
+        for lo, hi in analysis.blocks(len(shards), batch_size * dataset.features[0].nbytes):
+            rows = batches[lo:hi]
+            losses[lo:hi], grads[lo:hi] = predictor.loss_and_gradient(
                 state.weights, dataset.features[rows], dataset.labels[rows]
             )
     finite = np.isfinite(losses) & np.isfinite(grads).all(axis=1)

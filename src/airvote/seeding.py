@@ -19,9 +19,9 @@ Paths used by the round loop, per round r:
   num_subcarriers * num_symbols / 2 coordinates, the last frame of a round
   padded with +1 votes; no bin a device leaves dark is ever drawn.
 
-The Monte Carlo oracles keep the per-device, per-frame layout but spawn
-their generators from a seed per grid point (`analysis._oracle_detect`);
-each frame generator draws the frame's signs before its channel.
+The Monte Carlo oracles spawn one generator per device, then one per frame,
+from a seed per grid point (`analysis._oracle_detect`), the frames a kernel
+call at a time; each frame generator draws the frame's signs before its channel.
 """
 
 import numpy as np

@@ -323,19 +323,53 @@ def test_mc_error_prob_validates():
         mc_error_prob(31, 0.1, 2.0, 999, seed=0)
 
 
-def test_oracle_block_size_does_not_change_estimates(monkeypatch):
-    # 2,500 trials fill three 1024-coordinate frames, the last one padded;
-    # at 5 devices the default block holds all three, at 1 byte one each.
-    def estimates():
-        return (
-            mc_error_prob(5, 0.2, 2.0, 2500, seed=(8, 5)),
-            mc_error_prob_gaussian(5, 0.5, 2.0, 2500, seed=(8, 6)),
-            mc_mean_energy(5, 1.5, 1.0, 2500, seed=(8, 7)),
-        )
+def _oracle_estimates():
+    # 2,500 and 5,300 trials end in partial 1,024-trial frames.  At 1 byte every
+    # oracle call and kernel block holds one frame and every flip-oracle step
+    # one trial; at 2**16 bytes a call holds 3, 3, 2 or 1 frames for K = 0, 1,
+    # 5 or 31 and a step 64 trials; at the default budget each detection point
+    # below is one call, and the flip oracle takes 1,024 trials a step.
+    return (
+        [mc_mean_energy(k, 1.5, 1.0, trials, seed=(8, k, trials)) for k in (0, 1, 5, 31) for trials in (2500, 5300)],
+        [mc_error_prob(k, 0.2, 2.0, 5300, seed=(8, k)) for k in (1, 5, 31)],
+        mc_error_prob_gaussian(5, 0.5, 2.0, 2500, seed=(8, 6)),
+        mc_flip_prob(0.1, 0.8, 128, 3000, seed=(8, 9)),
+    )
 
-    whole = estimates()
-    monkeypatch.setattr(analysis, "BLOCK_BYTES", 1)
-    assert estimates() == whole
+
+def test_oracle_block_size_does_not_change_estimates(monkeypatch):
+    whole = _oracle_estimates()
+    for block_bytes in (1, 2**16):
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", block_bytes)
+        assert _oracle_estimates() == whole
+
+
+def test_oracle_calls_stay_within_block_bytes(monkeypatch):
+    # A kernel call holds its int8 signs (one byte per device and trial) and
+    # its e+, e- and vote (8 + 8 + 1 bytes per trial); more trials take more
+    # calls, not larger ones.
+    calls = []
+
+    def recording(signs, *args):
+        calls.append(signs.shape)
+        return air_detect(signs, *args)
+
+    monkeypatch.setattr(analysis, "air_detect", recording)
+    monkeypatch.setattr(analysis, "BLOCK_BYTES", 4 * 1024 * (5 + 17))
+    sizes = {}
+    for trials in (5000, 20_000):
+        calls.clear()
+        mc_error_prob(5, 0.2, 2.0, trials, seed=1)
+        assert all(coordinates * (devices + 17) <= analysis.BLOCK_BYTES for devices, coordinates in calls)
+        assert sum(coordinates for _, coordinates in calls) == trials
+        sizes[trials] = (len(calls), max(coordinates for _, coordinates in calls))
+    assert sizes == {5000: (2, 4096), 20_000: (5, 4096)}
+
+    calls.clear()
+    estimate = mc_mean_energy(0, 1.0, 0.7, 20_000, seed=2)
+    assert [devices for devices, _ in calls] == [0] * 4
+    assert max(coordinates for _, coordinates in calls) * 17 <= analysis.BLOCK_BYTES
+    assert estimate == pytest.approx(0.7, rel=0.05)
 
 
 def test_mc_error_prob_gaussian_dominated_by_bound():

@@ -165,6 +165,17 @@ def test_plot_data_bad_record_exits_1_and_keeps_output(tmp_path, capsys, bad_lin
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl", "tidy.csv"]
 
 
+@pytest.mark.parametrize("sidecar_text", ["", "round,accuracy\r\n0,0.5\r\n", "scheme\r\n"])
+def test_plot_data_bad_sidecar_exits_1_and_writes_nothing(tmp_path, capsys, sidecar_text):
+    source = tmp_path / "metrics.jsonl"
+    source.write_text('{"round": 0, "test_accuracy": 0.1}\n')
+    summary_path(source).write_text(sidecar_text)
+    tidy = tmp_path / "tidy.csv"
+    assert main(["plot-data", "--input", str(source), "--output", str(tidy)]) == 1
+    assert str(summary_path(source)) in capsys.readouterr().err
+    assert not tidy.exists()
+
+
 def test_train_reruns_are_byte_identical(tmp_path):
     config_a, out_a = write_config(tmp_path, "a.toml", tmp_path / "a.jsonl")
     config_b, out_b = write_config(tmp_path, "b.toml", tmp_path / "b.jsonl")

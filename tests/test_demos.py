@@ -9,16 +9,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_energy_vote_walkthrough_runs():
+def _run_demo(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    demo = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "energy_vote_walkthrough.py")],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name), *args],
         capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+def test_energy_vote_walkthrough_runs():
+    demo = _run_demo("energy_vote_walkthrough.py")
     assert demo.returncode == 0, demo.stderr
     assert "vote agreement with the perfect majority vote:" in demo.stdout
     # each device row shows one lit bin per coordinate pair
     rows = re.findall(r"^  device \d+: (\S+)$", demo.stdout, flags=re.MULTILINE)
     assert len(rows) == 5
     assert all(len(row) == 16 and all(row[k:k + 2].count("X") == 1 for k in range(0, 16, 2)) for row in rows)
+
+
+def test_verify_bounds_runs():
+    demo = _run_demo("verify_bounds.py", "--trials", "2000")
+    assert demo.returncode == 0, demo.stderr
+    for title in ("mean received bin energy", "single-device sign flips", "majority-vote detection error"):
+        assert f"=== {title} (2000 " in demo.stdout
