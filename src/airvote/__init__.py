@@ -17,7 +17,6 @@ from .analysis import (
     exact_error_prob,
     failure_prob_bound,
     mc_error_prob,
-    mc_error_prob_gaussian,
     mc_flip_prob,
     mc_mean_energy,
     mean_energy,

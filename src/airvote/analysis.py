@@ -323,46 +323,28 @@ def mc_flip_prob(grad_mean: float, grad_std: float, batch_size: int, trials: int
 MC_ERROR_PROB_MIN_TRIALS = 1000
 
 
-def _mc_detection_errors(num_devices: int, sign_sampler, snr: float, trials: int, seed) -> tuple[float, float]:
-    """Shared core: detected vote vs. a true sign of +1, through the real
-    pipeline with Rayleigh fading, fresh randomization, unit powers, and
-    noise_var = symbol_energy / snr."""
-    if trials < MC_ERROR_PROB_MIN_TRIALS:
-        raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
-    results = _oracle_detect(sign_sampler, np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed)
-    return _binomial(sum(int(np.sum(result.votes != 1)) for result in results), trials)
-
-
 def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, seed) -> tuple[float, float]:
     """Monte Carlo majority-vote error rate with i.i.d. per-device sign
     flips at probability flip_prob, plus binomial standard error.
 
-    Only the snr matters for the detection statistics (scaling signal and
-    noise together never changes an energy comparison), so the simulation
-    fixes unit powers and sets noise_var = symbol_energy / snr.
+    Detected votes are compared with a true sign of +1, through the real
+    pipeline with Rayleigh fading per bin, fresh randomization, unit powers,
+    and noise_var = symbol_energy / snr.  Only the snr matters for the
+    detection statistics (scaling signal and noise together never changes an
+    energy comparison), so fixing unit powers loses nothing.
     """
     if not 0.0 < flip_prob < 0.5:
         raise ValueError("flip_prob must lie in (0, 1/2)")
     if num_devices < 1 or snr <= 0:
         raise ValueError("num_devices and snr must be positive")
+    if trials < MC_ERROR_PROB_MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
 
     def sampler(rng, shape):
         return np.where(rng.random(shape) < flip_prob, np.int8(-1), np.int8(1))
 
-    return _mc_detection_errors(num_devices, sampler, snr, trials, seed)
-
-
-def mc_error_prob_gaussian(num_devices: int, grad_snr: float, snr: float, trials: int, seed) -> tuple[float, float]:
-    """Like mc_error_prob, but each device's sign comes from Gaussian
-    mini-batch gradient noise at the given grad_snr (flip probability
-    Phi(-grad_snr))."""
-    if grad_snr <= 0 or num_devices < 1 or snr <= 0:
-        raise ValueError("grad_snr, num_devices and snr must be positive")
-
-    def sampler(rng, shape):
-        return np.where(grad_snr + rng.standard_normal(shape) < 0, np.int8(-1), np.int8(1))
-
-    return _mc_detection_errors(num_devices, sampler, snr, trials, seed)
+    results = _oracle_detect(sampler, np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed)
+    return _binomial(sum(int(np.sum(result.votes != 1)) for result in results), trials)
 
 
 # ---------------------------------------------------------------------------

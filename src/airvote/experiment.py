@@ -278,9 +278,12 @@ def _replacing(path: Path, newline: str | None = None):
     """Text sink whose contents replace `path` only when the block completes.
 
     The sink is a temp file next to `path`, opened on entry, so an
-    unwritable directory fails before any work; on error it is removed and
-    `path` keeps its old contents.
+    unwritable directory, or a `path` that is itself a directory, fails
+    before any work; on error it is removed and `path` keeps its old
+    contents.
     """
+    if path.is_dir():
+        raise IsADirectoryError(f"output path {path} is a directory")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     sink = tmp.open("w", newline=newline)
     try:
@@ -295,20 +298,20 @@ def run_experiment(config: ExperimentConfig) -> Path:
     """Run the configured experiment and persist metrics.
 
     Writes one JSON object per evaluation record to the configured output
-    path and a single-row summary CSV next to it, each replacing its file
-    only once complete.  The metrics sink is opened before any computation
-    so an unwritable path fails fast.
+    path and a single-row summary CSV next to it.  Both sinks are opened
+    before any computation, so an unwritable path fails fast, and the two
+    files are replaced together: neither changes unless the run and both
+    writes complete.
     """
     out = Path(config.output_path)
-    with _replacing(out) as sink:
+    with _replacing(summary_path(out), newline="") as summary, _replacing(out) as sink:
         metrics, state = run_rounds(config)
         for record in metrics:
             sink.write(json.dumps(record.to_record()) + "\n")
-    family = "sgd" if config.scheme == "fedavg_ideal" else "signsgd_mv"
-    total_bits = comm_cost(family, config.training.num_devices, state.predictor.num_params)
-    total_bits *= config.training.rounds
-    with _replacing(summary_path(out), newline="") as sink:
-        writer = csv.writer(sink)
+        family = "sgd" if config.scheme == "fedavg_ideal" else "signsgd_mv"
+        total_bits = comm_cost(family, config.training.num_devices, state.predictor.num_params)
+        total_bits *= config.training.rounds
+        writer = csv.writer(summary)
         writer.writerow(["scheme", "final_accuracy", "mean_power", "total_bits", "rounds", "seed"])
         writer.writerow(
             [

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import struct
 
@@ -7,7 +8,7 @@ import pytest
 
 from airvote import analysis
 from airvote.cli import main
-from airvote.experiment import summary_path
+from airvote.experiment import DatasetSpec, build_datasets, summary_path
 
 CONFIG_TEMPLATE = """
 scheme = fsk_mv_dpc
@@ -191,6 +192,28 @@ def _write_idx(directory, part, images, labels):
     (directory / f"{part}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, len(labels)) + bytes(labels))
 
 
+def test_idx_sets_larger_than_samples_are_subsampled(tmp_path):
+    # every pixel of image i is i, so a row's first feature names its index
+    for part, count in (("train", 30), ("t10k", 8)):
+        _write_idx(tmp_path, part, np.repeat(np.arange(count), 16).reshape(count, 4, 4),
+                   [i % 3 for i in range(count)])
+    spec = DatasetSpec(kind="mnist", path=str(tmp_path), samples=12, test_samples=4)
+
+    def indices(seed):
+        sets = build_datasets(spec, seed)
+        rows = [np.rint(data.features[:, 0] * 255).astype(int) for data in sets]
+        for data, index in zip(sets, rows):
+            assert np.array_equal(data.features, np.repeat(index / 255.0, 16).reshape(-1, 16))
+            assert np.array_equal(data.labels, index % 3)
+        return rows
+
+    train, test = indices(3)
+    assert (len(train), len(test)) == (12, 4)
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+    assert all(np.array_equal(a, b) for a, b in zip(indices(3), (train, test)))
+    assert not np.array_equal(indices(4)[0], train)
+
+
 @pytest.mark.parametrize(
     "test_side,test_labels,message",
     [(4, [0, 1, 2, 3], "the test set's labels reach 3, the train set's only 2"),
@@ -216,6 +239,10 @@ def test_mc_verify_flip_prob_suite(capsys):
     assert main(["mc-verify", "--suite", "flip-prob", "--trials", "5000", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    # without --trials the suite runs at its runner's default count
+    assert main(["mc-verify", "--suite", "flip-prob", "--seed", "1"]) == 0
+    default = inspect.signature(analysis.run_flip_prob_suite).parameters["trials"].default
+    assert f"({default} draws)" in capsys.readouterr().out.splitlines()[0]
 
 
 def test_mc_verify_suite_alias(capsys):

@@ -236,10 +236,23 @@ def test_failed_run_keeps_previous_output(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in before)
 
 
-def test_run_experiment_unwritable_path_fails_fast(tmp_path):
-    config = small_config(output_path=str(tmp_path / "missing_dir" / "metrics.jsonl"))
-    with pytest.raises(OSError):
-        run_experiment(config)
+def test_run_experiment_unwritable_path_fails_fast(tmp_path, monkeypatch):
+    # A missing directory, an output path that is a directory and a summary
+    # path that is a directory each fail before the first round, and every
+    # file already on disk keeps its bytes.
+    def no_rounds(config):
+        pytest.fail("run_rounds ran before both output paths were checked")
+
+    monkeypatch.setattr(experiment, "run_rounds", no_rounds)
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "old.jsonl").write_text("old run\n")
+    (tmp_path / "metrics.jsonl").write_text("old metrics\n")
+    summary_path(tmp_path / "metrics.jsonl").mkdir()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    for output in ("missing_dir/metrics.jsonl", "runs", "metrics.jsonl"):
+        with pytest.raises(OSError):
+            run_experiment(small_config(output_path=str(tmp_path / output)))
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 # ---------------------------------------------------------------------------
