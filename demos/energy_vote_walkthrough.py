@@ -49,7 +49,7 @@ for m in range(DEVICES):
 print("  (each coordinate pair holds exactly one X; amplitude is sqrt(2) on a random phase)")
 
 # --- channel --------------------------------------------------------------
-config = ChannelConfig(noise_var=0.5, sync_error_max=0.25, fft_size=16)
+config = ChannelConfig(noise_var=0.5, sync_error_max=0.25)  # offsets up to a quarter FFT sample
 # one generator for the frame: the lit bins' fading gains and timing offsets,
 # then the noise on the coordinates' bins, added to the sum over devices
 frame_rngs = [np.random.default_rng(2)]

@@ -3,9 +3,9 @@
 31 devices learn a 10-class linear classifier from sign votes only.  The
 ideal scheme assumes a perfect uplink, the float-averaging baseline skips
 quantization entirely, and the two AirComp schemes push the votes through
-Rayleigh fading, noise, and a quarter-symbol timing offset; one of them
-additionally raises transmit power for devices that keep agreeing with
-the broadcast vote.
+Rayleigh fading, noise, and timing offsets of up to a quarter FFT sample;
+one of them additionally raises transmit power for devices that keep
+agreeing with the broadcast vote.
 
 Run:  python3 demos/train_compare_schemes.py  [--rounds N] [--csv PATH]
 """
@@ -17,9 +17,8 @@ import numpy as np
 
 from airvote import DatasetSpec, ExperimentConfig, PhyConfig, run_rounds
 from airvote.channel import ChannelConfig
+from airvote.experiment import SCHEMES
 from airvote.learner import TrainingConfig
-
-SCHEMES = ["ideal_signsgd_mv", "fedavg_ideal", "fsk_mv", "fsk_mv_dpc"]
 
 
 def build_config(scheme, rounds, seed):

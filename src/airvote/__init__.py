@@ -37,7 +37,6 @@ from .experiment import (
 from .learner import (
     Dataset,
     IdxFormatError,
-    ModelState,
     SoftmaxRegression,
     TanhMlp,
     TrainingConfig,

@@ -133,10 +133,10 @@ class BoundParams:
     num_devices: int
     snr: float
     rounds: int
-    gamma: float = 1.0
-    smoothness_l1: float = 1.0   # sum of per-coordinate smoothness constants
-    sigma_l1: float = 1.0        # sum of per-coordinate gradient-noise scales
-    loss_gap: float = 1.0        # initial loss minus its lower bound
+    gamma: float
+    smoothness_l1: float   # sum of per-coordinate smoothness constants
+    sigma_l1: float        # sum of per-coordinate gradient-noise scales
+    loss_gap: float        # initial loss minus its lower bound
     batch_size: int | None = None
 
     def __post_init__(self):
@@ -234,7 +234,7 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
         raise ValueError(f"signs of shape {signs.shape}; expected (devices, coordinates)")
     num_devices, num_coordinates = signs.shape
     per_frame = phy.frame_coordinates
-    num_frames = -(-num_coordinates // per_frame)
+    num_frames = phy.num_frames(num_coordinates)
     if len(frame_rngs) != num_frames:
         raise ValueError(f"{len(frame_rngs)} frame generators for {num_coordinates} coordinates "
                          f"in frames of {per_frame}")
@@ -275,7 +275,7 @@ def _oracle_detect(sign_sampler, powers, noise_var: float, trials: int, seed):
     device_rngs = [np.random.default_rng(s) for s in seeds.spawn(len(powers))]
     per_frame = _ORACLE_PHY.frame_coordinates
     channel = ChannelConfig(noise_var=noise_var, fading="per_bin")
-    for lo, hi in blocks(-(-trials // per_frame), per_frame * (len(powers) + 17)):
+    for lo, hi in blocks(_ORACLE_PHY.num_frames(trials), per_frame * (len(powers) + 17)):
         frame_rngs = [np.random.default_rng(s) for s in seeds.spawn(hi - lo)]
         signs = np.concatenate([sign_sampler(rng, (len(powers), per_frame)) for rng in frame_rngs], axis=1)
         yield air_detect(signs[:, :trials - lo * per_frame], powers, _ORACLE_PHY, channel, device_rngs, frame_rngs)

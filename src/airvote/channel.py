@@ -18,13 +18,14 @@ import numpy as np
 from .phy import SYMBOL_ENERGY, lit_subcarriers
 
 FADING_MODES = ("per_bin", "per_frame", "none")
+# OFDM FFT length: a timing offset of one sample turns subcarrier l by 2*pi*l/FFT_SIZE.
+FFT_SIZE = 64
 
 
 @dataclass
 class ChannelConfig:
     noise_var: float = 1.0        # total complex noise variance per bin
-    sync_error_max: float = 0.0   # timing offset bound, fraction of a symbol
-    fft_size: int = 64            # converts timing offset to phase slope
+    sync_error_max: float = 0.0   # timing offset bound, in FFT samples
     fading: str = "per_bin"
 
     def __post_init__(self):
@@ -32,8 +33,6 @@ class ChannelConfig:
             raise ValueError("noise_var must be finite and >= 0")
         if not 0.0 <= self.sync_error_max < 1.0:
             raise ValueError("sync_error_max must lie in [0, 1)")
-        if self.fft_size < 1:
-            raise ValueError("fft_size must be positive")
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}")
 
@@ -49,7 +48,7 @@ def sample_channel(signs, exponents, num_subcarriers: int, config: ChannelConfig
     complex Gaussian with unit mean-square magnitude; per_frame fading
     reuses one gain per device across the whole frame, "none" pins every
     gain to 1 for ideal-channel runs.  Timing offsets are uniform in [0,
-    sync_error_max], and rotate the symbol by exp(-j*2*pi*l*offset/fft_size)
+    sync_error_max], and rotate the symbol by exp(-j*2*pi*l*offset/FFT_SIZE)
     on its lit subcarrier l (`phy.lit_subcarriers` of a frame of
     `num_subcarriers`), which leaves magnitudes unchanged.  Only lit
     bins are drawn: the paired bins carry nothing from the device.
@@ -77,7 +76,7 @@ def sample_channel(signs, exponents, num_subcarriers: int, config: ChannelConfig
             gains /= np.sqrt(2.0)
         offsets = rng.uniform(0.0, config.sync_error_max, size=num_devices)
         if offsets.any():  # with every offset 0 the ramp is exactly 1
-            slopes = (-2.0 * np.pi / config.fft_size) * offsets
+            slopes = (-2.0 * np.pi / FFT_SIZE) * offsets
             symbols.imag += slopes[:, None] * lit_subcarriers(frame_signs, num_subcarriers)
         np.exp(symbols, out=symbols)
         if config.fading != "none":

@@ -26,7 +26,6 @@ from .channel import ChannelConfig
 from .detector import ideal_majority_vote
 from .learner import (
     Dataset,
-    ModelState,
     TrainingConfig,
     apply_global_update,
     compute_local_gradient,
@@ -121,13 +120,12 @@ class RoundMetrics:
 
 @dataclass
 class RunState:
-    model: ModelState
+    model: np.ndarray         # float64 weight vector
     powers: np.ndarray        # per-device transmit power multipliers
     predictor: object
     train: Dataset
     test: Dataset
     shards: list              # per-device int64 sample indices
-    num_frames: int           # frames of the uplink per round
     last_vote: np.ndarray | None = None
 
 
@@ -188,9 +186,7 @@ def prepare_run(config: ExperimentConfig) -> RunState:
         raise ValueError(f"batch_size {config.training.batch_size} exceeds the smallest shard "
                          f"({len(shards[smallest])} samples, device {smallest})")
     model = predictor.init_state(seed=derive_rng(config.master_seed, STREAM_INIT))
-    num_frames = -(-predictor.num_params // config.phy.frame_coordinates)
-    return RunState(model, np.ones(config.training.num_devices), predictor, train, test,
-                    shards, num_frames)
+    return RunState(model, np.ones(config.training.num_devices), predictor, train, test, shards)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +200,16 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
     the `seeding` docstring lists; one kernel call carries every frame."""
     training = config.training
     devices = training.num_devices
-    frames = state.num_frames if config.scheme in ("fsk_mv", "fsk_mv_dpc") else 0
+    over_air = config.scheme in ("fsk_mv", "fsk_mv_dpc")
+    frames = config.phy.num_frames(state.predictor.num_params) if over_air else 0
     rngs = derive_rngs(config.master_seed, [(STREAM_BATCH, round_idx, m) for m in range(devices)]
                        + [(STREAM_CHANNEL, round_idx, f) for f in range(frames)])
     device_rngs, frame_rngs = rngs[:devices], rngs[devices:]
-    grads = compute_local_gradient(state.model, state.predictor, state.train, state.shards,
-                                   training.batch_size, device_rngs)
+    try:
+        grads = compute_local_gradient(state.model, state.predictor, state.train, state.shards,
+                                       training.batch_size, device_rngs)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"round {round_idx}: {exc}") from None
     emit = (round_idx + 1) % config.eval_every == 0 or round_idx == training.rounds - 1
     vote_agreement = None
     empirical_perr = None

@@ -56,17 +56,6 @@ class Dataset:
 
 
 @dataclass
-class ModelState:
-    """Flat parameter vector plus the number of completed rounds."""
-
-    weights: np.ndarray
-    round: int = 0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-
-
-@dataclass
 class TrainingConfig:
     learning_rate: float = 0.004
     batch_size: int = 128
@@ -233,8 +222,8 @@ class SoftmaxRegression:
     def num_params(self) -> int:
         return self.input_dim * self.num_classes + self.num_classes
 
-    def init_state(self, seed=0) -> ModelState:
-        return ModelState(np.zeros(self.num_params))
+    def init_state(self, seed) -> np.ndarray:
+        return np.zeros(self.num_params)
 
     def _unpack(self, weights: np.ndarray):
         d, c = self.input_dim, self.num_classes
@@ -254,7 +243,7 @@ class TanhMlp:
     """One hidden tanh layer; exercises the non-convex training path.
     Batches over leading axes as SoftmaxRegression does."""
 
-    def __init__(self, input_dim: int, num_classes: int, hidden_units: int = 32):
+    def __init__(self, input_dim: int, num_classes: int, hidden_units: int):
         self.input_dim = input_dim
         self.num_classes = num_classes
         self.hidden_units = hidden_units
@@ -264,12 +253,12 @@ class TanhMlp:
         d, h, c = self.input_dim, self.hidden_units, self.num_classes
         return d * h + h + h * c + c
 
-    def init_state(self, seed=0) -> ModelState:
+    def init_state(self, seed) -> np.ndarray:
         rng = np.random.default_rng(seed)
         d, h, c = self.input_dim, self.hidden_units, self.num_classes
         w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=d * h)
         w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=h * c)
-        return ModelState(np.concatenate([w1, np.zeros(h), w2, np.zeros(c)]))
+        return np.concatenate([w1, np.zeros(h), w2, np.zeros(c)])
 
     def _unpack(self, weights: np.ndarray):
         d, h, c = self.input_dim, self.hidden_units, self.num_classes
@@ -304,7 +293,7 @@ def make_predictor(config: TrainingConfig, dataset: Dataset):
 # ---------------------------------------------------------------------------
 
 def compute_local_gradient(
-    state: ModelState,
+    weights: np.ndarray,
     predictor,
     dataset: Dataset,
     shards: list[np.ndarray],
@@ -334,19 +323,17 @@ def compute_local_gradient(
         for lo, hi in analysis.blocks(len(shards), batch_size * dataset.features[0].nbytes):
             rows = batches[lo:hi]
             losses[lo:hi], grads[lo:hi] = predictor.loss_and_gradient(
-                state.weights, dataset.features[rows], dataset.labels[rows]
+                weights, dataset.features[rows], dataset.labels[rows]
             )
     finite = np.isfinite(losses) & np.isfinite(grads).all(axis=1)
     if not finite.all():
-        raise FloatingPointError(
-            f"non-finite gradient at round {state.round} on device {np.argmin(finite)}"
-        )
+        raise FloatingPointError(f"non-finite gradient on device {np.argmin(finite)}")
     return grads
 
 
-def full_gradient(state: ModelState, predictor, dataset: Dataset) -> np.ndarray:
+def full_gradient(weights: np.ndarray, predictor, dataset: Dataset) -> np.ndarray:
     """Loss gradient over the whole dataset (sign reference for error rates)."""
-    _, grad = predictor.loss_and_gradient(state.weights, dataset.features, dataset.labels)
+    _, grad = predictor.loss_and_gradient(weights, dataset.features, dataset.labels)
     return grad
 
 
@@ -355,19 +342,19 @@ def sign_quantize(values) -> np.ndarray:
     return np.where(np.asarray(values) < 0, -1, 1).astype(np.int8)
 
 
-def apply_global_update(state: ModelState, direction: np.ndarray, learning_rate: float) -> ModelState:
-    """Step every weight by -learning_rate * direction and advance the round."""
+def apply_global_update(weights: np.ndarray, direction: np.ndarray, learning_rate: float) -> np.ndarray:
+    """New weights, every one stepped by -learning_rate * direction."""
     direction = np.asarray(direction)
-    if direction.shape != state.weights.shape:
-        raise ValueError(f"direction length {direction.size} does not match model size {state.weights.size}")
-    return ModelState(state.weights - learning_rate * direction, state.round + 1)
+    if direction.shape != weights.shape:
+        raise ValueError(f"direction length {direction.size} does not match model size {weights.size}")
+    return weights - learning_rate * direction
 
 
-def evaluate(state: ModelState, predictor, dataset: Dataset) -> tuple[float, float]:
+def evaluate(weights: np.ndarray, predictor, dataset: Dataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy loss); argmax ties go to the lowest class."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits = predictor.logits(state.weights, dataset.features)
+    logits = predictor.logits(weights, dataset.features)
     predictions = np.argmax(logits, axis=1)
     accuracy = float(np.mean(predictions == dataset.labels))
     log_probs = _log_softmax(logits)

@@ -41,6 +41,10 @@ class PhyConfig:
         """Coordinates one frame carries: a pair of bins each."""
         return self.num_subcarriers * self.num_symbols // 2
 
+    def num_frames(self, coordinates: int) -> int:
+        """Frames that carry `coordinates` coordinates, the last one padded."""
+        return -(-coordinates // self.frame_coordinates)
+
 
 def lit_subcarriers(signs, num_subcarriers: int) -> np.ndarray:
     """Subcarrier of the bin each sign lights: 2k for +1 and 2k + 1 for -1,

@@ -151,7 +151,7 @@ def _detection_error_rate(sync_error_max: float, trials: int, seed: int):
     """Per-coordinate error rate at 31 devices, 20% flips, snr 4.  The rng
     consumption pattern is identical for every sync_error_max, so runs with
     different offsets share sign patterns, fading, phases, and noise."""
-    cfg = ChannelConfig(noise_var=0.5, sync_error_max=sync_error_max, fft_size=64)
+    cfg = ChannelConfig(noise_var=0.5, sync_error_max=sync_error_max)
     rng = np.random.default_rng(seed)
     devices = 31
     phy = PhyConfig(num_subcarriers=64, num_symbols=32)

@@ -241,7 +241,7 @@ def _kernel_inputs(draw):
     phy = PhyConfig(num_subcarriers=2 * draw(st.integers(1, 4)), num_symbols=draw(st.integers(1, 3)))
     devices = draw(st.integers(0, 4))
     coordinates = draw(st.integers(1, 3 * phy.frame_coordinates))
-    num_frames = -(-coordinates // phy.frame_coordinates)
+    num_frames = phy.num_frames(coordinates)
     sign = st.sampled_from([-1, 1])
     full = draw(hnp.arrays(np.int8, (devices, num_frames * phy.frame_coordinates), elements=sign))
     powers = draw(hnp.arrays(np.float64, devices, elements=st.floats(0.25, 8.0)))
@@ -256,7 +256,7 @@ def test_kernel_results_ignore_other_coordinates_signs(fading, sync_error_max, i
     # tail by the kernel's +1 padding, leaves a coordinate's energies and
     # vote bit-identical.
     phy, powers, coordinates, num_frames, full = inputs
-    channel = ChannelConfig(noise_var=0.5, sync_error_max=sync_error_max, fft_size=16, fading=fading)
+    channel = ChannelConfig(noise_var=0.5, sync_error_max=sync_error_max, fading=fading)
     keep = data.draw(hnp.arrays(np.bool_, coordinates))
     changed = np.where(keep, full[:, :coordinates], -full[:, :coordinates])
     whole = _kernel(full, powers, phy, channel, num_frames)
@@ -273,7 +273,7 @@ def test_kernel_scaling_powers_and_noise_together(fading, inputs, k, noise_var):
     # received amplitude by exactly 2**k: the energies by exactly 4**k, and
     # the votes not at all.
     phy, powers, _, num_frames, full = inputs
-    channel = ChannelConfig(noise_var=noise_var, sync_error_max=0.3, fft_size=16, fading=fading)
+    channel = ChannelConfig(noise_var=noise_var, sync_error_max=0.3, fading=fading)
     base = _kernel(full, powers, phy, channel, num_frames)
     scale = 4.0**k
     scaled = _kernel(full, powers * scale, phy, replace(channel, noise_var=noise_var * scale), num_frames)

@@ -5,6 +5,7 @@ import pytest
 
 from airvote.channel import (
     FADING_MODES,
+    FFT_SIZE,
     ChannelConfig,
     sample_channel,
     superpose,
@@ -24,17 +25,17 @@ def _gains(shape, cfg, seed, signs=None):
     return sample_channel(signs, np.zeros(shape, dtype=np.complex128), 2 * num_coordinates, cfg, _rngs(*[(seed, f) for f in range(num_frames)]))
 
 
-def _timing_offsets(rotated, aligned, lit, fft_size):
+def _timing_offsets(rotated, aligned, lit):
     """Each (frame, device)'s timing offset, recovered from its lit-bin
     gains and those of a sync_error_max = 0 draw from the same generator:
-    the ratio is exp(-j*2*pi*l*offset/fft_size) on lit subcarrier l.
+    the ratio is exp(-j*2*pi*l*offset/FFT_SIZE) on lit subcarrier l.
     Coordinate 1 lights subcarrier 2 or 3, which stays within half a turn
-    for offsets below fft_size / 6, so it gives the offset.  Also checks
+    for offsets below FFT_SIZE / 6, so it gives the offset.  Also checks
     that every coordinate carries that ramp at its own lit subcarrier,
     exactly linear in l."""
     ratio = rotated / aligned
-    offsets = -np.angle(ratio[..., 1]) * fft_size / (2.0 * np.pi * lit[..., 1])
-    ramp = np.exp(-2j * np.pi * offsets[..., None] * lit / fft_size)
+    offsets = -np.angle(ratio[..., 1]) * FFT_SIZE / (2.0 * np.pi * lit[..., 1])
+    ramp = np.exp(-2j * np.pi * offsets[..., None] * lit / FFT_SIZE)
     np.testing.assert_allclose(ratio, ramp, atol=1e-12)
     return offsets
 
@@ -65,7 +66,7 @@ def test_sample_channel_offsets():
     cfg = ChannelConfig(sync_error_max=0.25)
     gains = _gains(signs.shape, cfg, 3, signs)
     aligned = _gains(signs.shape, ChannelConfig(sync_error_max=0.0), 3, signs)
-    offsets = _timing_offsets(gains, aligned, lit, cfg.fft_size)
+    offsets = _timing_offsets(gains, aligned, lit)
     assert offsets.shape == (1, 200)
     assert np.all(offsets >= 0)
     assert np.all(offsets <= 0.25)
@@ -93,7 +94,7 @@ def test_sample_channel_deterministic():
     b = _gains(signs.shape, cfg, 6, signs)
     np.testing.assert_array_equal(a, b)
     aligned = _gains(signs.shape, ChannelConfig(), 6, signs)
-    np.testing.assert_array_equal(_timing_offsets(a, aligned, lit, 64), _timing_offsets(b, aligned, lit, 64))
+    np.testing.assert_array_equal(_timing_offsets(a, aligned, lit), _timing_offsets(b, aligned, lit))
 
 
 def test_sample_channel_validates():
@@ -130,14 +131,14 @@ def test_sync_error_zero_offset_is_identity():
 def test_sync_error_preserves_magnitudes_and_dc():
     # Both configs draw the same gains; only the offsets' range differs.
     signs, lit = _random_signs((2, 4, 8), 8)
-    rotated = _gains(signs.shape, ChannelConfig(sync_error_max=0.4, fft_size=16), 8, signs)
-    aligned = _gains(signs.shape, ChannelConfig(sync_error_max=0.0, fft_size=16), 8, signs)
-    offsets = _timing_offsets(rotated, aligned, lit, 16)
+    rotated = _gains(signs.shape, ChannelConfig(sync_error_max=0.4), 8, signs)
+    aligned = _gains(signs.shape, ChannelConfig(sync_error_max=0.0), 8, signs)
+    offsets = _timing_offsets(rotated, aligned, lit)
     assert offsets.all()
     np.testing.assert_allclose(np.abs(rotated), np.abs(aligned), atol=1e-12)
-    # the rotation is exp(-j*2*pi*l*offset/fft_size) on lit subcarrier l,
+    # the rotation is exp(-j*2*pi*l*offset/FFT_SIZE) on lit subcarrier l,
     # so a device lighting subcarrier 0 keeps its gain exactly
-    ramp = np.exp(-2j * np.pi * offsets[..., None] * lit / 16)
+    ramp = np.exp(-2j * np.pi * offsets[..., None] * lit / FFT_SIZE)
     np.testing.assert_allclose(rotated, aligned * ramp, atol=1e-12)
     on_dc = lit == 0
     assert on_dc.any()
@@ -233,7 +234,7 @@ def test_superpose_deterministic():
 
 @pytest.mark.parametrize("fading", FADING_MODES)
 def test_frame_axis_matches_per_frame_calls(fading):
-    cfg = ChannelConfig(noise_var=0.3, sync_error_max=0.3, fft_size=16, fading=fading)
+    cfg = ChannelConfig(noise_var=0.3, sync_error_max=0.3, fading=fading)
     rng = np.random.default_rng(11)
     signs, lit = _random_signs((3, 4, 8), 11)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=signs.shape)
@@ -251,6 +252,6 @@ def test_frame_axis_matches_per_frame_calls(fading):
         single = sample_channel(signs[one], 1j * phases[one], 16, cfg, [channel_rng])
         np.testing.assert_array_equal(faded[f], single[0])
         np.testing.assert_array_equal(
-            _timing_offsets(faded, aligned, lit, 16)[f], _timing_offsets(single, aligned[one], lit[one], 16)[0]
+            _timing_offsets(faded, aligned, lit)[f], _timing_offsets(single, aligned[one], lit[one])[0]
         )
         np.testing.assert_array_equal(received[f], superpose(signs[one], single, powers, cfg, [noise_rng])[0])

@@ -23,7 +23,7 @@ from airvote.experiment import (
     run_rounds,
     summary_path,
 )
-from airvote.learner import TrainingConfig
+from airvote.learner import Dataset, SoftmaxRegression, TrainingConfig
 from airvote.phy import encode_signs
 
 JSONL_KEYS = ["round", "test_accuracy", "test_loss", "mean_power", "vote_agreement", "empirical_perr"]
@@ -56,7 +56,7 @@ def test_prepare_run_counts_frames():
     for (input_dim, classes), frames in [((6, 3), 2), ((15, 2), 2), ((10, 3), 3), ((1, 2), 1)]:
         state = prepare_run(small_config(phy=phy, dataset=DatasetSpec(
             samples=400, test_samples=100, input_dim=input_dim, classes=classes)))
-        assert state.num_frames == frames
+        assert phy.num_frames(state.predictor.num_params) == frames
         assert phy.frame_coordinates == 16 and (phy.num_symbols, phy.num_subcarriers) == (2, 16)
 
 
@@ -95,7 +95,7 @@ def test_run_rounds_deterministic():
     a_metrics, a_state = run_rounds(small_config(seed=3))
     b_metrics, b_state = run_rounds(small_config(seed=3))
     assert [m.to_record() for m in a_metrics] == [m.to_record() for m in b_metrics]
-    assert a_state.model.weights.tobytes() == b_state.model.weights.tobytes()
+    assert a_state.model.tobytes() == b_state.model.tobytes()
     c_metrics, _ = run_rounds(small_config(seed=4))
     assert [m.to_record() for m in c_metrics] != [m.to_record() for m in a_metrics]
 
@@ -149,7 +149,7 @@ def test_pipeline_votes_match_ideal_votes_in_clean_channel(monkeypatch, low_rng)
     assert len(votes_air) == 20
     for va, vi in zip(votes_air, votes_ideal):
         np.testing.assert_array_equal(va, vi)
-    np.testing.assert_array_equal(state_air.model.weights, state_ideal.model.weights)
+    np.testing.assert_array_equal(state_air.model, state_ideal.model)
 
 
 def test_round_kernel_block_size_does_not_change_votes(monkeypatch):
@@ -158,12 +158,29 @@ def test_round_kernel_block_size_does_not_change_votes(monkeypatch):
     config = small_config(scheme="fsk_mv_dpc", seed=5, phy=PhyConfig(16, 1))
     config.training.rounds = 4
     _, state, votes = run_rounds(config, record_votes=True)
-    assert state.num_frames == 3
+    assert config.phy.num_frames(state.predictor.num_params) == 3
     monkeypatch.setattr(analysis, "BLOCK_BYTES", 1)
     _, blocked_state, blocked_votes = run_rounds(config, record_votes=True)
     for whole, blocked in zip(votes, blocked_votes):
         np.testing.assert_array_equal(whole, blocked)
     np.testing.assert_array_equal(state.powers, blocked_state.powers)
+
+
+def test_nonfinite_gradient_error_names_round_and_device():
+    # Feature 0 is -1 on devices 0 and 1 and +1 on device 2, so an infinite
+    # weight on it sends only device 2's logits to +inf.
+    features = np.ones((12, 3))
+    features[:8, 0] = -1.0
+    dataset = Dataset(features, np.arange(12) % 2, 2)
+    predictor = SoftmaxRegression(3, 2)
+    weights = np.zeros(predictor.num_params)
+    weights[0] = np.inf
+    shards = [np.arange(0, 4), np.arange(4, 8), np.arange(8, 12)]
+    state = experiment.RunState(weights, np.ones(3), predictor, dataset, dataset, shards)
+    config = small_config(scheme="ideal_signsgd_mv")
+    config.training = TrainingConfig(batch_size=4, rounds=20, num_devices=3)
+    with pytest.raises(FloatingPointError, match="round 17: non-finite gradient on device 2$"):
+        run_round(state, config, 17)
 
 
 def test_fedavg_smoothed_train_loss_non_increasing():
@@ -279,7 +296,6 @@ dataset.separation = 3.5
 channel.noise_var = 0.4
 channel.sync_error_max = 0.1
 channel.fading = per_frame
-channel.fft_size = 32
 phy.subcarriers = 16
 phy.symbols = 2
 phy.power_cap = none
@@ -296,7 +312,7 @@ def test_parse_config_full(tmp_path):
     assert config.training.partition_mode == "non-iid"
     assert config.master_seed == 7
     assert config.channel.fading == "per_frame"
-    assert config.channel.fft_size == 32
+    assert config.channel.sync_error_max == 0.1
     assert config.phy.power_cap is None
     assert config.dataset.separation == 3.5
     assert config.output_path == "out/metrics.jsonl"
@@ -310,8 +326,10 @@ def test_parse_config_defaults():
 
 
 def test_parse_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown config key"):
-        parse_config_text("velocity = 9\n")
+    # the FFT length is the constant channel.FFT_SIZE, not a config key
+    for text in ("velocity = 9\n", "channel.fft_size = 64\n"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config_text(text)
 
 
 def test_parse_config_rejects_bad_value():
@@ -347,4 +365,4 @@ def test_readme_config_example_parses_and_covers_every_key():
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     config_from_values(parse_config_text(block))
     documented = set(re.findall(r"^#? *([a-z_.]+) *=", block, re.M))
-    assert documented >= set(_CONFIG_KEYS)
+    assert documented == set(_CONFIG_KEYS)

@@ -8,7 +8,6 @@ from airvote import analysis
 from airvote.learner import (
     Dataset,
     IdxFormatError,
-    ModelState,
     SoftmaxRegression,
     TanhMlp,
     apply_global_update,
@@ -225,9 +224,9 @@ def test_full_batch_gradient_ignores_seed():
     ds = make_synthetic_dataset(40, 3, 2, seed=0)
     shards = partition(ds, 2, "iid", seed=0)
     model = SoftmaxRegression(3, 2)
-    state = ModelState(np.zeros(model.num_params))
-    g1 = compute_local_gradient(state, model, ds, shards, len(shards[0]), rngs(1, 2))
-    g2 = compute_local_gradient(state, model, ds, shards, len(shards[0]), rngs(99, 98))
+    weights = np.zeros(model.num_params)
+    g1 = compute_local_gradient(weights, model, ds, shards, len(shards[0]), rngs(1, 2))
+    g2 = compute_local_gradient(weights, model, ds, shards, len(shards[0]), rngs(99, 98))
     assert g1.shape == (2, model.num_params)
     np.testing.assert_allclose(g1, g2, atol=1e-12)
 
@@ -236,15 +235,15 @@ def test_gradient_deterministic_and_batch_size_check():
     ds = make_synthetic_dataset(60, 4, 3, seed=2)
     shards = partition(ds, 3, "iid", seed=2)
     model = SoftmaxRegression(4, 3)
-    state = ModelState(np.full(model.num_params, 0.1))
-    a = compute_local_gradient(state, model, ds, shards, 8, rngs(5, 6, 7))
-    b = compute_local_gradient(state, model, ds, shards, 8, rngs(5, 6, 7))
+    weights = np.full(model.num_params, 0.1)
+    a = compute_local_gradient(weights, model, ds, shards, 8, rngs(5, 6, 7))
+    b = compute_local_gradient(weights, model, ds, shards, 8, rngs(5, 6, 7))
     assert a.tobytes() == b.tobytes()
     uneven = [shards[0], shards[1], shards[2][:19]]
     with pytest.raises(ValueError, match="shard size 19 of device 2"):
-        compute_local_gradient(state, model, ds, uneven, 20, rngs(5, 6, 7))
+        compute_local_gradient(weights, model, ds, uneven, 20, rngs(5, 6, 7))
     with pytest.raises(ValueError):
-        compute_local_gradient(state, model, ds, shards, 21, rngs(5, 6, 7))
+        compute_local_gradient(weights, model, ds, shards, 21, rngs(5, 6, 7))
 
 
 def _sign_split_dataset():
@@ -255,19 +254,18 @@ def _sign_split_dataset():
     return Dataset(features, np.arange(12) % 2, 2), [np.arange(0, 4), np.arange(4, 8), np.arange(8, 12)]
 
 
-def test_gradient_nonfinite_error_names_round_and_device(monkeypatch):
+def test_gradient_nonfinite_error_names_device(monkeypatch):
     ds, shards = _sign_split_dataset()
     model = SoftmaxRegression(3, 2)
     weights = np.zeros(model.num_params)
     weights[0] = np.inf
-    good = compute_local_gradient(ModelState(weights), model, ds, shards[:2], 4, rngs(0, 1))
+    good = compute_local_gradient(weights, model, ds, shards[:2], 4, rngs(0, 1))
     assert np.all(np.isfinite(good))
-    state = ModelState(weights, round=17)
     # All devices in one block, then one device per block.
     for block_bytes in (analysis.BLOCK_BYTES, 1):
         monkeypatch.setattr(analysis, "BLOCK_BYTES", block_bytes)
-        with pytest.raises(FloatingPointError, match="round 17 on device 2$"):
-            compute_local_gradient(state, model, ds, shards, 4, rngs(0, 1, 2))
+        with pytest.raises(FloatingPointError, match="on device 2$"):
+            compute_local_gradient(weights, model, ds, shards, 4, rngs(0, 1, 2))
 
 
 def test_devicewise_mean_of_full_shard_gradients_is_full_gradient():
@@ -276,10 +274,10 @@ def test_devicewise_mean_of_full_shard_gradients_is_full_gradient():
     ds = make_synthetic_dataset(120, 5, 3, seed=8)
     shards = partition(ds, 4, "iid", seed=8)
     model = SoftmaxRegression(5, 3)
-    state = ModelState(np.linspace(-0.2, 0.2, model.num_params))
-    per_device = compute_local_gradient(state, model, ds, shards, len(shards[0]), rngs(0, 0, 0, 0))
+    weights = np.linspace(-0.2, 0.2, model.num_params)
+    per_device = compute_local_gradient(weights, model, ds, shards, len(shards[0]), rngs(0, 0, 0, 0))
     np.testing.assert_allclose(
-        np.mean(per_device, axis=0), full_gradient(state, model, ds), atol=1e-10
+        np.mean(per_device, axis=0), full_gradient(weights, model, ds), atol=1e-10
     )
 
 
@@ -353,16 +351,16 @@ def test_local_gradients_equal_per_device_calls_at_any_block_size(monkeypatch, k
     ds = make_synthetic_dataset(400, 6, 3, seed=1)
     shards = partition(ds, 5, "non-iid", seed=1)
     model = _model(kind, 6, 3)
-    state = ModelState(np.random.default_rng(2).normal(scale=0.3, size=model.num_params))
+    weights = np.random.default_rng(2).normal(scale=0.3, size=model.num_params)
     seeds = [(3, m) for m in range(5)]
-    whole = compute_local_gradient(state, model, ds, shards, 16, rngs(*seeds))
+    whole = compute_local_gradient(weights, model, ds, shards, 16, rngs(*seeds))
     # Two devices' features per block: three blocks for five devices.
     monkeypatch.setattr(analysis, "BLOCK_BYTES", 2 * 16 * ds.features[0].nbytes)
-    blocked = compute_local_gradient(state, model, ds, shards, 16, rngs(*seeds))
+    blocked = compute_local_gradient(weights, model, ds, shards, 16, rngs(*seeds))
     assert blocked.tobytes() == whole.tobytes()
     for m, (shard, rng) in enumerate(zip(shards, rngs(*seeds))):
         batch = rng.choice(shard, size=16, replace=False)
-        _, grad = model.loss_and_gradient(state.weights, ds.features[batch], ds.labels[batch])
+        _, grad = model.loss_and_gradient(weights, ds.features[batch], ds.labels[batch])
         assert whole[m].tobytes() == grad.tobytes()
 
 
@@ -390,24 +388,22 @@ def test_sign_quantize_odd_symmetry_and_range():
 
 
 def test_apply_global_update_examples():
-    state = ModelState(np.array([1.0, 1.0]), round=0)
+    weights = np.array([1.0, 1.0])
     vote = np.array([1, -1])
-    new = apply_global_update(state, vote, 0.5)
-    np.testing.assert_allclose(new.weights, [0.5, 1.5])
-    assert new.round == 1
+    new = apply_global_update(weights, vote, 0.5)
+    np.testing.assert_allclose(new, [0.5, 1.5])
+    np.testing.assert_array_equal(weights, [1.0, 1.0])  # a new vector; the input is untouched
 
-    frozen = apply_global_update(state, vote, 0.0)
-    np.testing.assert_allclose(frozen.weights, state.weights)
-    assert frozen.round == 1
+    frozen = apply_global_update(weights, vote, 0.0)
+    np.testing.assert_allclose(frozen, weights)
 
-    back = apply_global_update(apply_global_update(state, vote, 0.3), -vote, 0.3)
-    np.testing.assert_allclose(back.weights, state.weights, atol=1e-15)
+    back = apply_global_update(apply_global_update(weights, vote, 0.3), -vote, 0.3)
+    np.testing.assert_allclose(back, weights, atol=1e-15)
 
 
 def test_apply_global_update_length_check():
-    state = ModelState(np.zeros(3))
     with pytest.raises(ValueError):
-        apply_global_update(state, np.array([1, -1]), 0.1)
+        apply_global_update(np.zeros(3), np.array([1, -1]), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +413,7 @@ def test_apply_global_update_length_check():
 def test_evaluate_zero_weights_balanced():
     ds = make_synthetic_dataset(1000, 6, 10, seed=4)
     model = SoftmaxRegression(6, 10)
-    acc, loss = evaluate(ModelState(np.zeros(model.num_params)), model, ds)
+    acc, loss = evaluate(np.zeros(model.num_params), model, ds)
     # All logits tie, argmax picks class 0, classes are exactly balanced.
     assert acc == pytest.approx(np.mean(ds.labels == 0))
     assert loss == pytest.approx(np.log(10.0))
@@ -426,7 +422,7 @@ def test_evaluate_zero_weights_balanced():
 def test_evaluate_single_sample():
     ds = Dataset(np.array([[1.0, 2.0]]), np.array([1]), 2)
     model = SoftmaxRegression(2, 2)
-    acc, _ = evaluate(ModelState(np.zeros(model.num_params)), model, ds)
+    acc, _ = evaluate(np.zeros(model.num_params), model, ds)
     assert acc in (0.0, 1.0)
 
 
@@ -438,22 +434,22 @@ def test_sign_vote_training_reaches_90_percent_train_accuracy():
     ds = make_synthetic_dataset(2000, 10, 2, seed=3)
     shards = partition(ds, 5, "iid", seed=3)
     model = SoftmaxRegression(10, 2)
-    state = ModelState(np.zeros(model.num_params))
+    weights = np.zeros(model.num_params)
     for round_idx in range(100):
         device_rngs = rngs(*((round_idx, m) for m in range(len(shards))))
-        signs = sign_quantize(compute_local_gradient(state, model, ds, shards, 64, device_rngs))
-        state = apply_global_update(state, ideal_majority_vote(signs), 0.004)
-    accuracy, _ = evaluate(state, model, ds)
+        signs = sign_quantize(compute_local_gradient(weights, model, ds, shards, 64, device_rngs))
+        weights = apply_global_update(weights, ideal_majority_vote(signs), 0.004)
+    accuracy, _ = evaluate(weights, model, ds)
     assert accuracy > 0.90
 
 
 def test_evaluate_trained_model_perfect_on_separable_data():
     ds = make_synthetic_dataset(300, 4, 2, seed=6, class_separation=6.0)
     model = SoftmaxRegression(4, 2)
-    state = ModelState(np.zeros(model.num_params))
+    weights = np.zeros(model.num_params)
     for _ in range(300):
-        _, grad = model.loss_and_gradient(state.weights, ds.features, ds.labels)
-        state = ModelState(state.weights - 1.0 * grad, state.round + 1)
-    acc, _ = evaluate(state, model, ds)
+        _, grad = model.loss_and_gradient(weights, ds.features, ds.labels)
+        weights = weights - 1.0 * grad
+    acc, _ = evaluate(weights, model, ds)
     assert acc == 1.0
 

@@ -54,7 +54,8 @@ def test_run_round_draws_from_the_per_round_paths(monkeypatch, scheme):
     config.dataset.test_samples = 40
     config.dataset.input_dim = 50
     state = prepare_run(config)
-    assert state.num_frames > 1
+    frames = config.phy.num_frames(state.predictor.num_params)
+    assert frames > 1
     calls = []
 
     def recording(master_seed, paths):
@@ -65,5 +66,5 @@ def test_run_round_draws_from_the_per_round_paths(monkeypatch, scheme):
     run_round(state, config, 7)
     expected = [(STREAM_BATCH, 7, m) for m in range(4)]
     if scheme == "fsk_mv_dpc":
-        expected += [(STREAM_CHANNEL, 7, f) for f in range(state.num_frames)]
+        expected += [(STREAM_CHANNEL, 7, f) for f in range(frames)]
     assert calls == [(config.master_seed, expected)]
