@@ -2,7 +2,7 @@
 
 Three suites, each driving the production pipeline against a formula:
 
-  1. mean received bin energy vs. symbol_energy * voters * power + noise
+  1. mean received bin energy vs. SYMBOL_ENERGY * voters * power + noise
   2. single-device sign-flip frequency vs. the unimodal tail bound
   3. majority-vote detection error vs. its comparison expressions
 

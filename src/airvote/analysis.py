@@ -6,9 +6,12 @@ mini-batch gradient noise) so that every formula is tested against an
 independent path, never against itself.
 
 Notation used throughout: `snr` is the ratio of per-vote received energy
-scale to noise variance (symbol_energy * mean transmit power / noise_var);
+scale to noise variance (SYMBOL_ENERGY * mean transmit power / noise_var);
 `grad_snr` is sqrt(batch_size) * |gradient| / gradient_std, the odds that a
-mini batch reproduces the true gradient sign.
+mini batch reproduces the true gradient sign.  Each Monte Carlo oracle
+takes the arguments of the law it samples, then (trials, seed); the closed
+forms `mean_energy` and `failure_prob_bound` take the same leading
+arguments as their oracles.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from .phy import SYMBOL_ENERGY, PhyConfig, encode_signs
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def mean_energy(active_devices: int, symbol_energy: float, mean_tx_power: float, noise_var: float) -> float:
+def mean_energy(active_devices: int, mean_tx_power: float, noise_var: float) -> float:
     """Expected bin energy when `active_devices` transmitters hit the bin:
-    symbol_energy * active_devices * mean_tx_power + noise_var."""
-    if active_devices < 0 or symbol_energy < 0 or mean_tx_power < 0 or noise_var < 0:
+    SYMBOL_ENERGY * active_devices * mean_tx_power + noise_var."""
+    if active_devices < 0 or mean_tx_power < 0 or noise_var < 0:
         raise ValueError("mean_energy arguments must be nonnegative")
-    return symbol_energy * active_devices * mean_tx_power + noise_var
+    return SYMBOL_ENERGY * active_devices * mean_tx_power + noise_var
 
 
 def failure_prob_bound(grad_snr: float) -> float:
@@ -90,7 +93,7 @@ def error_prob_intermediate_bound(num_devices: int, snr: float, flip_prob: float
 def exact_error_prob_weighted(powers, flip_probs, snr: float) -> float:
     """Exact misdetection probability of the energy detector with per-device
     powers p_m and flip rates q_m: (sum p_m*q_m + 1/snr) / (sum p_m + 2/snr),
-    where snr = symbol_energy / noise_var is that of a unit-power device.
+    where snr = SYMBOL_ENERGY / noise_var is that of a unit-power device.
 
     Both bin energies are exponential (Rayleigh fading per bin) with means
     linear in the powers of the devices voting for the bin, plus noise_var,
@@ -159,18 +162,16 @@ def convergence_tau(num_devices: int, snr: float, gamma: float) -> float:
     return (1.0 + 2.0 / (snr * num_devices)) / math.sqrt(gamma)
 
 
-def convergence_bound(params: BoundParams, strict_derivation: bool = False) -> float:
+def convergence_bound(params: BoundParams) -> float:
     """Bound on the running mean L1 gradient norm after `rounds` rounds.
 
-    strict_derivation divides the trailing gradient-noise term by
-    sqrt(batch_size), the extra factor the telescoped per-round analysis
-    carries before simplification; off by default.
+    Given a batch_size, the strict form divides the trailing gradient-noise
+    term by sqrt(batch_size), the extra factor the telescoped per-round
+    analysis carries before simplification.
     """
     tau = convergence_tau(params.num_devices, params.snr, params.gamma)
     trailing = (2.0 * math.sqrt(2.0) / 6.0) * math.sqrt(params.gamma) * params.sigma_l1
-    if strict_derivation:
-        if params.batch_size is None:
-            raise ValueError("strict_derivation requires batch_size")
+    if params.batch_size is not None:
         trailing /= math.sqrt(params.batch_size)
     main = tau * math.sqrt(params.smoothness_l1) * (params.loss_gap + params.gamma / 2.0)
     return (main + trailing) / math.sqrt(params.rounds)
@@ -300,22 +301,21 @@ def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, 
     return float(sum(frame_sum for call in sums for frame_sum in call)) / trials
 
 
-def mc_flip_prob(grad_mean: float, grad_std: float, batch_size: int, trials: int, seed) -> tuple[float, float]:
+def mc_flip_prob(grad_snr: float, trials: int, seed) -> tuple[float, float]:
     """Frequency of a mini-batch mean gradient flipping the true sign,
     with its binomial standard error.
 
-    Simulates batch_size unit draws per trial, N(grad_mean, grad_std^2),
-    and counts batches whose mean disagrees in sign with grad_mean (zero
-    counts as +1, matching the quantizer).
+    The mean of B draws of N(mu, sigma^2) is N(mu, sigma^2/B), so in units
+    of its standard deviation it is grad_snr + z for one z ~ N(0, 1) a
+    trial; a trial flips when that is negative (zero counts as +1,
+    matching the quantizer).
     """
-    if grad_mean == 0 or grad_std <= 0 or batch_size < 1 or trials < 1:
-        raise ValueError("grad_mean must be nonzero; grad_std, batch_size, trials positive")
+    if not grad_snr > 0 or trials < 1:
+        raise ValueError("grad_snr and trials must be positive")
     rng = np.random.default_rng(seed)
     flips = 0
-    for lo, hi in blocks(trials, batch_size * np.dtype(np.float64).itemsize):
-        draws = grad_mean + grad_std * rng.standard_normal((hi - lo, batch_size))
-        means = draws.mean(axis=1)
-        flips += int(np.sum((means < 0) != (grad_mean < 0)))
+    for lo, hi in blocks(trials, np.dtype(np.float64).itemsize):
+        flips += int(np.sum(grad_snr + rng.standard_normal(hi - lo) < 0))
     return _binomial(flips, trials)
 
 
@@ -329,7 +329,7 @@ def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, s
 
     Detected votes are compared with a true sign of +1, through the real
     pipeline with Rayleigh fading per bin, fresh randomization, unit powers,
-    and noise_var = symbol_energy / snr.  Only the snr matters for the
+    and noise_var = SYMBOL_ENERGY / snr.  Only the snr matters for the
     detection statistics (scaling signal and noise together never changes an
     energy comparison), so fixing unit powers loses nothing.
     """
@@ -367,13 +367,13 @@ ERROR_PROB_GRID = {
 }
 
 
-def run_mean_energy_suite(trials: int = 100_000, seed: int = 0) -> list[dict]:
+def run_mean_energy_suite(trials: int, seed: int) -> list[dict]:
     """Grid comparison of simulated vs. predicted mean bin energy."""
     rows = []
     for devices in MEAN_ENERGY_GRID["active_devices"]:
         for power in MEAN_ENERGY_GRID["mean_tx_power"]:
             for noise in MEAN_ENERGY_GRID["noise_var"]:
-                predicted = mean_energy(devices, SYMBOL_ENERGY, power, noise)
+                predicted = mean_energy(devices, power, noise)
                 estimate = mc_mean_energy(
                     devices, power, noise, trials,
                     seed=(seed, devices, int(power * 2), int(noise * 10)),
@@ -393,11 +393,11 @@ def run_mean_energy_suite(trials: int = 100_000, seed: int = 0) -> list[dict]:
     return rows
 
 
-def run_flip_prob_suite(trials: int = 100_000, seed: int = 0) -> list[dict]:
+def run_flip_prob_suite(trials: int, seed: int) -> list[dict]:
     """Empirical sign-flip frequency vs. the unimodal-tail bound."""
     rows = []
     for grad_snr in FLIP_PROB_GRID:
-        estimate, stderr = mc_flip_prob(grad_snr, 1.0, 1, trials, seed=(seed, int(grad_snr * 1000)))
+        estimate, stderr = mc_flip_prob(grad_snr, trials, seed=(seed, int(grad_snr * 1000)))
         bound = failure_prob_bound(grad_snr)
         rows.append(
             {
@@ -411,7 +411,7 @@ def run_flip_prob_suite(trials: int = 100_000, seed: int = 0) -> list[dict]:
     return rows
 
 
-def run_error_prob_suite(trials: int = 10_000, seed: int = 0) -> list[dict]:
+def run_error_prob_suite(trials: int, seed: int) -> list[dict]:
     """Simulated majority-vote error vs. the flip-probability comparison
     target and the always-below-one-half property.
 
@@ -447,27 +447,37 @@ def _cell(key: str, spec: str = "") -> Callable[[dict], str]:
     return lambda row: format(row[key], spec)
 
 
-# How each suite is printed: (runner, title, columns).  The runner takes
-# (trials, seed) and returns rows, the title takes the trial count, and each
-# column is (header, cell text of a row).
+# The paper's lemma numbers, which mc-verify accepts as suite names.
+SUITE_ALIASES = {"lemma31": "mean-energy", "lemmad1": "flip-prob", "lemma32": "error-prob"}
+
+# How each suite runs and is printed: (runner, default trials, title,
+# columns, failure note).  The runner takes (trials, seed) and returns rows,
+# the title takes the trial count, each column is (header, cell text of a
+# row), and the note, if any, follows the table when a row fails.
 SUITE_TABLES = {
     "mean-energy": (
-        run_mean_energy_suite, "mean received bin energy vs closed form ({trials} trials)",
+        run_mean_energy_suite, 100_000, "mean received bin energy vs closed form ({trials} trials)",
         (("devices", _cell("active_devices")), ("power", _cell("mean_tx_power", "g")),
          ("noise", _cell("noise_var", "g")), ("predicted", _cell("predicted", ".4f")),
          ("estimate", _cell("estimate", ".4f")), ("rel_err", _cell("rel_err", ".4%"))),
+        None,
     ),
     "flip-prob": (
-        run_flip_prob_suite, "sign-flip frequency vs unimodal tail bound ({trials} draws)",
+        run_flip_prob_suite, 100_000, "sign-flip frequency vs unimodal tail bound ({trials} draws)",
         (("grad_snr", _cell("grad_snr", "g")), ("estimate", _cell("estimate", ".5f")),
          ("bound", _cell("bound", ".5f")),
          ("slack", lambda r: f"{r['bound'] + 3 * r['stderr'] - r['estimate']:+.5f}")),
+        None,
     ),
     "error-prob": (
-        run_error_prob_suite, "majority-vote error vs attenuated target ({trials} trials)",
+        run_error_prob_suite, 10_000, "majority-vote error vs attenuated target ({trials} trials)",
         (("devices", _cell("num_devices")), ("snr", _cell("snr", "g")),
          ("flip", _cell("flip_prob", "g")), ("estimate", _cell("estimate", ".4f")),
          ("exact", _cell("exact", ".4f")), ("target", _cell("target", ".4f")),
          ("<1/2", lambda r: "yes" if r["below_half"] else "NO")),
+        "note: the (1-q)-attenuated target sits below the exact detector error\n"
+        "(K*q + 1/snr)/(K + 2/snr) by K*q^2/(K + 2/snr), so flip rates of 0.2\n"
+        "and above exceed it by far more than Monte Carlo noise; the estimates\n"
+        "above should instead match the `exact` column.\n",
     ),
 }

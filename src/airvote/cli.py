@@ -5,15 +5,14 @@ runs the Monte Carlo verification suites and prints a pass/fail table;
 `bounds` evaluates the closed-form expressions; `plot-data` flattens a
 metrics JSONL into a tidy CSV for external plotting.
 
-Exit codes: 0 on success, 1 on bad arguments or invalid inputs, 2 on an
-unexpected runtime failure.
+Exit codes: 0 on success, 1 on bad arguments, invalid inputs or a training
+run that diverges, 2 on an unexpected runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import math
 import sys
@@ -22,11 +21,6 @@ from pathlib import Path
 from . import analysis
 from .experiment import _replacing, load_config, run_experiment, summary_path
 
-SUITE_ALIASES = {
-    "lemma31": "mean-energy",
-    "lemmad1": "flip-prob",
-    "lemma32": "error-prob",
-}
 SUITES = (*analysis.SUITE_TABLES, "all")
 
 
@@ -63,7 +57,7 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("mc-verify", help="Monte Carlo checks of the closed forms")
     verify.add_argument("--suite", default="all",
-                        choices=SUITES + tuple(SUITE_ALIASES), metavar="SUITE",
+                        choices=SUITES + tuple(analysis.SUITE_ALIASES), metavar="SUITE",
                         help=f"one of {', '.join(SUITES)}")
     verify.add_argument("--trials", type=int, default=None,
                         help="override the per-suite default trial count")
@@ -90,7 +84,6 @@ def build_parser() -> _Parser:
     bounds.add_argument("--sigma-l1", type=_finite_float, default=1.0)
     bounds.add_argument("--loss-gap", type=_finite_float, default=1.0)
     bounds.add_argument("--batch-size", type=int, default=None)
-    bounds.add_argument("--strict-derivation", action="store_true")
 
     plot = sub.add_parser("plot-data", help="re-emit metrics JSONL as tidy CSV")
     plot.add_argument("--input", required=True, help="metrics JSONL written by train")
@@ -120,10 +113,9 @@ def _print_table(title: str, header: list[str], rows: list[list[str]]):
     print()
 
 
-def _run_suite(name: str, trials: int | None, seed: int) -> bool:
-    run, title, columns = analysis.SUITE_TABLES[name]
-    if trials is None:
-        trials = inspect.signature(run).parameters["trials"].default
+def _run_suite(table, trials: int | None, seed: int) -> bool:
+    run, default_trials, title, columns, note = table
+    trials = default_trials if trials is None else trials
     rows = run(trials, seed)
     _print_table(
         title.format(trials=trials),
@@ -131,26 +123,22 @@ def _run_suite(name: str, trials: int | None, seed: int) -> bool:
         [[cell(r) for _, cell in columns] + ["PASS" if r["passed"] else "FAIL"] for r in rows],
     )
     passed = all(r["passed"] for r in rows)
-    if name == "error-prob" and not passed:
-        print(
-            "note: the (1-q)-attenuated target sits below the exact detector error\n"
-            "(K*q + 1/snr)/(K + 2/snr) by K*q^2/(K + 2/snr), so flip rates of 0.2\n"
-            "and above exceed it by far more than Monte Carlo noise; the estimates\n"
-            "above should instead match the `exact` column.\n"
-        )
+    if note and not passed:
+        print(note)
     return passed
 
 
 def _cmd_mc_verify(args) -> int:
-    suite = SUITE_ALIASES.get(args.suite, args.suite)
-    names = list(analysis.SUITE_TABLES) if suite == "all" else [suite]
+    suite = analysis.SUITE_ALIASES.get(args.suite, args.suite)
+    tables = list(analysis.SUITE_TABLES.values()) if suite == "all" else [analysis.SUITE_TABLES[suite]]
     if args.trials is not None:
-        floor = analysis.MC_ERROR_PROB_MIN_TRIALS if "error-prob" in names else 1
+        error_suite = any(run is analysis.run_error_prob_suite for run, *_ in tables)
+        floor = analysis.MC_ERROR_PROB_MIN_TRIALS if error_suite else 1
         if args.trials < floor:
             raise ValueError(f"trials must be >= {floor}")
     ok = True
-    for name in names:
-        ok = _run_suite(name, args.trials, args.seed) and ok
+    for table in tables:
+        ok = _run_suite(table, args.trials, args.seed) and ok
     print("all suites passed" if ok else "some checks failed")
     return 0 if ok else 1
 
@@ -175,7 +163,7 @@ def _cmd_bounds(args) -> int:
             loss_gap=args.loss_gap,
             batch_size=args.batch_size,
         )
-        print(analysis.convergence_bound(params, strict_derivation=args.strict_derivation))
+        print(analysis.convergence_bound(params))
     return 0
 
 
@@ -202,7 +190,7 @@ def _cmd_plot_data(args) -> int:
                 rows.append([record["round"], scheme, record["test_accuracy"]])
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{source} line {number}: not a metrics record ({exc!r})") from None
-    with _replacing(Path(args.output), newline="") as fh:
+    with _replacing(Path(args.output)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "scheme", "accuracy"])
         writer.writerows(rows)
@@ -224,7 +212,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, OSError, ValueError) as exc:
+    except (OSError, ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected failures

@@ -157,9 +157,7 @@ def build_datasets(spec: DatasetSpec, master_seed: int) -> tuple[Dataset, Datase
     rng = derive_rng(master_seed, STREAM_DATASET)
     if spec.kind == "synthetic":
         total = spec.samples + spec.test_samples
-        full = make_synthetic_dataset(
-            total, spec.input_dim, spec.classes, seed=rng, class_separation=spec.separation
-        )
+        full = make_synthetic_dataset(total, spec.input_dim, spec.classes, rng, spec.separation)
         train = Dataset(full.features[: spec.samples], full.labels[: spec.samples], full.num_classes)
         test = Dataset(full.features[spec.samples :], full.labels[spec.samples :], full.num_classes)
         return train, test
@@ -274,7 +272,7 @@ def summary_path(output_path) -> Path:
 
 
 @contextmanager
-def _replacing(path: Path, newline: str | None = None):
+def _replacing(path: Path):
     """Text sink whose contents replace `path` only when the block completes.
 
     The sink is a temp file next to `path`, opened on entry, so an
@@ -285,7 +283,7 @@ def _replacing(path: Path, newline: str | None = None):
     if path.is_dir():
         raise IsADirectoryError(f"output path {path} is a directory")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    sink = tmp.open("w", newline=newline)
+    sink = tmp.open("w", newline="")
     try:
         with sink:
             yield sink
@@ -304,7 +302,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     writes complete.
     """
     out = Path(config.output_path)
-    with _replacing(summary_path(out), newline="") as summary, _replacing(out) as sink:
+    with _replacing(summary_path(out)) as summary, _replacing(out) as sink:
         metrics, state = run_rounds(config)
         for record in metrics:
             sink.write(json.dumps(record.to_record()) + "\n")

@@ -127,7 +127,7 @@ def make_synthetic_dataset(
     input_dim: int,
     num_classes: int,
     seed,
-    class_separation: float = 4.0,
+    class_separation: float,
 ) -> Dataset:
     """Balanced class-conditional Gaussian blobs with distinct means.
 

@@ -291,7 +291,7 @@ def test_c8b_power_control_not_worse_than_plain_fsk(training_runs):
     dpc = float(np.median(results["dpc"]))
     fsk = float(np.median(results["fsk"]))
     ok = dpc >= fsk - 0.005
-    report("8b", ok, f"median dpc {dpc:.4f} vs fsk {fsk:.4f} under 0.25-symbol offsets")
+    report("8b", ok, f"median dpc {dpc:.4f} vs fsk {fsk:.4f} under 0.25-sample offsets")
     assert dpc >= fsk - 0.005
 
 
@@ -309,7 +309,7 @@ def test_c8d_sync_robustness_and_runtime(training_runs):
     results, elapsed = training_runs
     gap = abs(np.median(results["dpc"]) - np.median(results["dpc_aligned"]))
     ok = gap < 0.01 and elapsed < 600.0
-    report("8d", ok, f"dpc accuracy gap from 0.25-symbol offsets {gap:.4f} < 0.01, {elapsed:.0f}s")
+    report("8d", ok, f"dpc accuracy gap from 0.25-sample offsets {gap:.4f} < 0.01, {elapsed:.0f}s")
     assert gap < 0.01
     assert elapsed < 600.0
 

@@ -36,15 +36,18 @@ from airvote.phy import SYMBOL_ENERGY, PhyConfig
 # ---------------------------------------------------------------------------
 
 def test_mean_energy_values():
-    assert mean_energy(5, 2.0, 1.0, 1.0) == pytest.approx(11.0)
-    assert mean_energy(0, 2.0, 1.0, 0.3) == pytest.approx(0.3)
+    assert SYMBOL_ENERGY == 2.0
+    assert mean_energy(5, 1.0, 1.0) == pytest.approx(11.0)
+    assert mean_energy(0, 1.0, 0.3) == pytest.approx(0.3)
 
 
 def test_mean_energy_rejects_negative():
     with pytest.raises(ValueError):
-        mean_energy(-1, 2.0, 1.0, 1.0)
+        mean_energy(-1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        mean_energy(5, 2.0, -1.0, 1.0)
+        mean_energy(5, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        mean_energy(5, 1.0, -1.0)
 
 
 def test_mc_mean_energy_matches_closed_form():
@@ -62,7 +65,7 @@ def test_mean_energy_depends_only_on_mean_power():
         ChannelConfig(noise_var=0.5), [np.random.default_rng((1, m)) for m in range(5)],
         [np.random.default_rng((2, f)) for f in range(frames)],
     )
-    assert result.e_plus.mean() == pytest.approx(mean_energy(5, 2.0, 2.0, 0.5), rel=0.02)
+    assert result.e_plus.mean() == pytest.approx(mean_energy(5, 2.0, 0.5), rel=0.02)
 
 
 def test_mc_mean_energy_noise_only():
@@ -96,10 +99,10 @@ def test_failure_prob_bound_rejects_nonpositive():
 
 
 def test_mc_flip_prob_dominated_by_bound():
-    # R = sqrt(128) * 0.1 / 0.8 = sqrt(2)
-    estimate, stderr = mc_flip_prob(0.1, 0.8, 128, trials=100_000, seed=3)
+    # a batch of 128 draws of N(0.1, 0.8^2): R = sqrt(128) * 0.1 / 0.8 = sqrt(2)
     grad_snr = math.sqrt(128) * 0.1 / 0.8
     assert grad_snr == pytest.approx(math.sqrt(2.0))
+    estimate, stderr = mc_flip_prob(grad_snr, trials=100_000, seed=3)
     assert estimate <= failure_prob_bound(grad_snr)
     # and the estimate should sit near the Gaussian truth Phi(-R)
     assert estimate == pytest.approx(stats.norm.cdf(-grad_snr), abs=4 * stderr)
@@ -107,9 +110,13 @@ def test_mc_flip_prob_dominated_by_bound():
 
 def test_mc_flip_prob_validates():
     with pytest.raises(ValueError):
-        mc_flip_prob(0.0, 1.0, 4, 1000, seed=0)
+        mc_flip_prob(0.0, 1000, seed=0)
     with pytest.raises(ValueError):
-        mc_flip_prob(0.1, -1.0, 4, 1000, seed=0)
+        mc_flip_prob(-1.0, 1000, seed=0)
+    with pytest.raises(ValueError):
+        mc_flip_prob(float("nan"), 1000, seed=0)
+    with pytest.raises(ValueError):
+        mc_flip_prob(1.0, 0, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +333,13 @@ def _oracle_estimates():
     # 2,500 and 5,300 trials end in partial 1,024-trial frames.  At 1 byte every
     # oracle call and kernel block holds one frame and every flip-oracle step
     # one trial; at 2**16 bytes a call holds 3, 3, 2 or 1 frames for K = 0, 1,
-    # 5 or 31 and a step 64 trials; at the default budget each detection point
-    # below is one call, and the flip oracle takes 1,024 trials a step.
+    # 5 or 31 and a flip-oracle step 8,192 trials, so its 20,000 take three
+    # steps; at the default budget each detection point below is one call, and
+    # the flip oracle takes all its trials in one step.
     return (
         [mc_mean_energy(k, 1.5, 1.0, trials, seed=(8, k, trials)) for k in (0, 1, 5, 31) for trials in (2500, 5300)],
         [mc_error_prob(k, 0.2, 2.0, 5300, seed=(8, k)) for k in (1, 5, 31)],
-        mc_flip_prob(0.1, 0.8, 128, 3000, seed=(8, 9)),
+        mc_flip_prob(math.sqrt(2.0), 20_000, seed=(8, 9)),
     )
 
 
@@ -423,13 +431,12 @@ def test_convergence_bound_monotonicity():
 
 
 def test_convergence_bound_strict_derivation():
-    params = make_params(batch_size=64)
+    # a batch size selects the strict form, which divides the trailing term by sqrt(64)
+    params = make_params()
     loose = convergence_bound(params)
-    strict = convergence_bound(params, strict_derivation=True)
+    strict = convergence_bound(make_params(batch_size=64))
     trailing = (2.0 * math.sqrt(2.0) / 6.0) * params.sigma_l1 / math.sqrt(params.rounds)
     assert loose - strict == pytest.approx(trailing * (1.0 - 1.0 / 8.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        convergence_bound(make_params(), strict_derivation=True)
 
 
 def test_bound_params_positivity():

@@ -1,7 +1,9 @@
 import csv
-import inspect
 import json
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,51 @@ def test_bounds_convergence(capsys):
     assert float(capsys.readouterr().out) > 0
 
 
+# The README's convergence example.
+README_CONVERGENCE = {"--devices": "31", "--snr": "2", "--rounds": "1000",
+                     "--smoothness-l1": "4", "--sigma-l1": "2", "--loss-gap": "3"}
+
+
+def _convergence(capsys, **options) -> str:
+    args = {**README_CONVERGENCE, **options}
+    assert main(["bounds", "--convergence", *(item for pair in args.items() for item in pair)]) == 0
+    return capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--devices", "5"), ("--snr", "8"), ("--gamma", "2"), ("--rounds", "400"), ("--smoothness-l1", "9"),
+     ("--sigma-l1", "5"), ("--loss-gap", "1"), ("--batch-size", "64")],
+)
+def test_every_convergence_input_moves_the_bound(capsys, flag, value):
+    assert _convergence(capsys, **{flag: value}) != _convergence(capsys)
+
+
+def test_bounds_convergence_batch_size_selects_the_strict_form(capsys):
+    assert _convergence(capsys) == "0.25831430288635754"
+    assert _convergence(capsys, **{"--batch-size": "64"}) == "0.23222684314885997"
+    # the batch size alone selects the strict form; the old flag is unknown
+    assert main(["bounds", "--convergence", "--strict-derivation", "--batch-size", "64"]) == 1
+    assert "unrecognized arguments: --strict-derivation" in capsys.readouterr().err
+
+
+def test_readme_bounds_examples_run(capsys):
+    # every `airvote bounds` line of the README's Command line block exits 0
+    # and prints what its "# prints X" comment promises
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("airvote bounds")]
+    printed = []
+    for line in lines:
+        command, _, comment = line.partition("#")
+        assert main(shlex.split(command)[1:]) == 0, line
+        out = capsys.readouterr().out.strip()
+        if comment.split()[:1] == ["prints"]:
+            assert out == comment.split()[1], line
+            printed.append(out)
+    assert len(lines) >= 5 and "620000" in printed
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -93,7 +140,7 @@ def test_bounds_rejects_non_finite_floats(capsys, argv):
 
 @pytest.mark.parametrize("batch_size", ["0", "-4"])
 def test_bounds_rejects_batch_size_below_1(capsys, batch_size):
-    argv = ["bounds", "--convergence", "--strict-derivation", "--batch-size", batch_size]
+    argv = ["bounds", "--convergence", "--batch-size", batch_size]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -103,6 +150,17 @@ def test_bounds_rejects_batch_size_below_1(capsys, batch_size):
 def test_train_missing_config(capsys):
     assert main(["train", "--config", "missing.toml"]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_diverging_run_exits_1_and_writes_nothing(tmp_path, capsys):
+    config_path, output = write_config(tmp_path)
+    text = config_path.read_text().replace("scheme = fsk_mv_dpc", "scheme = fsk_mv")
+    config_path.write_text(text.replace("learning_rate = 0.02", "learning_rate = 1.7e308"))
+    assert main(["train", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: round 1: non-finite gradient on device 0" in captured.err
+    assert not output.exists() and not summary_path(output).exists()
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -239,9 +297,9 @@ def test_mc_verify_flip_prob_suite(capsys):
     assert main(["mc-verify", "--suite", "flip-prob", "--trials", "5000", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    # without --trials the suite runs at its runner's default count
+    # without --trials the suite runs at its table's default count
     assert main(["mc-verify", "--suite", "flip-prob", "--seed", "1"]) == 0
-    default = inspect.signature(analysis.run_flip_prob_suite).parameters["trials"].default
+    default = analysis.SUITE_TABLES["flip-prob"][1]
     assert f"({default} draws)" in capsys.readouterr().out.splitlines()[0]
 
 

@@ -25,7 +25,7 @@ C10 = {
 # sha256 of (metrics JSONL, summary CSV) per scheme.  The over-the-air
 # schemes are pinned under one generator per (round, device) for the batch
 # and the symbols, and one per (round, frame) for the channel and the noise,
-# with only lit bins faded and only the map's bins given noise.
+# with only lit bins faded and only the coordinates' bins given noise.
 C10_DIGESTS = {
     "ideal_signsgd_mv": (
         "a24501b0db1b8662de0eb9f08ffd2f582299b735f04ce42f435885173d10fdd6",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from airvote import analysis
+from airvote.experiment import DatasetSpec
 from airvote.learner import (
     Dataset,
     IdxFormatError,
@@ -19,6 +20,8 @@ from airvote.learner import (
     partition,
     sign_quantize,
 )
+
+SEPARATION = DatasetSpec().separation  # the config's default class separation
 
 
 # ---------------------------------------------------------------------------
@@ -97,28 +100,28 @@ def test_load_idx_count_mismatch(idx_pair, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_synthetic_deterministic():
-    a = make_synthetic_dataset(1000, 20, 4, seed=7)
-    b = make_synthetic_dataset(1000, 20, 4, seed=7)
+    a = make_synthetic_dataset(1000, 20, 4, seed=7, class_separation=SEPARATION)
+    b = make_synthetic_dataset(1000, 20, 4, seed=7, class_separation=SEPARATION)
     assert a.features.tobytes() == b.features.tobytes()
     assert a.labels.tobytes() == b.labels.tobytes()
 
 
 def test_synthetic_balance():
-    ds = make_synthetic_dataset(4, 2, 2, seed=1)
+    ds = make_synthetic_dataset(4, 2, 2, seed=1, class_separation=SEPARATION)
     counts = np.bincount(ds.labels, minlength=2)
     np.testing.assert_array_equal(counts, [2, 2])
-    ds = make_synthetic_dataset(1003, 5, 10, seed=3)
+    ds = make_synthetic_dataset(1003, 5, 10, seed=3, class_separation=SEPARATION)
     counts = np.bincount(ds.labels, minlength=10)
     assert counts.max() - counts.min() <= 1
 
 
 def test_synthetic_rejects_too_many_classes():
     with pytest.raises(ValueError):
-        make_synthetic_dataset(3, 2, 4, seed=0)
+        make_synthetic_dataset(3, 2, 4, seed=0, class_separation=SEPARATION)
 
 
 def test_partition_iid_sizes():
-    ds = make_synthetic_dataset(100, 3, 2, seed=0)
+    ds = make_synthetic_dataset(100, 3, 2, seed=0, class_separation=SEPARATION)
     shards = partition(ds, 4, "iid", seed=0)
     assert sorted(len(s) for s in shards) == [25, 25, 25, 25]
     all_idx = np.concatenate(shards)
@@ -127,7 +130,7 @@ def test_partition_iid_sizes():
 
 def test_partition_noniid_label_cardinality():
     # MNIST-like label layout: 10 classes, 31 devices.
-    ds = make_synthetic_dataset(6200, 4, 10, seed=5)
+    ds = make_synthetic_dataset(6200, 4, 10, seed=5, class_separation=SEPARATION)
     shards = partition(ds, 31, "non-iid", seed=5)
     assert sum(len(s) for s in shards) == 6200
     all_idx = np.concatenate(shards)
@@ -138,14 +141,14 @@ def test_partition_noniid_label_cardinality():
 
 
 def test_partition_single_device():
-    ds = make_synthetic_dataset(50, 3, 2, seed=1)
+    ds = make_synthetic_dataset(50, 3, 2, seed=1, class_separation=SEPARATION)
     for mode in ("iid", "non-iid"):
         (shard,) = partition(ds, 1, mode, seed=2)
         assert sorted(shard) == list(range(50))
 
 
 def test_partition_deterministic():
-    ds = make_synthetic_dataset(200, 3, 4, seed=9)
+    ds = make_synthetic_dataset(200, 3, 4, seed=9, class_separation=SEPARATION)
     for mode in ("iid", "non-iid"):
         a = partition(ds, 7, mode, seed=11)
         b = partition(ds, 7, mode, seed=11)
@@ -154,14 +157,14 @@ def test_partition_deterministic():
 
 
 def test_partition_returns_int64_index_arrays():
-    ds = make_synthetic_dataset(90, 3, 3, seed=4)
+    ds = make_synthetic_dataset(90, 3, 3, seed=4, class_separation=SEPARATION)
     for mode in ("iid", "non-iid"):
         for shard in partition(ds, 4, mode, seed=4):
             assert isinstance(shard, np.ndarray) and shard.dtype == np.int64 and shard.ndim == 1
 
 
 def test_partition_bad_args():
-    ds = make_synthetic_dataset(10, 2, 2, seed=0)
+    ds = make_synthetic_dataset(10, 2, 2, seed=0, class_separation=SEPARATION)
     with pytest.raises(ValueError):
         partition(ds, 0, "iid", seed=0)
     with pytest.raises(ValueError):
@@ -221,7 +224,7 @@ def rngs(*seeds):
 
 
 def test_full_batch_gradient_ignores_seed():
-    ds = make_synthetic_dataset(40, 3, 2, seed=0)
+    ds = make_synthetic_dataset(40, 3, 2, seed=0, class_separation=SEPARATION)
     shards = partition(ds, 2, "iid", seed=0)
     model = SoftmaxRegression(3, 2)
     weights = np.zeros(model.num_params)
@@ -232,7 +235,7 @@ def test_full_batch_gradient_ignores_seed():
 
 
 def test_gradient_deterministic_and_batch_size_check():
-    ds = make_synthetic_dataset(60, 4, 3, seed=2)
+    ds = make_synthetic_dataset(60, 4, 3, seed=2, class_separation=SEPARATION)
     shards = partition(ds, 3, "iid", seed=2)
     model = SoftmaxRegression(4, 3)
     weights = np.full(model.num_params, 0.1)
@@ -271,7 +274,7 @@ def test_gradient_nonfinite_error_names_device(monkeypatch):
 def test_devicewise_mean_of_full_shard_gradients_is_full_gradient():
     # Equal-size iid shards: averaging the per-shard full gradients must
     # reproduce the full-dataset gradient up to float summation order.
-    ds = make_synthetic_dataset(120, 5, 3, seed=8)
+    ds = make_synthetic_dataset(120, 5, 3, seed=8, class_separation=SEPARATION)
     shards = partition(ds, 4, "iid", seed=8)
     model = SoftmaxRegression(5, 3)
     weights = np.linspace(-0.2, 0.2, model.num_params)
@@ -348,7 +351,7 @@ def test_batched_loss_and_gradient_equals_per_batch_calls(kind):
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
 def test_local_gradients_equal_per_device_calls_at_any_block_size(monkeypatch, kind):
-    ds = make_synthetic_dataset(400, 6, 3, seed=1)
+    ds = make_synthetic_dataset(400, 6, 3, seed=1, class_separation=SEPARATION)
     shards = partition(ds, 5, "non-iid", seed=1)
     model = _model(kind, 6, 3)
     weights = np.random.default_rng(2).normal(scale=0.3, size=model.num_params)
@@ -411,7 +414,7 @@ def test_apply_global_update_length_check():
 # ---------------------------------------------------------------------------
 
 def test_evaluate_zero_weights_balanced():
-    ds = make_synthetic_dataset(1000, 6, 10, seed=4)
+    ds = make_synthetic_dataset(1000, 6, 10, seed=4, class_separation=SEPARATION)
     model = SoftmaxRegression(6, 10)
     acc, loss = evaluate(np.zeros(model.num_params), model, ds)
     # All logits tie, argmax picks class 0, classes are exactly balanced.
@@ -431,7 +434,7 @@ def test_sign_vote_training_reaches_90_percent_train_accuracy():
     # perfect majority vote, fixed-size steps.
     from airvote.detector import ideal_majority_vote
 
-    ds = make_synthetic_dataset(2000, 10, 2, seed=3)
+    ds = make_synthetic_dataset(2000, 10, 2, seed=3, class_separation=SEPARATION)
     shards = partition(ds, 5, "iid", seed=3)
     model = SoftmaxRegression(10, 2)
     weights = np.zeros(model.num_params)
