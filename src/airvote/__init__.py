@@ -8,7 +8,6 @@ machinery that checks them.
 """
 
 from .analysis import (
-    BoundParams,
     comm_cost,
     convergence_bound,
     convergence_tau,

@@ -11,13 +11,14 @@ scale to noise variance (SYMBOL_ENERGY * mean transmit power / noise_var);
 mini batch reproduces the true gradient sign.  Each Monte Carlo oracle
 takes the arguments of the law it samples, then (trials, seed); the closed
 forms `mean_energy` and `failure_prob_bound` take the same leading
-arguments as their oracles.
+arguments as their oracles.  Every closed form and oracle takes its inputs
+as plain arguments and rejects a NaN or out-of-range one before any work.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,7 @@ from .phy import SYMBOL_ENERGY, PhyConfig, encode_signs
 def mean_energy(active_devices: int, mean_tx_power: float, noise_var: float) -> float:
     """Expected bin energy when `active_devices` transmitters hit the bin:
     SYMBOL_ENERGY * active_devices * mean_tx_power + noise_var."""
-    if active_devices < 0 or mean_tx_power < 0 or noise_var < 0:
+    if not (active_devices >= 0 and mean_tx_power >= 0 and noise_var >= 0):
         raise ValueError("mean_energy arguments must be nonnegative")
     return SYMBOL_ENERGY * active_devices * mean_tx_power + noise_var
 
@@ -46,7 +47,7 @@ def failure_prob_bound(grad_snr: float) -> float:
     inequality: (2/9)/grad_snr^2 in the far tail, a linear bound otherwise.
     Always below 1/2 for positive grad_snr.
     """
-    if grad_snr <= 0:
+    if not grad_snr > 0:
         raise ValueError("grad_snr must be positive")
     if grad_snr > 2.0 / math.sqrt(3.0):
         return (2.0 / 9.0) / grad_snr**2
@@ -65,9 +66,9 @@ def _with_noise(signal: float, total: float, snr: float) -> float:
 def error_prob_bound(num_devices: int, snr: float, grad_snr: float) -> float:
     """Upper bound on the majority-vote sign being detected wrongly,
     combining per-device flip odds (via grad_snr) with channel noise."""
-    if num_devices < 1:
+    if not num_devices >= 1:
         raise ValueError("num_devices must be >= 1")
-    if snr <= 0 or grad_snr <= 0:
+    if not (snr > 0 and grad_snr > 0):
         raise ValueError("snr and grad_snr must be positive")
     return _with_noise((num_devices / 2.0) * math.sqrt(2.0) / (3.0 * grad_snr), num_devices, snr)
 
@@ -80,9 +81,9 @@ def error_prob_intermediate_bound(num_devices: int, snr: float, flip_prob: float
     detector has no such attenuation (see exact_error_prob), so for q above
     roughly 0.1 the simulated error rate exceeds this expression.
     """
-    if num_devices < 1:
+    if not num_devices >= 1:
         raise ValueError("num_devices must be >= 1")
-    if snr <= 0:
+    if not snr > 0:
         raise ValueError("snr must be positive")
     if not 0.0 < flip_prob < 0.5:
         raise ValueError("flip_prob must lie in (0, 1/2)")
@@ -121,60 +122,48 @@ def exact_error_prob(num_devices: int, snr: float, flip_prob: float) -> float:
     and one common flip rate q.  The weighted law sees the powers only
     through sum p_m and sum p_m*q_m, so it is evaluated as one device of
     power K, which keeps K*q exact."""
-    if num_devices < 1:
+    if not num_devices >= 1:
         raise ValueError("num_devices must be >= 1")
     if not 0.0 < flip_prob < 0.5:
         raise ValueError("flip_prob must lie in (0, 1/2)")
     return exact_error_prob_weighted([num_devices], [flip_prob], snr)
 
 
-@dataclass
-class BoundParams:
-    """Inputs of the convergence-rate evaluator; `gamma` is the ratio of
-    total rounds to batch size."""
-
-    num_devices: int
-    snr: float
-    rounds: int
-    gamma: float
-    smoothness_l1: float   # sum of per-coordinate smoothness constants
-    sigma_l1: float        # sum of per-coordinate gradient-noise scales
-    loss_gap: float        # initial loss minus its lower bound
-    batch_size: int | None = None
-
-    def __post_init__(self):
-        if self.num_devices < 1:
-            raise ValueError("num_devices must be >= 1")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        for name in ("snr", "gamma", "smoothness_l1", "sigma_l1", "loss_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
-
 def convergence_tau(num_devices: int, snr: float, gamma: float) -> float:
     """Channel penalty factor (1 + 2/(snr*K)) / sqrt(gamma); approaches
     1/sqrt(gamma) as the channel gets clean or the cohort grows."""
-    if num_devices < 1 or snr <= 0 or gamma <= 0:
+    if not (num_devices >= 1 and snr > 0 and gamma > 0):
         raise ValueError("num_devices, snr and gamma must be positive")
     return (1.0 + 2.0 / (snr * num_devices)) / math.sqrt(gamma)
 
 
-def convergence_bound(params: BoundParams) -> float:
+def convergence_bound(num_devices: int, snr: float, rounds: int, gamma: float, smoothness_l1: float,
+                      sigma_l1: float, loss_gap: float, batch_size: int | None = None) -> float:
     """Bound on the running mean L1 gradient norm after `rounds` rounds.
 
-    Given a batch_size, the strict form divides the trailing gradient-noise
-    term by sqrt(batch_size), the extra factor the telescoped per-round
-    analysis carries before simplification.
+    `gamma` is the ratio of total rounds to batch size, `smoothness_l1` the
+    sum of per-coordinate smoothness constants, `sigma_l1` the sum of
+    per-coordinate gradient-noise scales and `loss_gap` the initial loss
+    minus its lower bound.  Given a batch_size, the strict form divides the
+    trailing gradient-noise term by sqrt(batch_size), the extra factor the
+    telescoped per-round analysis carries before simplification.
     """
-    tau = convergence_tau(params.num_devices, params.snr, params.gamma)
-    trailing = (2.0 * math.sqrt(2.0) / 6.0) * math.sqrt(params.gamma) * params.sigma_l1
-    if params.batch_size is not None:
-        trailing /= math.sqrt(params.batch_size)
-    main = tau * math.sqrt(params.smoothness_l1) * (params.loss_gap + params.gamma / 2.0)
-    return (main + trailing) / math.sqrt(params.rounds)
+    if not num_devices >= 1:
+        raise ValueError("num_devices must be >= 1")
+    if not rounds >= 1:
+        raise ValueError("rounds must be >= 1")
+    positive = dict(snr=snr, gamma=gamma, smoothness_l1=smoothness_l1, sigma_l1=sigma_l1, loss_gap=loss_gap)
+    for name, value in positive.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+    if batch_size is not None and not batch_size >= 1:
+        raise ValueError("batch_size must be >= 1")
+    tau = convergence_tau(num_devices, snr, gamma)
+    trailing = (2.0 * math.sqrt(2.0) / 6.0) * math.sqrt(gamma) * sigma_l1
+    if batch_size is not None:
+        trailing /= math.sqrt(batch_size)
+    main = tau * math.sqrt(smoothness_l1) * (loss_gap + gamma / 2.0)
+    return (main + trailing) / math.sqrt(rounds)
 
 
 COMM_SCHEMES = ("sgd", "qsgd", "terngrad", "signsgd_mv")
@@ -183,7 +172,7 @@ COMM_SCHEMES = ("sgd", "qsgd", "terngrad", "signsgd_mv")
 def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
     """Uplink bits per round for a cohort of num_devices training a
     model_dim-parameter model."""
-    if num_devices < 1 or model_dim < 1:
+    if not (num_devices >= 1 and model_dim >= 1):
         raise ValueError("num_devices and model_dim must be >= 1")
     if scheme == "sgd":
         return 64 * num_devices * model_dim
@@ -293,7 +282,8 @@ def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, 
     All devices vote +1 at power mean_tx_power, so every trial's plus-bin
     takes the whole cohort; summing frame by frame keeps its bits call-size free.
     """
-    if trials < 1:
+    mean_energy(active_devices, mean_tx_power, noise_var)  # its argument checks
+    if not trials >= 1:
         raise ValueError("trials must be >= 1")
     powers = np.full(active_devices, mean_tx_power)
     results = _oracle_detect(lambda rng, shape: np.ones(shape, np.int8), powers, noise_var, trials, seed)
@@ -310,7 +300,7 @@ def mc_flip_prob(grad_snr: float, trials: int, seed) -> tuple[float, float]:
     trial; a trial flips when that is negative (zero counts as +1,
     matching the quantizer).
     """
-    if not grad_snr > 0 or trials < 1:
+    if not (grad_snr > 0 and trials >= 1):
         raise ValueError("grad_snr and trials must be positive")
     rng = np.random.default_rng(seed)
     flips = 0
@@ -335,9 +325,9 @@ def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, s
     """
     if not 0.0 < flip_prob < 0.5:
         raise ValueError("flip_prob must lie in (0, 1/2)")
-    if num_devices < 1 or snr <= 0:
+    if not (num_devices >= 1 and snr > 0):
         raise ValueError("num_devices and snr must be positive")
-    if trials < MC_ERROR_PROB_MIN_TRIALS:
+    if not trials >= MC_ERROR_PROB_MIN_TRIALS:
         raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
 
     def sampler(rng, shape):
@@ -358,7 +348,7 @@ MEAN_ENERGY_GRID = {
 }
 MEAN_ENERGY_RELATIVE_TOL = 0.02
 
-FLIP_PROB_GRID = (0.2, 0.5, 1.0, 1.155, 2.0, 5.0, 20.0)
+FLIP_PROB_GRID = {"grad_snr": (0.2, 0.5, 1.0, 1.155, 2.0, 5.0, 20.0)}
 
 ERROR_PROB_GRID = {
     "num_devices": (5, 15, 31),
@@ -367,47 +357,32 @@ ERROR_PROB_GRID = {
 }
 
 
+def _points(grid: dict) -> list[dict]:
+    """Every point of `grid` as {name: value}, in itertools.product order."""
+    return [dict(zip(grid, values)) for values in itertools.product(*grid.values())]
+
+
 def run_mean_energy_suite(trials: int, seed: int) -> list[dict]:
     """Grid comparison of simulated vs. predicted mean bin energy."""
     rows = []
-    for devices in MEAN_ENERGY_GRID["active_devices"]:
-        for power in MEAN_ENERGY_GRID["mean_tx_power"]:
-            for noise in MEAN_ENERGY_GRID["noise_var"]:
-                predicted = mean_energy(devices, power, noise)
-                estimate = mc_mean_energy(
-                    devices, power, noise, trials,
-                    seed=(seed, devices, int(power * 2), int(noise * 10)),
-                )
-                rel_err = abs(estimate - predicted) / predicted
-                rows.append(
-                    {
-                        "active_devices": devices,
-                        "mean_tx_power": power,
-                        "noise_var": noise,
-                        "predicted": predicted,
-                        "estimate": estimate,
-                        "rel_err": rel_err,
-                        "passed": rel_err < MEAN_ENERGY_RELATIVE_TOL,
-                    }
-                )
+    for point in _points(MEAN_ENERGY_GRID):
+        devices, power, noise = point.values()
+        predicted = mean_energy(**point)
+        estimate = mc_mean_energy(**point, trials=trials, seed=(seed, devices, int(power * 2), int(noise * 10)))
+        rel_err = abs(estimate - predicted) / predicted
+        rows.append({**point, "predicted": predicted, "estimate": estimate, "rel_err": rel_err,
+                     "passed": rel_err < MEAN_ENERGY_RELATIVE_TOL})
     return rows
 
 
 def run_flip_prob_suite(trials: int, seed: int) -> list[dict]:
     """Empirical sign-flip frequency vs. the unimodal-tail bound."""
     rows = []
-    for grad_snr in FLIP_PROB_GRID:
-        estimate, stderr = mc_flip_prob(grad_snr, trials, seed=(seed, int(grad_snr * 1000)))
-        bound = failure_prob_bound(grad_snr)
-        rows.append(
-            {
-                "grad_snr": grad_snr,
-                "estimate": estimate,
-                "stderr": stderr,
-                "bound": bound,
-                "passed": estimate <= bound + 3.0 * stderr,
-            }
-        )
+    for point in _points(FLIP_PROB_GRID):
+        estimate, stderr = mc_flip_prob(**point, trials=trials, seed=(seed, int(point["grad_snr"] * 1000)))
+        bound = failure_prob_bound(**point)
+        rows.append({**point, "estimate": estimate, "stderr": stderr, "bound": bound,
+                     "passed": estimate <= bound + 3.0 * stderr})
     return rows
 
 
@@ -420,26 +395,14 @@ def run_error_prob_suite(trials: int, seed: int) -> list[dict]:
     physical detector beats only at small q.
     """
     rows = []
-    for devices in ERROR_PROB_GRID["num_devices"]:
-        for snr in ERROR_PROB_GRID["snr"]:
-            for q in ERROR_PROB_GRID["flip_prob"]:
-                estimate, stderr = mc_error_prob(
-                    devices, q, snr, trials, seed=(seed, devices, int(snr * 10), int(q * 100))
-                )
-                target = error_prob_intermediate_bound(devices, snr, q)
-                rows.append(
-                    {
-                        "num_devices": devices,
-                        "snr": snr,
-                        "flip_prob": q,
-                        "estimate": estimate,
-                        "stderr": stderr,
-                        "target": target,
-                        "exact": exact_error_prob(devices, snr, q),
-                        "below_half": estimate < 0.5,
-                        "passed": estimate <= target + 3.0 * stderr,
-                    }
-                )
+    for point in _points(ERROR_PROB_GRID):
+        devices, snr, q = point.values()
+        estimate, stderr = mc_error_prob(**point, trials=trials,
+                                         seed=(seed, devices, int(snr * 10), int(q * 100)))
+        target = error_prob_intermediate_bound(**point)
+        rows.append({**point, "estimate": estimate, "stderr": stderr, "target": target,
+                     "exact": exact_error_prob(**point), "below_half": estimate < 0.5,
+                     "passed": estimate <= target + 3.0 * stderr})
     return rows
 
 
@@ -450,27 +413,28 @@ def _cell(key: str, spec: str = "") -> Callable[[dict], str]:
 # The paper's lemma numbers, which mc-verify accepts as suite names.
 SUITE_ALIASES = {"lemma31": "mean-energy", "lemmad1": "flip-prob", "lemma32": "error-prob"}
 
-# How each suite runs and is printed: (runner, default trials, title,
-# columns, failure note).  The runner takes (trials, seed) and returns rows,
-# the title takes the trial count, each column is (header, cell text of a
-# row), and the note, if any, follows the table when a row fails.
+# How each suite runs and is printed: (runner, default trials, fewest trials,
+# title, columns, failure note).  The runner takes (trials, seed) and returns
+# rows, the title takes the trial count, each column is (header, cell text of
+# a row), and the note, if any, follows the table when a row fails.
 SUITE_TABLES = {
     "mean-energy": (
-        run_mean_energy_suite, 100_000, "mean received bin energy vs closed form ({trials} trials)",
+        run_mean_energy_suite, 100_000, 1, "mean received bin energy vs closed form ({trials} trials)",
         (("devices", _cell("active_devices")), ("power", _cell("mean_tx_power", "g")),
          ("noise", _cell("noise_var", "g")), ("predicted", _cell("predicted", ".4f")),
          ("estimate", _cell("estimate", ".4f")), ("rel_err", _cell("rel_err", ".4%"))),
         None,
     ),
     "flip-prob": (
-        run_flip_prob_suite, 100_000, "sign-flip frequency vs unimodal tail bound ({trials} draws)",
+        run_flip_prob_suite, 100_000, 1, "sign-flip frequency vs unimodal tail bound ({trials} draws)",
         (("grad_snr", _cell("grad_snr", "g")), ("estimate", _cell("estimate", ".5f")),
          ("bound", _cell("bound", ".5f")),
          ("slack", lambda r: f"{r['bound'] + 3 * r['stderr'] - r['estimate']:+.5f}")),
         None,
     ),
     "error-prob": (
-        run_error_prob_suite, 10_000, "majority-vote error vs attenuated target ({trials} trials)",
+        run_error_prob_suite, 10_000, MC_ERROR_PROB_MIN_TRIALS,
+        "majority-vote error vs attenuated target ({trials} trials)",
         (("devices", _cell("num_devices")), ("snr", _cell("snr", "g")),
          ("flip", _cell("flip_prob", "g")), ("estimate", _cell("estimate", ".4f")),
          ("exact", _cell("exact", ".4f")), ("target", _cell("target", ".4f")),

@@ -114,7 +114,7 @@ def _print_table(title: str, header: list[str], rows: list[list[str]]):
 
 
 def _run_suite(table, trials: int | None, seed: int) -> bool:
-    run, default_trials, title, columns, note = table
+    run, default_trials, _, title, columns, note = table
     trials = default_trials if trials is None else trials
     rows = run(trials, seed)
     _print_table(
@@ -131,11 +131,9 @@ def _run_suite(table, trials: int | None, seed: int) -> bool:
 def _cmd_mc_verify(args) -> int:
     suite = analysis.SUITE_ALIASES.get(args.suite, args.suite)
     tables = list(analysis.SUITE_TABLES.values()) if suite == "all" else [analysis.SUITE_TABLES[suite]]
-    if args.trials is not None:
-        error_suite = any(run is analysis.run_error_prob_suite for run, *_ in tables)
-        floor = analysis.MC_ERROR_PROB_MIN_TRIALS if error_suite else 1
-        if args.trials < floor:
-            raise ValueError(f"trials must be >= {floor}")
+    floor = max(table[2] for table in tables)
+    if args.trials is not None and args.trials < floor:
+        raise ValueError(f"trials must be >= {floor}")
     ok = True
     for table in tables:
         ok = _run_suite(table, args.trials, args.seed) and ok
@@ -153,17 +151,8 @@ def _cmd_bounds(args) -> int:
     elif args.tau:
         print(analysis.convergence_tau(args.devices, args.snr, args.gamma))
     else:
-        params = analysis.BoundParams(
-            num_devices=args.devices,
-            snr=args.snr,
-            rounds=args.rounds,
-            gamma=args.gamma,
-            smoothness_l1=args.smoothness_l1,
-            sigma_l1=args.sigma_l1,
-            loss_gap=args.loss_gap,
-            batch_size=args.batch_size,
-        )
-        print(analysis.convergence_bound(params))
+        print(analysis.convergence_bound(args.devices, args.snr, args.rounds, args.gamma, args.smoothness_l1,
+                                         args.sigma_l1, args.loss_gap, args.batch_size))
     return 0
 
 

@@ -319,8 +319,6 @@ def test_c8d_sync_robustness_and_runtime(training_runs):
 # ---------------------------------------------------------------------------
 
 def test_c9_convergence_evaluator():
-    from airvote.analysis import BoundParams
-
     tau = convergence_tau(31, 2.0, 1.0)
     assert tau == pytest.approx(1.03226, abs=1e-5)
 
@@ -328,15 +326,15 @@ def test_c9_convergence_evaluator():
         base = dict(num_devices=31, snr=2.0, rounds=500, gamma=2.0,
                     smoothness_l1=3.0, sigma_l1=1.5, loss_gap=2.0)
         base.update(overrides)
-        return BoundParams(**base)
+        return base
 
-    ratio = convergence_bound(params(rounds=1000)) / convergence_bound(params(rounds=500))
+    ratio = convergence_bound(**params(rounds=1000)) / convergence_bound(**params(rounds=500))
     assert ratio == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     for lo, hi in [(0.5, 1.0), (1.0, 4.0), (4.0, 64.0)]:
-        assert convergence_bound(params(snr=hi)) < convergence_bound(params(snr=lo))
+        assert convergence_bound(**params(snr=hi)) < convergence_bound(**params(snr=lo))
     for lo, hi in [(0.5, 1.0), (1.0, 4.0)]:
-        assert convergence_bound(params(sigma_l1=hi)) > convergence_bound(params(sigma_l1=lo))
+        assert convergence_bound(**params(sigma_l1=hi)) > convergence_bound(**params(sigma_l1=lo))
 
     report("9", True, f"tau(snr=2, K=31, gamma=1) = {tau:.6f}; 1/sqrt(N) scaling and monotonicity hold")
 

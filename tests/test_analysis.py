@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,7 +11,6 @@ from scipy import stats
 
 from airvote import analysis
 from airvote.analysis import (
-    BoundParams,
     air_detect,
     comm_cost,
     convergence_bound,
@@ -400,7 +400,7 @@ def make_params(**overrides):
         loss_gap=3.0,
     )
     base.update(overrides)
-    return BoundParams(**base)
+    return base
 
 
 def test_convergence_tau_spot_value():
@@ -408,42 +408,42 @@ def test_convergence_tau_spot_value():
 
 
 def test_convergence_bound_scales_with_rounds():
-    ratio = convergence_bound(make_params(rounds=2000)) / convergence_bound(make_params(rounds=1000))
+    ratio = convergence_bound(**make_params(rounds=2000)) / convergence_bound(**make_params(rounds=1000))
     assert ratio == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
 def test_convergence_bound_clean_channel_limit():
     params = make_params(num_devices=10**9, snr=1e12, rounds=400)
     expected = (
-        math.sqrt(params.smoothness_l1) * (params.loss_gap + 0.5)
-        + (2.0 * math.sqrt(2.0) / 6.0) * params.sigma_l1
-    ) / math.sqrt(params.rounds)
-    assert convergence_bound(params) == pytest.approx(expected, rel=1e-6)
+        math.sqrt(params["smoothness_l1"]) * (params["loss_gap"] + 0.5)
+        + (2.0 * math.sqrt(2.0) / 6.0) * params["sigma_l1"]
+    ) / math.sqrt(params["rounds"])
+    assert convergence_bound(**params) == pytest.approx(expected, rel=1e-6)
 
 
 def test_convergence_bound_monotonicity():
     for snr_lo, snr_hi in [(0.5, 1.0), (1.0, 4.0), (4.0, 32.0)]:
-        assert convergence_bound(make_params(snr=snr_hi)) < convergence_bound(make_params(snr=snr_lo))
+        assert convergence_bound(**make_params(snr=snr_hi)) < convergence_bound(**make_params(snr=snr_lo))
     for n_lo, n_hi in [(100, 200), (200, 1000)]:
-        assert convergence_bound(make_params(rounds=n_hi)) < convergence_bound(make_params(rounds=n_lo))
+        assert convergence_bound(**make_params(rounds=n_hi)) < convergence_bound(**make_params(rounds=n_lo))
     for s_lo, s_hi in [(1.0, 2.0), (2.0, 10.0)]:
-        assert convergence_bound(make_params(sigma_l1=s_hi)) > convergence_bound(make_params(sigma_l1=s_lo))
+        assert convergence_bound(**make_params(sigma_l1=s_hi)) > convergence_bound(**make_params(sigma_l1=s_lo))
 
 
 def test_convergence_bound_strict_derivation():
     # a batch size selects the strict form, which divides the trailing term by sqrt(64)
     params = make_params()
-    loose = convergence_bound(params)
-    strict = convergence_bound(make_params(batch_size=64))
-    trailing = (2.0 * math.sqrt(2.0) / 6.0) * params.sigma_l1 / math.sqrt(params.rounds)
+    loose = convergence_bound(**params)
+    strict = convergence_bound(**make_params(batch_size=64))
+    trailing = (2.0 * math.sqrt(2.0) / 6.0) * params["sigma_l1"] / math.sqrt(params["rounds"])
     assert loose - strict == pytest.approx(trailing * (1.0 - 1.0 / 8.0), rel=1e-12)
 
 
-def test_bound_params_positivity():
+def test_convergence_bound_positivity():
     with pytest.raises(ValueError):
-        make_params(snr=0.0)
+        convergence_bound(**make_params(snr=0.0))
     with pytest.raises(ValueError):
-        make_params(rounds=0)
+        convergence_bound(**make_params(rounds=0))
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +471,52 @@ def test_comm_cost_validates():
 
 
 # ---------------------------------------------------------------------------
+# Argument checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (mean_energy, (5, math.nan, 1.0), "nonnegative"),
+        (mean_energy, (5, 1.0, -1.0), "nonnegative"),
+        (failure_prob_bound, (math.nan,), "grad_snr must be positive"),
+        (failure_prob_bound, (-1.0,), "grad_snr must be positive"),
+        (error_prob_bound, (math.nan, 2.0, 3.0), "num_devices must be >= 1"),
+        (error_prob_bound, (31, math.nan, 3.0), "must be positive"),
+        (error_prob_bound, (31, 2.0, -3.0), "must be positive"),
+        (error_prob_intermediate_bound, (31, math.nan, 0.2), "snr must be positive"),
+        (error_prob_intermediate_bound, (31, -2.0, 0.2), "snr must be positive"),
+        (exact_error_prob, (math.nan, 2.0, 0.2), "num_devices must be >= 1"),
+        (exact_error_prob, (31, -2.0, 0.2), "snr must be positive"),
+        (exact_error_prob_weighted, ([1.0, math.nan], [0.1, 0.1], 2.0), "powers must be finite"),
+        (exact_error_prob_weighted, ([1.0, 1.0], [0.1, -0.1], 2.0), "flip_probs must lie"),
+        (convergence_tau, (31, math.nan, 1.0), "must be positive"),
+        (convergence_tau, (31, 2.0, -1.0), "must be positive"),
+        (convergence_bound, make_params(loss_gap=math.nan).values(), "loss_gap must be positive"),
+        (convergence_bound, make_params(smoothness_l1=-4.0).values(), "smoothness_l1 must be positive"),
+        (convergence_bound, make_params(rounds=math.nan).values(), "rounds must be >= 1"),
+        (convergence_bound, make_params(batch_size=math.nan).values(), "batch_size must be >= 1"),
+        (comm_cost, ("sgd", math.nan, 100), "must be >= 1"),
+        (comm_cost, ("sgd", 31, -100), "must be >= 1"),
+        (mc_mean_energy, (5, -1.0, 1.0, 100, 0), "nonnegative"),
+        (mc_mean_energy, (-2, 1.0, 1.0, 100, 0), "nonnegative"),
+        (mc_mean_energy, (5, 1.0, math.nan, 100, 0), "nonnegative"),
+        (mc_mean_energy, (5, 1.0, 1.0, math.nan, 0), "trials must be >= 1"),
+        (mc_flip_prob, (math.nan, 100, 0), "must be positive"),
+        (mc_flip_prob, (1.0, -100, 0), "must be positive"),
+        (mc_error_prob, (5, 0.2, math.nan, 1000, 0), "snr must be positive"),
+        (mc_error_prob, (math.nan, 0.2, 2.0, 1000, 0), "must be positive"),
+        (mc_error_prob, (5, 0.2, -2.0, 1000, 0), "snr must be positive"),
+        (mc_error_prob, (5, math.nan, 2.0, 1000, 0), "flip_prob must lie"),
+    ],
+)
+def test_closed_forms_and_oracles_reject_nan_and_out_of_range(function, args, message):
+    # each names the bad argument in its own check, before any draw or arithmetic
+    with pytest.raises(ValueError, match=message):
+        function(*args)
+
+
+# ---------------------------------------------------------------------------
 # Suite smoke checks
 # ---------------------------------------------------------------------------
 
@@ -489,3 +535,23 @@ def test_error_prob_suite_structure():
         assert row["below_half"]
     # the attenuated comparison target is only beaten at small flip rates
     assert all(r["passed"] for r in rows if r["flip_prob"] == 0.05)
+
+
+# Row keys of each suite, grid keys first, as mc-verify prints them.
+SUITE_ROW_KEYS = {
+    "mean-energy": (analysis.MEAN_ENERGY_GRID,
+                    ("active_devices", "mean_tx_power", "noise_var", "predicted", "estimate", "rel_err", "passed")),
+    "flip-prob": (analysis.FLIP_PROB_GRID, ("grad_snr", "estimate", "stderr", "bound", "passed")),
+    "error-prob": (analysis.ERROR_PROB_GRID,
+                   ("num_devices", "snr", "flip_prob", "estimate", "stderr", "target", "exact", "below_half",
+                    "passed")),
+}
+
+
+@pytest.mark.parametrize("suite", list(analysis.SUITE_TABLES))
+def test_suite_rows_follow_grid_in_product_order(suite):
+    run, _, fewest_trials, *_ = analysis.SUITE_TABLES[suite]
+    grid, keys = SUITE_ROW_KEYS[suite]
+    rows = run(fewest_trials, 0)
+    assert [tuple(row) for row in rows] == [keys] * len(rows)
+    assert [tuple(row[name] for name in grid) for row in rows] == list(itertools.product(*grid.values()))

@@ -1,4 +1,4 @@
-"""The walkthrough demo runs end to end against the installed layer API."""
+"""The demos run end to end against the installed layer API."""
 
 import os
 import re
@@ -33,3 +33,14 @@ def test_verify_bounds_runs():
     assert demo.returncode == 0, demo.stderr
     for title in ("mean received bin energy", "single-device sign flips", "majority-vote detection error"):
         assert f"=== {title} (2000 " in demo.stdout
+
+
+def test_train_compare_schemes_runs(tmp_path):
+    from airvote.experiment import SCHEMES
+
+    curves = tmp_path / "curves.csv"
+    demo = _run_demo("train_compare_schemes.py", "--rounds", "2", "--csv", str(curves))
+    assert demo.returncode == 0, demo.stderr
+    summaries = [line for line in demo.stdout.splitlines() if " final accuracy " in line]
+    assert [line.split()[0] for line in summaries] == list(SCHEMES)
+    assert curves.read_text().splitlines()[0] == "round,scheme,accuracy"
