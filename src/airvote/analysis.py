@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
 
 from .channel import ChannelConfig, sample_channel, superpose
-from .detector import DetectionResult, detect
+from .detector import DetectionResult, detect, sign_votes
 from .phy import SYMBOL_ENERGY, PhyConfig, encode_signs
 
 
@@ -189,10 +190,11 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Most bytes a step of any batched loop (`blocks`) holds: two 31-device oracle
-# frames of the kernel's complex arrays (1,024 coordinates, 0.48 MiB each), or
-# five of the 19 frames of 416 coordinates a 7,850-parameter round sends.
-# Larger blocks only raise peak memory; an oracle call of one kernel block
-# costs heap page faults (see _oracle_detect).
+# frames of the kernel's complex arrays (1,024 coordinates, 0.48 MiB each), five
+# of the 19 frames of 416 coordinates a 7,850-parameter round sends, or one
+# device's 0.8 MB batch of 784 features (31 gradient calls a round).  Larger
+# blocks trade memory for calls (8 MiB: about 18 -> 15 ms, 7 MB more features;
+# 2 CPUs, one BLAS thread); an oracle call of one block faults pages (_oracle_detect).
 BLOCK_BYTES = 2**20
 
 
@@ -276,6 +278,13 @@ def _binomial(hits: int, trials: int) -> tuple[float, float]:
     return (estimate := hits / trials), math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / trials)
 
 
+def _require_integers(**counts) -> None:
+    """Name the first of `counts` that is not an integer (numpy's are) in a ValueError."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, trials: int, seed) -> float:
     """Empirical mean bin energy from the full encode/fade/superpose path.
 
@@ -285,6 +294,7 @@ def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, 
     mean_energy(active_devices, mean_tx_power, noise_var)  # its argument checks
     if not trials >= 1:
         raise ValueError("trials must be >= 1")
+    _require_integers(active_devices=active_devices, trials=trials)
     powers = np.full(active_devices, mean_tx_power)
     results = _oracle_detect(lambda rng, shape: np.ones(shape, np.int8), powers, noise_var, trials, seed)
     sums = (np.add.reduceat(r.e_plus, range(0, r.e_plus.size, _ORACLE_PHY.frame_coordinates)) for r in results)
@@ -302,6 +312,7 @@ def mc_flip_prob(grad_snr: float, trials: int, seed) -> tuple[float, float]:
     """
     if not (grad_snr > 0 and trials >= 1):
         raise ValueError("grad_snr and trials must be positive")
+    _require_integers(trials=trials)
     rng = np.random.default_rng(seed)
     flips = 0
     for lo, hi in blocks(trials, np.dtype(np.float64).itemsize):
@@ -329,11 +340,9 @@ def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, s
         raise ValueError("num_devices and snr must be positive")
     if not trials >= MC_ERROR_PROB_MIN_TRIALS:
         raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
-
-    def sampler(rng, shape):
-        return np.where(rng.random(shape) < flip_prob, np.int8(-1), np.int8(1))
-
-    results = _oracle_detect(sampler, np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed)
+    _require_integers(num_devices=num_devices, trials=trials)
+    results = _oracle_detect(lambda rng, shape: sign_votes(rng.random(shape) < flip_prob),
+                             np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed)
     return _binomial(sum(int(np.sum(result.votes != 1)) for result in results), trials)
 
 

@@ -12,6 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def sign_votes(negative) -> np.ndarray:
+    """int8 votes: -1 where `negative` is true, +1 elsewhere; built in a copy of `negative`."""
+    votes = np.array(negative, dtype=np.int8)
+    votes *= -2
+    votes += 1
+    return votes
+
+
 @dataclass
 class DetectionResult:
     e_plus: np.ndarray
@@ -30,7 +38,7 @@ def detect(received: np.ndarray) -> DetectionResult:
         raise ValueError(f"received bins of shape {received.shape}; expected (..., 2, coordinates)")
     energies = np.abs(received) ** 2
     e_plus, e_minus = energies[..., 0, :], energies[..., 1, :]
-    return DetectionResult(e_plus, e_minus, np.where(e_plus < e_minus, -1, 1).astype(np.int8))
+    return DetectionResult(e_plus, e_minus, sign_votes(e_plus < e_minus))
 
 
 def ideal_majority_vote(reports) -> np.ndarray:
@@ -38,5 +46,4 @@ def ideal_majority_vote(reports) -> np.ndarray:
     reports = np.atleast_2d(np.asarray(reports))
     if reports.shape[0] < 1:
         raise ValueError("need at least one report")
-    totals = reports.sum(axis=0)
-    return np.where(totals < 0, -1, 1).astype(np.int8)
+    return sign_votes(reports.sum(axis=0) < 0)

@@ -208,41 +208,26 @@ def run_round(state: RunState, config: ExperimentConfig, round_idx: int) -> tupl
                                        training.batch_size, device_rngs)
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {round_idx}: {exc}") from None
-    emit = (round_idx + 1) % config.eval_every == 0 or round_idx == training.rounds - 1
-    vote_agreement = None
-    empirical_perr = None
     powers = state.powers
-    vote = None
     if config.scheme == "fedavg_ideal":
-        model = apply_global_update(state.model, np.mean(grads, axis=0), training.learning_rate)
+        vote, direction = None, np.mean(grads, axis=0)
     else:
-        sign_matrix = sign_quantize(grads)
-        ideal = ideal_majority_vote(sign_matrix)
-        if config.scheme == "ideal_signsgd_mv":
-            vote = ideal
-        else:
-            vote = air_detect(sign_matrix, powers, config.phy, config.channel,
-                              device_rngs, frame_rngs).votes
-        if emit:
-            vote_agreement = float(np.mean(vote == ideal))
-            reference = sign_quantize(full_gradient(state.model, state.predictor, state.train))
-            empirical_perr = float(np.mean(vote != reference))
+        signs = sign_quantize(grads)
+        ideal = ideal_majority_vote(signs)
+        vote = direction = ideal if config.scheme == "ideal_signsgd_mv" else air_detect(
+            signs, powers, config.phy, config.channel, device_rngs, frame_rngs).votes
         if config.scheme == "fsk_mv_dpc":
-            powers = update_power(powers, sign_matrix, vote, config.phy.power_cap)
-        model = apply_global_update(state.model, vote, training.learning_rate)
+            powers = update_power(powers, signs, vote, config.phy.power_cap)
+    model = apply_global_update(state.model, direction, training.learning_rate)
     new_state = replace(state, model=model, powers=powers, last_vote=vote)
-    metrics = None
-    if emit:
-        accuracy, loss = evaluate(model, state.predictor, state.test)
-        metrics = RoundMetrics(
-            round=round_idx + 1,
-            test_accuracy=accuracy,
-            test_loss=loss,
-            mean_power=mean_power(powers),
-            vote_agreement=vote_agreement,
-            empirical_perr=empirical_perr,
-        )
-    return new_state, metrics
+    if (round_idx + 1) % config.eval_every != 0 and round_idx != training.rounds - 1:
+        return new_state, None
+    voted = vote is not None  # the reference is the full-train gradient at the model voted on
+    reference = sign_quantize(full_gradient(state.model, state.predictor, state.train)) if voted else None
+    accuracy, loss = evaluate(model, state.predictor, state.test)
+    return new_state, RoundMetrics(round_idx + 1, accuracy, loss, mean_power(powers),
+                                   float(np.mean(vote == ideal)) if voted else None,
+                                   float(np.mean(vote != reference)) if voted else None)
 
 
 def run_rounds(config: ExperimentConfig, record_votes: bool = False):
@@ -311,16 +296,8 @@ def run_experiment(config: ExperimentConfig) -> Path:
         total_bits *= config.training.rounds
         writer = csv.writer(summary)
         writer.writerow(["scheme", "final_accuracy", "mean_power", "total_bits", "rounds", "seed"])
-        writer.writerow(
-            [
-                config.scheme,
-                metrics[-1].test_accuracy,
-                metrics[-1].mean_power,
-                total_bits,
-                config.training.rounds,
-                config.master_seed,
-            ]
-        )
+        writer.writerow([config.scheme, metrics[-1].test_accuracy, metrics[-1].mean_power, total_bits,
+                         config.training.rounds, config.master_seed])
     return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
+from .detector import sign_votes
 
 IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
@@ -339,7 +340,7 @@ def full_gradient(weights: np.ndarray, predictor, dataset: Dataset) -> np.ndarra
 
 def sign_quantize(values) -> np.ndarray:
     """Entry-wise sign with sign(0) = +1, so the output is always in {-1,+1}."""
-    return np.where(np.asarray(values) < 0, -1, 1).astype(np.int8)
+    return sign_votes(np.asarray(values) < 0)
 
 
 def apply_global_update(weights: np.ndarray, direction: np.ndarray, learning_rate: float) -> np.ndarray:

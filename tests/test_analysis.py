@@ -516,6 +516,31 @@ def test_closed_forms_and_oracles_reject_nan_and_out_of_range(function, args, me
         function(*args)
 
 
+@pytest.mark.parametrize(
+    "function, args, name",
+    [
+        (mc_mean_energy, (2.5, 1.0, 1.0, 10, 0), "active_devices"),
+        (mc_mean_energy, (2, 1.0, 1.0, 10.5, 0), "trials"),
+        (mc_flip_prob, (1.0, 2.5, 0), "trials"),
+        (mc_error_prob, (5.5, 0.2, 2.0, 1000, 0), "num_devices"),
+        (mc_error_prob, (5, 0.2, 2.0, 1000.5, 0), "trials"),
+    ],
+)
+def test_oracles_reject_fractional_counts_before_any_draw(function, args, name, monkeypatch):
+    def no_draws(*_):
+        raise AssertionError("a generator was made before the counts were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        function(*args)
+
+
+def test_oracles_accept_numpy_integer_counts():
+    assert mc_error_prob(np.int64(5), 0.2, 2.0, np.int64(1000), 0) == mc_error_prob(5, 0.2, 2.0, 1000, 0)
+    assert mc_flip_prob(1.0, np.int32(100), 0) == mc_flip_prob(1.0, 100, 0)
+    assert mc_mean_energy(np.int64(2), 1.0, 1.0, np.int64(10), 0) == mc_mean_energy(2, 1.0, 1.0, 10, 0)
+
+
 # ---------------------------------------------------------------------------
 # Suite smoke checks
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from airvote import analysis
 from airvote.analysis import air_detect
 from airvote.channel import ChannelConfig
-from airvote.detector import detect, ideal_majority_vote
+from airvote.detector import detect, ideal_majority_vote, sign_votes
 from airvote.phy import PhyConfig
 
 
@@ -58,6 +62,15 @@ def test_detect_votes_antisymmetric_without_ties():
     np.testing.assert_array_equal(detect(_pair_bins(a, b)).votes, -detect(_pair_bins(b, a)).votes)
 
 
+def test_sign_votes_builds_a_copy():
+    negative = np.array([[1, 0], [0, 1]], dtype=np.int8)  # already int8: no conversion would copy it
+    votes = sign_votes(negative)
+    assert votes.dtype == np.int8
+    np.testing.assert_array_equal(votes, [[-1, 1], [1, -1]])
+    np.testing.assert_array_equal(negative, [[1, 0], [0, 1]])
+    np.testing.assert_array_equal(sign_votes(np.array([True, False])), [-1, 1])
+
+
 def test_ideal_majority_vote():
     np.testing.assert_array_equal(ideal_majority_vote([[1], [1], [-1]]), [1])
     np.testing.assert_array_equal(ideal_majority_vote([[1], [-1]]), [1])  # tie rule
@@ -98,6 +111,24 @@ def test_energy_detection_equals_majority_vote_random_patterns(low_rng):
     votes = air_vote_ideal(patterns, low_rng)
     for signs, vote in zip(patterns, votes):
         np.testing.assert_array_equal(vote, ideal_majority_vote(signs))
+
+
+_SIGN_ROWS = st.integers(1, 31).flatmap(lambda devices: hnp.arrays(
+    np.int8, st.tuples(st.just(devices), st.integers(1, 40)), elements=st.sampled_from([-1, 1])))
+
+
+# low_rng holds no state, so sharing it across examples is safe
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(signs=_SIGN_ROWS, block_bytes=st.sampled_from([analysis.BLOCK_BYTES, 1]))
+def test_clean_channel_detection_is_the_majority_vote(signs, block_bytes, low_rng):
+    # 4-coordinate frames, so the last is usually padded; a 1-byte budget sends one frame per block
+    phy = PhyConfig(num_subcarriers=4, num_symbols=2)
+    devices, coordinates = signs.shape
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "BLOCK_BYTES", block_bytes)
+        votes = air_detect(signs, np.ones(devices), phy, ChannelConfig(noise_var=0.0, fading="none"),
+                           [low_rng] * devices, [low_rng] * phy.num_frames(coordinates)).votes
+    np.testing.assert_array_equal(votes, ideal_majority_vote(signs))
 
 
 def test_detection_invariant_to_global_phase():

@@ -373,6 +373,10 @@ def test_local_gradients_equal_per_device_calls_at_any_block_size(monkeypatch, k
 
 def test_sign_quantize_zero_convention():
     np.testing.assert_array_equal(sign_quantize([0.3, -1.2, 0.0]), [1, -1, 1])
+    # only a value below zero votes -1: -0.0 and NaN vote +1, the smallest subnormals keep their sign
+    signs = sign_quantize([-0.0, 0.0, np.nan, -5e-324, 5e-324])
+    assert signs.dtype == np.int8
+    np.testing.assert_array_equal(signs, [1, 1, 1, -1, 1])
 
 
 def test_sign_quantize_all_negative():
