@@ -278,11 +278,12 @@ def _binomial(hits: int, trials: int) -> tuple[float, float]:
     return (estimate := hits / trials), math.sqrt(max(estimate * (1.0 - estimate), 1e-12) / trials)
 
 
-def _require_integers(**counts) -> None:
-    """Name the first of `counts` that is not an integer (numpy's are) in a ValueError."""
+def _require_integers(**counts) -> list[int]:
+    """`counts` as Python ints (numpy's are integers too) or a ValueError naming the first that is not."""
     for name, value in counts.items():
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    return [int(value) for value in counts.values()]
 
 
 def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, trials: int, seed) -> float:
@@ -294,7 +295,7 @@ def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, 
     mean_energy(active_devices, mean_tx_power, noise_var)  # its argument checks
     if not trials >= 1:
         raise ValueError("trials must be >= 1")
-    _require_integers(active_devices=active_devices, trials=trials)
+    active_devices, trials = _require_integers(active_devices=active_devices, trials=trials)
     powers = np.full(active_devices, mean_tx_power)
     results = _oracle_detect(lambda rng, shape: np.ones(shape, np.int8), powers, noise_var, trials, seed)
     sums = (np.add.reduceat(r.e_plus, range(0, r.e_plus.size, _ORACLE_PHY.frame_coordinates)) for r in results)
@@ -312,7 +313,7 @@ def mc_flip_prob(grad_snr: float, trials: int, seed) -> tuple[float, float]:
     """
     if not (grad_snr > 0 and trials >= 1):
         raise ValueError("grad_snr and trials must be positive")
-    _require_integers(trials=trials)
+    (trials,) = _require_integers(trials=trials)
     rng = np.random.default_rng(seed)
     flips = 0
     for lo, hi in blocks(trials, np.dtype(np.float64).itemsize):
@@ -340,7 +341,7 @@ def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, s
         raise ValueError("num_devices and snr must be positive")
     if not trials >= MC_ERROR_PROB_MIN_TRIALS:
         raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
-    _require_integers(num_devices=num_devices, trials=trials)
+    num_devices, trials = _require_integers(num_devices=num_devices, trials=trials)
     results = _oracle_detect(lambda rng, shape: sign_votes(rng.random(shape) < flip_prob),
                              np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed)
     return _binomial(sum(int(np.sum(result.votes != 1)) for result in results), trials)

@@ -201,6 +201,18 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, probs
 
 
+def _unpack(weights: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of `weights` cut into consecutive blocks of `shapes`; a
+    ValueError names both lengths unless it holds exactly their total."""
+    total = sum(map(math.prod, shapes))
+    if weights.shape != (total,):
+        raise ValueError(f"weight vector of length {weights.size}; the model has {total} parameters")
+    parts, start = [], 0
+    for shape in shapes:
+        parts.append(weights[start:(start := start + math.prod(shape))].reshape(shape))
+    return parts
+
+
 def _flat(features: np.ndarray, *parts) -> np.ndarray:
     """Gradient parts joined into (*leading axes of features, num_params)."""
     return np.concatenate([p.reshape(*features.shape[:-2], -1) for p in parts], axis=-1)
@@ -216,26 +228,18 @@ class SoftmaxRegression:
     """
 
     def __init__(self, input_dim: int, num_classes: int):
-        self.input_dim = input_dim
-        self.num_classes = num_classes
-
-    @property
-    def num_params(self) -> int:
-        return self.input_dim * self.num_classes + self.num_classes
+        self.shapes = [(input_dim, num_classes), (num_classes,)]
+        self.num_params = sum(map(math.prod, self.shapes))
 
     def init_state(self, seed) -> np.ndarray:
         return np.zeros(self.num_params)
 
-    def _unpack(self, weights: np.ndarray):
-        d, c = self.input_dim, self.num_classes
-        return weights[: d * c].reshape(d, c), weights[d * c :]
-
     def logits(self, weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-        w, b = self._unpack(weights)
+        w, b = _unpack(weights, self.shapes)
         return features @ w + b
 
     def loss_and_gradient(self, weights, features, labels):
-        w, b = self._unpack(weights)
+        w, b = _unpack(weights, self.shapes)
         loss, d_logits = _cross_entropy(w.T @ features.swapaxes(-1, -2) + b[:, None], labels)
         return loss, _flat(features, (d_logits @ features).swapaxes(-1, -2), d_logits.sum(axis=-1))
 
@@ -245,37 +249,22 @@ class TanhMlp:
     Batches over leading axes as SoftmaxRegression does."""
 
     def __init__(self, input_dim: int, num_classes: int, hidden_units: int):
-        self.input_dim = input_dim
-        self.num_classes = num_classes
-        self.hidden_units = hidden_units
-
-    @property
-    def num_params(self) -> int:
-        d, h, c = self.input_dim, self.hidden_units, self.num_classes
-        return d * h + h + h * c + c
+        self.shapes = [(input_dim, hidden_units), (hidden_units,), (hidden_units, num_classes), (num_classes,)]
+        self.num_params = sum(map(math.prod, self.shapes))
 
     def init_state(self, seed) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        d, h, c = self.input_dim, self.hidden_units, self.num_classes
+        (d, h), _, (_, c), _ = self.shapes
         w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=d * h)
         w2 = rng.normal(0.0, 1.0 / np.sqrt(h), size=h * c)
         return np.concatenate([w1, np.zeros(h), w2, np.zeros(c)])
 
-    def _unpack(self, weights: np.ndarray):
-        d, h, c = self.input_dim, self.hidden_units, self.num_classes
-        i = 0
-        w1 = weights[i : i + d * h].reshape(d, h); i += d * h
-        b1 = weights[i : i + h]; i += h
-        w2 = weights[i : i + h * c].reshape(h, c); i += h * c
-        b2 = weights[i : i + c]
-        return w1, b1, w2, b2
-
     def logits(self, weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = self._unpack(weights)
+        w1, b1, w2, b2 = _unpack(weights, self.shapes)
         return np.tanh(features @ w1 + b1) @ w2 + b2
 
     def loss_and_gradient(self, weights, features, labels):
-        w1, b1, w2, b2 = self._unpack(weights)
+        w1, b1, w2, b2 = _unpack(weights, self.shapes)
         hidden = np.tanh(features @ w1 + b1)
         loss, d_logits = _cross_entropy(w2.T @ hidden.swapaxes(-1, -2) + b2[:, None], labels)
         d_hidden = (w2 @ d_logits).swapaxes(-1, -2) * (1.0 - hidden**2)

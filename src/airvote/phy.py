@@ -10,6 +10,7 @@ non-coherently at the receiver.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class PhyConfig:
 
     def num_frames(self, coordinates: int) -> int:
         """Frames that carry `coordinates` coordinates, the last one padded."""
-        return -(-coordinates // self.frame_coordinates)
+        return -(-operator.index(coordinates) // self.frame_coordinates)
 
 
 def lit_subcarriers(signs, num_subcarriers: int) -> np.ndarray:

@@ -539,6 +539,9 @@ def test_oracles_accept_numpy_integer_counts():
     assert mc_error_prob(np.int64(5), 0.2, 2.0, np.int64(1000), 0) == mc_error_prob(5, 0.2, 2.0, 1000, 0)
     assert mc_flip_prob(1.0, np.int32(100), 0) == mc_flip_prob(1.0, 100, 0)
     assert mc_mean_energy(np.int64(2), 1.0, 1.0, np.int64(10), 0) == mc_mean_energy(2, 1.0, 1.0, 10, 0)
+    assert mc_error_prob(np.uint8(5), 0.2, 2.0, np.uint16(1000), 0) == mc_error_prob(5, 0.2, 2.0, 1000, 0)
+    assert mc_flip_prob(1.0, np.uint16(100), 0) == mc_flip_prob(1.0, 100, 0)
+    assert mc_mean_energy(np.uint8(2), 1.0, 1.0, np.uint16(10), 0) == mc_mean_energy(2, 1.0, 1.0, 10, 0)
 
 
 # ---------------------------------------------------------------------------

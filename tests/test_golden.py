@@ -53,6 +53,14 @@ C10_MULTI_FRAME_DIGESTS = (
     "d740cbbd466015fd84de104e8f6a48cb8d960fb2839f509b4294c8e9d7152968",
 )
 
+# c10 with the tanh MLP at 4 hidden units: 6*4 + 4 + 4*3 + 3 = 43 parameters,
+# so two 32-coordinate frames per round, the second one padded.  Pins the
+# MLP's weight layout, initial draws and gradient bytes.
+C10_MLP_DIGESTS = (
+    "530668e3f8f8647a695f226188e5db81c0083a804fee27efedefa9844f96e084",
+    "db6993225c553ce9316ee53ce0c0112993836c6727edbf00125f8b953542ac9d",
+)
+
 # The Monte Carlo pins below are taken under one generator per device and one
 # per oracle frame, spawned from the point's seed.
 
@@ -104,6 +112,11 @@ def test_multi_frame_outputs_match_golden_digests(tmp_path):
     values = dict(C10, scheme="fsk_mv_dpc")
     values["phy.symbols"] = 1
     assert _train_digests(tmp_path, **values) == C10_MULTI_FRAME_DIGESTS
+
+
+def test_mlp_outputs_match_golden_digests(tmp_path):
+    values = dict(C10, scheme="fsk_mv_dpc", model="mlp", hidden_units=4)
+    assert _train_digests(tmp_path, **values) == C10_MLP_DIGESTS
 
 
 @pytest.mark.parametrize("point", sorted(TINY_MC_ESTIMATES))

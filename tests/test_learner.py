@@ -1,4 +1,5 @@
 import gzip
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ from airvote.learner import (
     IdxFormatError,
     SoftmaxRegression,
     TanhMlp,
+    _unpack,
     apply_global_update,
     compute_local_gradient,
     evaluate,
@@ -284,13 +286,18 @@ def test_devicewise_mean_of_full_shard_gradients_is_full_gradient():
     )
 
 
+HIDDEN = 7  # hidden units of every test MLP
+
+
 def _model(kind, d, c):
-    return SoftmaxRegression(d, c) if kind == "logistic" else TanhMlp(d, c, hidden_units=7)
+    return SoftmaxRegression(d, c) if kind == "logistic" else TanhMlp(d, c, hidden_units=HIDDEN)
 
 
-def row_major_loss_and_gradient(model, weights, features, labels):
+def row_major_loss_and_gradient(kind, weights, features, labels, classes):
     """The sample-major formula: (..., n, classes) logits, softmax over the
-    trailing axis, weight gradients from features.T @ d_logits."""
+    trailing axis, weight gradients from features.T @ d_logits.  The weight
+    vector is cut here by hand, [W.ravel(), b] or [W1.ravel(), b1, W2.ravel(),
+    b2], so a layout bug in the models cannot show on both sides."""
     def cross_entropy(logits):
         shifted = logits - logits.max(axis=-1, keepdims=True)
         probs = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
@@ -302,16 +309,42 @@ def row_major_loss_and_gradient(model, weights, features, labels):
         return np.concatenate([p.reshape(*features.shape[:-2], -1) for p in parts], axis=-1)
 
     xt = features.swapaxes(-1, -2)
-    if isinstance(model, SoftmaxRegression):
-        w, b = model._unpack(weights)
+    d, h, c = features.shape[-1], HIDDEN, classes
+    if kind == "logistic":
+        w, b = weights[: d * c].reshape(d, c), weights[d * c :]
         loss, d_logits = cross_entropy(features @ w + b)
         return loss, flat(xt @ d_logits, d_logits.sum(axis=-2))
-    w1, b1, w2, b2 = model._unpack(weights)
+    w1, b1 = weights[: d * h].reshape(d, h), weights[d * h : d * h + h]
+    w2, b2 = weights[d * h + h : d * h + h + h * c].reshape(h, c), weights[d * h + h + h * c :]
     hidden = np.tanh(features @ w1 + b1)
     loss, d_logits = cross_entropy(hidden @ w2 + b2)
     d_hidden = (d_logits @ w2.T) * (1.0 - hidden**2)
     return loss, flat(xt @ d_hidden, d_hidden.sum(axis=-2),
                       hidden.swapaxes(-1, -2) @ d_logits, d_logits.sum(axis=-2))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_layout_gives_num_params_and_cuts_views(kind):
+    model = _model(kind, 6, 3)
+    assert model.num_params == sum(math.prod(shape) for shape in model.shapes)
+    weights = np.arange(model.num_params, dtype=np.float64)
+    parts = _unpack(weights, model.shapes)
+    assert [part.shape for part in parts] == model.shapes
+    assert all(np.shares_memory(part, weights) for part in parts)
+    np.testing.assert_array_equal(np.concatenate([part.ravel() for part in parts]), weights)
+
+
+@pytest.mark.parametrize("extra", [-1, 1, 5])
+@pytest.mark.parametrize("model", [SoftmaxRegression(3, 2), TanhMlp(3, 2, hidden_units=4)],
+                         ids=["logistic", "mlp"])
+def test_wrong_length_weights_raise_naming_both_lengths(model, extra):
+    weights = np.zeros(model.num_params + extra)
+    features, labels = np.ones((5, 3)), np.array([0, 1, 0, 1, 1])
+    match = f"length {weights.size}; the model has {model.num_params} parameters"
+    with pytest.raises(ValueError, match=match):
+        model.loss_and_gradient(weights, features, labels)
+    with pytest.raises(ValueError, match=match):
+        evaluate(weights, model, Dataset(features, labels, 2))
 
 
 @pytest.mark.parametrize("classes", [2, 3, 8, 10, 17])
@@ -323,7 +356,7 @@ def test_class_major_loss_and_gradient_matches_row_major_formula(kind, classes):
     features = rng.normal(size=(3, 40, 9))
     labels = rng.integers(0, classes, size=(3, 40))
     losses, grads = model.loss_and_gradient(weights, features, labels)
-    ref_losses, ref_grads = row_major_loss_and_gradient(model, weights, features, labels)
+    ref_losses, ref_grads = row_major_loss_and_gradient(kind, weights, features, labels, classes)
     np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
     # Relative to each batch's largest gradient entry, so entries that cancel
     # to near zero are compared on the scale of their summands.

@@ -34,6 +34,14 @@ def test_map_requires_even_subcarriers():
         PhyConfig(num_subcarriers=5, num_symbols=1)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                   np.uint8, np.uint16, np.uint32, np.uint64])
+def test_num_frames_of_numpy_integers_is_the_ceiling(dtype):
+    phy = PhyConfig(num_subcarriers=16, num_symbols=4)
+    for count in (0, 1, 31, 32, 33, 127, int(np.iinfo(dtype).max)):
+        assert phy.num_frames(dtype(count)) == (count + 31) // 32
+
+
 @pytest.mark.parametrize(
     "q,a,s",
     [(1, 2, 1), (2, 4, 1), (4, 4, 2), (7, 4, 4), (32, 8, 8), (210, 64, 7), (1024, 64, 32)],
