@@ -12,7 +12,10 @@ mini batch reproduces the true gradient sign.  Each Monte Carlo oracle
 takes the arguments of the law it samples, then (trials, seed); the closed
 forms `mean_energy` and `failure_prob_bound` take the same leading
 arguments as their oracles.  Every closed form and oracle takes its inputs
-as plain arguments and rejects a NaN or out-of-range one before any work.
+as plain arguments and rejects a NaN or out-of-range one before any work,
+in a message that names that one argument.  Each rule is stated once: an
+oracle checks through the law it samples, and a comparison target through
+the exact law it is compared with.
 """
 
 from __future__ import annotations
@@ -33,11 +36,24 @@ from .phy import SYMBOL_ENERGY, PhyConfig, encode_signs
 # Closed forms
 # ---------------------------------------------------------------------------
 
+def _positive(**values) -> None:
+    """A ValueError naming the first of `values` that is not > 0 (NaN included)."""
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+
+
+def _at_least(low, **values) -> None:
+    """A ValueError naming the first of `values` that is not >= `low` (NaN included)."""
+    for name, value in values.items():
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}")
+
+
 def mean_energy(active_devices: int, mean_tx_power: float, noise_var: float) -> float:
     """Expected bin energy when `active_devices` transmitters hit the bin:
     SYMBOL_ENERGY * active_devices * mean_tx_power + noise_var."""
-    if not (active_devices >= 0 and mean_tx_power >= 0 and noise_var >= 0):
-        raise ValueError("mean_energy arguments must be nonnegative")
+    _at_least(0, active_devices=active_devices, mean_tx_power=mean_tx_power, noise_var=noise_var)
     return SYMBOL_ENERGY * active_devices * mean_tx_power + noise_var
 
 
@@ -48,8 +64,7 @@ def failure_prob_bound(grad_snr: float) -> float:
     inequality: (2/9)/grad_snr^2 in the far tail, a linear bound otherwise.
     Always below 1/2 for positive grad_snr.
     """
-    if not grad_snr > 0:
-        raise ValueError("grad_snr must be positive")
+    _positive(grad_snr=grad_snr)
     if grad_snr > 2.0 / math.sqrt(3.0):
         return (2.0 / 9.0) / grad_snr**2
     return 0.5 - grad_snr / (2.0 * math.sqrt(3.0))
@@ -67,10 +82,8 @@ def _with_noise(signal: float, total: float, snr: float) -> float:
 def error_prob_bound(num_devices: int, snr: float, grad_snr: float) -> float:
     """Upper bound on the majority-vote sign being detected wrongly,
     combining per-device flip odds (via grad_snr) with channel noise."""
-    if not num_devices >= 1:
-        raise ValueError("num_devices must be >= 1")
-    if not (snr > 0 and grad_snr > 0):
-        raise ValueError("snr and grad_snr must be positive")
+    _at_least(1, num_devices=num_devices)
+    _positive(snr=snr, grad_snr=grad_snr)
     return _with_noise((num_devices / 2.0) * math.sqrt(2.0) / (3.0 * grad_snr), num_devices, snr)
 
 
@@ -82,12 +95,7 @@ def error_prob_intermediate_bound(num_devices: int, snr: float, flip_prob: float
     detector has no such attenuation (see exact_error_prob), so for q above
     roughly 0.1 the simulated error rate exceeds this expression.
     """
-    if not num_devices >= 1:
-        raise ValueError("num_devices must be >= 1")
-    if not snr > 0:
-        raise ValueError("snr must be positive")
-    if not 0.0 < flip_prob < 0.5:
-        raise ValueError("flip_prob must lie in (0, 1/2)")
+    exact_error_prob(num_devices, snr, flip_prob)  # its argument checks
     q = flip_prob
     return _with_noise(num_devices * q * (1.0 - q), num_devices, snr)
 
@@ -112,8 +120,7 @@ def exact_error_prob_weighted(powers, flip_probs, snr: float) -> float:
         raise ValueError("powers must be finite and >= 0, with a positive sum")
     if not np.all((flip_probs >= 0) & (flip_probs <= 1)):
         raise ValueError("flip_probs must lie in [0, 1]")
-    if not snr > 0:
-        raise ValueError("snr must be positive")
+    _positive(snr=snr)
     return _with_noise(float(powers @ flip_probs), float(powers.sum()), snr)
 
 
@@ -123,8 +130,7 @@ def exact_error_prob(num_devices: int, snr: float, flip_prob: float) -> float:
     and one common flip rate q.  The weighted law sees the powers only
     through sum p_m and sum p_m*q_m, so it is evaluated as one device of
     power K, which keeps K*q exact."""
-    if not num_devices >= 1:
-        raise ValueError("num_devices must be >= 1")
+    _at_least(1, num_devices=num_devices)
     if not 0.0 < flip_prob < 0.5:
         raise ValueError("flip_prob must lie in (0, 1/2)")
     return exact_error_prob_weighted([num_devices], [flip_prob], snr)
@@ -133,8 +139,8 @@ def exact_error_prob(num_devices: int, snr: float, flip_prob: float) -> float:
 def convergence_tau(num_devices: int, snr: float, gamma: float) -> float:
     """Channel penalty factor (1 + 2/(snr*K)) / sqrt(gamma); approaches
     1/sqrt(gamma) as the channel gets clean or the cohort grows."""
-    if not (num_devices >= 1 and snr > 0 and gamma > 0):
-        raise ValueError("num_devices, snr and gamma must be positive")
+    _at_least(1, num_devices=num_devices)
+    _positive(snr=snr, gamma=gamma)
     return (1.0 + 2.0 / (snr * num_devices)) / math.sqrt(gamma)
 
 
@@ -149,17 +155,9 @@ def convergence_bound(num_devices: int, snr: float, rounds: int, gamma: float, s
     trailing gradient-noise term by sqrt(batch_size), the extra factor the
     telescoped per-round analysis carries before simplification.
     """
-    if not num_devices >= 1:
-        raise ValueError("num_devices must be >= 1")
-    if not rounds >= 1:
-        raise ValueError("rounds must be >= 1")
-    positive = dict(snr=snr, gamma=gamma, smoothness_l1=smoothness_l1, sigma_l1=sigma_l1, loss_gap=loss_gap)
-    for name, value in positive.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
-    if batch_size is not None and not batch_size >= 1:
-        raise ValueError("batch_size must be >= 1")
-    tau = convergence_tau(num_devices, snr, gamma)
+    _at_least(1, rounds=rounds, batch_size=1 if batch_size is None else batch_size)
+    _positive(smoothness_l1=smoothness_l1, sigma_l1=sigma_l1, loss_gap=loss_gap)
+    tau = convergence_tau(num_devices, snr, gamma)  # checks num_devices, snr and gamma
     trailing = (2.0 * math.sqrt(2.0) / 6.0) * math.sqrt(gamma) * sigma_l1
     if batch_size is not None:
         trailing /= math.sqrt(batch_size)
@@ -173,8 +171,7 @@ COMM_SCHEMES = ("sgd", "qsgd", "terngrad", "signsgd_mv")
 def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
     """Uplink bits per round for a cohort of num_devices training a
     model_dim-parameter model."""
-    if not (num_devices >= 1 and model_dim >= 1):
-        raise ValueError("num_devices and model_dim must be >= 1")
+    _at_least(1, num_devices=num_devices, model_dim=model_dim)
     if scheme == "sgd":
         return 64 * num_devices * model_dim
     if scheme in ("qsgd", "terngrad"):
@@ -263,10 +260,10 @@ def _oracle_detect(sign_sampler, powers, noise_var: float, trials: int, seed):
     `trials` are drawn but not sent.  A call's signs and results (K + 17 bytes
     a trial) fill BLOCK_BYTES, about ten kernel blocks at K = 31: a call per
     kernel block had glibc trim and re-fault the heap top (7x faults, +10% time)."""
+    channel = ChannelConfig(noise_var=noise_var, fading="per_bin")  # checks noise_var before any draw
     seeds = np.random.SeedSequence(seed)
     device_rngs = [np.random.default_rng(s) for s in seeds.spawn(len(powers))]
     per_frame = _ORACLE_PHY.frame_coordinates
-    channel = ChannelConfig(noise_var=noise_var, fading="per_bin")
     for lo, hi in blocks(_ORACLE_PHY.num_frames(trials), per_frame * (len(powers) + 17)):
         frame_rngs = [np.random.default_rng(s) for s in seeds.spawn(hi - lo)]
         signs = np.concatenate([sign_sampler(rng, (len(powers), per_frame)) for rng in frame_rngs], axis=1)
@@ -293,8 +290,7 @@ def mc_mean_energy(active_devices: int, mean_tx_power: float, noise_var: float, 
     takes the whole cohort; summing frame by frame keeps its bits call-size free.
     """
     mean_energy(active_devices, mean_tx_power, noise_var)  # its argument checks
-    if not trials >= 1:
-        raise ValueError("trials must be >= 1")
+    _at_least(1, trials=trials)
     active_devices, trials = _require_integers(active_devices=active_devices, trials=trials)
     powers = np.full(active_devices, mean_tx_power)
     results = _oracle_detect(lambda rng, shape: np.ones(shape, np.int8), powers, noise_var, trials, seed)
@@ -311,8 +307,8 @@ def mc_flip_prob(grad_snr: float, trials: int, seed) -> tuple[float, float]:
     trial; a trial flips when that is negative (zero counts as +1,
     matching the quantizer).
     """
-    if not (grad_snr > 0 and trials >= 1):
-        raise ValueError("grad_snr and trials must be positive")
+    failure_prob_bound(grad_snr)  # its argument check
+    _at_least(1, trials=trials)
     (trials,) = _require_integers(trials=trials)
     rng = np.random.default_rng(seed)
     flips = 0
@@ -331,16 +327,13 @@ def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, s
 
     Detected votes are compared with a true sign of +1, through the real
     pipeline with Rayleigh fading per bin, fresh randomization, unit powers,
-    and noise_var = SYMBOL_ENERGY / snr.  Only the snr matters for the
-    detection statistics (scaling signal and noise together never changes an
-    energy comparison), so fixing unit powers loses nothing.
+    and noise_var = SYMBOL_ENERGY / snr, so an snr that puts it above
+    channel.NOISE_VAR_MAX is rejected as a noise_var.  Only the snr matters for
+    the detection statistics (scaling signal and noise together never changes
+    an energy comparison), so fixing unit powers loses nothing.
     """
-    if not 0.0 < flip_prob < 0.5:
-        raise ValueError("flip_prob must lie in (0, 1/2)")
-    if not (num_devices >= 1 and snr > 0):
-        raise ValueError("num_devices and snr must be positive")
-    if not trials >= MC_ERROR_PROB_MIN_TRIALS:
-        raise ValueError(f"trials must be >= {MC_ERROR_PROB_MIN_TRIALS}")
+    exact_error_prob(num_devices, snr, flip_prob)  # its argument checks
+    _at_least(MC_ERROR_PROB_MIN_TRIALS, trials=trials)
     num_devices, trials = _require_integers(num_devices=num_devices, trials=trials)
     results = _oracle_detect(lambda rng, shape: sign_votes(rng.random(shape) < flip_prob),
                              np.ones(num_devices), SYMBOL_ENERGY / snr, trials, seed)

@@ -10,7 +10,6 @@ detection shrugs it off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .phy import SYMBOL_ENERGY, lit_subcarriers
 FADING_MODES = ("per_bin", "per_frame", "none")
 # OFDM FFT length: a timing offset of one sample turns subcarrier l by 2*pi*l/FFT_SIZE.
 FFT_SIZE = 64
+NOISE_VAR_MAX = 1e300  # largest noise_var: far below the 1.8e308 where a bin's |r|^2 overflows
 
 
 @dataclass
@@ -29,8 +29,8 @@ class ChannelConfig:
     fading: str = "per_bin"
 
     def __post_init__(self):
-        if not (math.isfinite(self.noise_var) and self.noise_var >= 0):
-            raise ValueError("noise_var must be finite and >= 0")
+        if not 0.0 <= self.noise_var <= NOISE_VAR_MAX:
+            raise ValueError(f"noise_var must be finite, >= 0 and <= {NOISE_VAR_MAX:g}")
         if not 0.0 <= self.sync_error_max < 1.0:
             raise ValueError("sync_error_max must lie in [0, 1)")
         if self.fading not in FADING_MODES:

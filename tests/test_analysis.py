@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from dataclasses import replace
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+import airvote
 from airvote import analysis
 from airvote.analysis import (
     air_detect,
@@ -474,64 +476,87 @@ def test_comm_cost_validates():
 # Argument checks
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "function, args, message",
-    [
-        (mean_energy, (5, math.nan, 1.0), "nonnegative"),
-        (mean_energy, (5, 1.0, -1.0), "nonnegative"),
-        (failure_prob_bound, (math.nan,), "grad_snr must be positive"),
-        (failure_prob_bound, (-1.0,), "grad_snr must be positive"),
-        (error_prob_bound, (math.nan, 2.0, 3.0), "num_devices must be >= 1"),
-        (error_prob_bound, (31, math.nan, 3.0), "must be positive"),
-        (error_prob_bound, (31, 2.0, -3.0), "must be positive"),
-        (error_prob_intermediate_bound, (31, math.nan, 0.2), "snr must be positive"),
-        (error_prob_intermediate_bound, (31, -2.0, 0.2), "snr must be positive"),
-        (exact_error_prob, (math.nan, 2.0, 0.2), "num_devices must be >= 1"),
-        (exact_error_prob, (31, -2.0, 0.2), "snr must be positive"),
-        (exact_error_prob_weighted, ([1.0, math.nan], [0.1, 0.1], 2.0), "powers must be finite"),
-        (exact_error_prob_weighted, ([1.0, 1.0], [0.1, -0.1], 2.0), "flip_probs must lie"),
-        (convergence_tau, (31, math.nan, 1.0), "must be positive"),
-        (convergence_tau, (31, 2.0, -1.0), "must be positive"),
-        (convergence_bound, make_params(loss_gap=math.nan).values(), "loss_gap must be positive"),
-        (convergence_bound, make_params(smoothness_l1=-4.0).values(), "smoothness_l1 must be positive"),
-        (convergence_bound, make_params(rounds=math.nan).values(), "rounds must be >= 1"),
-        (convergence_bound, make_params(batch_size=math.nan).values(), "batch_size must be >= 1"),
-        (comm_cost, ("sgd", math.nan, 100), "must be >= 1"),
-        (comm_cost, ("sgd", 31, -100), "must be >= 1"),
-        (mc_mean_energy, (5, -1.0, 1.0, 100, 0), "nonnegative"),
-        (mc_mean_energy, (-2, 1.0, 1.0, 100, 0), "nonnegative"),
-        (mc_mean_energy, (5, 1.0, math.nan, 100, 0), "nonnegative"),
-        (mc_mean_energy, (5, 1.0, 1.0, math.nan, 0), "trials must be >= 1"),
-        (mc_flip_prob, (math.nan, 100, 0), "must be positive"),
-        (mc_flip_prob, (1.0, -100, 0), "must be positive"),
-        (mc_error_prob, (5, 0.2, math.nan, 1000, 0), "snr must be positive"),
-        (mc_error_prob, (math.nan, 0.2, 2.0, 1000, 0), "must be positive"),
-        (mc_error_prob, (5, 0.2, -2.0, 1000, 0), "snr must be positive"),
-        (mc_error_prob, (5, math.nan, 2.0, 1000, 0), "flip_prob must lie"),
-    ],
-)
-def test_closed_forms_and_oracles_reject_nan_and_out_of_range(function, args, message):
-    # each names the bad argument in its own check, before any draw or arithmetic
-    with pytest.raises(ValueError, match=message):
-        function(*args)
+# Valid arguments of every closed form and oracle that `airvote` exports.  The
+# NaN rows below are made from them, one per numeric argument (every argument
+# but `scheme` and `seed`).
+VALID_ARGS = {
+    mean_energy: (5, 1.0, 1.0),
+    failure_prob_bound: (2.0,),
+    error_prob_bound: (31, 2.0, 3.0),
+    error_prob_intermediate_bound: (31, 2.0, 0.2),
+    exact_error_prob: (31, 2.0, 0.2),
+    convergence_tau: (31, 2.0, 1.0),
+    convergence_bound: tuple(make_params(batch_size=64).values()),
+    comm_cost: ("sgd", 31, 100),
+    mc_mean_energy: (5, 1.0, 1.0, 100, 0),
+    mc_flip_prob: (1.0, 100, 0),
+    mc_error_prob: (5, 0.2, 2.0, 1000, 0),
+}
+
+
+def _nan_rows():
+    for function, args in VALID_ARGS.items():
+        for i, name in enumerate(inspect.signature(function).parameters):
+            if name not in ("scheme", "seed"):
+                yield function, args[:i] + (math.nan,) + args[i + 1:], name
+
+
+def test_every_exported_closed_form_and_oracle_has_valid_args():
+    # a closed form or oracle added to `airvote` gets its NaN rows only
+    # through VALID_ARGS, so it cannot skip the one-argument rule
+    exported = {value for value in vars(airvote).values()
+                if inspect.isfunction(value) and value.__module__ == analysis.__name__}
+    assert exported and sorted(f.__name__ for f in exported - VALID_ARGS.keys()) == []
+    for function, args in VALID_ARGS.items():
+        function(*args)  # the base arguments are valid
 
 
 @pytest.mark.parametrize(
     "function, args, name",
     [
-        (mc_mean_energy, (2.5, 1.0, 1.0, 10, 0), "active_devices"),
-        (mc_mean_energy, (2, 1.0, 1.0, 10.5, 0), "trials"),
-        (mc_flip_prob, (1.0, 2.5, 0), "trials"),
-        (mc_error_prob, (5.5, 0.2, 2.0, 1000, 0), "num_devices"),
-        (mc_error_prob, (5, 0.2, 2.0, 1000.5, 0), "trials"),
+        *_nan_rows(),
+        (mean_energy, (5, 1.0, -1.0), "noise_var"),
+        (failure_prob_bound, (-1.0,), "grad_snr"),
+        (error_prob_bound, (31, 2.0, -3.0), "grad_snr"),
+        (error_prob_intermediate_bound, (31, -2.0, 0.2), "snr"),
+        (exact_error_prob, (31, -2.0, 0.2), "snr"),
+        (exact_error_prob_weighted, ([1.0, math.nan], [0.1, 0.1], 2.0), "powers"),
+        (exact_error_prob_weighted, ([1.0, 1.0], [0.1, -0.1], 2.0), "flip_probs"),
+        (convergence_tau, (31, 2.0, -1.0), "gamma"),
+        (convergence_bound, make_params(smoothness_l1=-4.0).values(), "smoothness_l1"),
+        (comm_cost, ("sgd", 31, -100), "model_dim"),
+        (mc_mean_energy, (5, -1.0, 1.0, 100, 0), "mean_tx_power"),
+        (mc_mean_energy, (-2, 1.0, 1.0, 100, 0), "active_devices"),
+        (mc_flip_prob, (1.0, -100, 0), "trials"),
+        (mc_error_prob, (5, 0.2, -2.0, 1000, 0), "snr"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_closed_forms_and_oracles_reject_nan_and_out_of_range(function, args, name):
+    # each names the one bad argument in its message, before any draw or arithmetic
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        function(*args)
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (mc_mean_energy, (2.5, 1.0, 1.0, 10, 0), "active_devices must be an integer"),
+        (mc_mean_energy, (2, 1.0, 1.0, 10.5, 0), "trials must be an integer"),
+        (mc_flip_prob, (1.0, 2.5, 0), "trials must be an integer"),
+        (mc_error_prob, (5.5, 0.2, 2.0, 1000, 0), "num_devices must be an integer"),
+        (mc_error_prob, (5, 0.2, 2.0, 1000.5, 0), "trials must be an integer"),
+        # finite noise above channel.NOISE_VAR_MAX: 1e308, and SYMBOL_ENERGY / 1e-305
+        (mc_mean_energy, (2, 1.0, 1e308, 10, 0), "noise_var must"),
+        (mc_error_prob, (5, 0.2, 1e-305, 1000, 0), "noise_var must"),
     ],
 )
-def test_oracles_reject_fractional_counts_before_any_draw(function, args, name, monkeypatch):
+def test_oracles_reject_bad_counts_and_noise_before_any_draw(function, args, message, monkeypatch):
     def no_draws(*_):
-        raise AssertionError("a generator was made before the counts were checked")
+        raise AssertionError("a generator was made before the arguments were checked")
 
     monkeypatch.setattr(np.random, "default_rng", no_draws)
-    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+    with pytest.raises(ValueError, match=f"^{message}"):
         function(*args)
 
 

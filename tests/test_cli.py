@@ -333,6 +333,15 @@ def test_non_finite_config_value_exits_1_before_training(tmp_path, capsys, line)
     assert not output.exists()  # rejected at load, before the first round
 
 
+def test_noise_var_above_ceiling_exits_1_before_training(tmp_path, capsys):
+    # finite, but a bin's energy |r|^2 would overflow: rejected at load
+    config_path, output = write_config(tmp_path)
+    config_path.write_text(config_path.read_text() + "channel.noise_var = 1e308\n")
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert "noise_var" in capsys.readouterr().err
+    assert not output.exists() and not summary_path(output).exists()
+
+
 @pytest.mark.parametrize(
     "line",
     ["model = mlp\nhidden_units = 0", "hidden_units = -2", "dataset.input_dim = 0", "dataset.classes = 1"],
