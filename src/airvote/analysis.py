@@ -23,11 +23,12 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from typing import Callable
 
 import numpy as np
 
-from .channel import ChannelConfig, sample_channel, superpose
+from .channel import NOISE_VAR_MAX, ChannelConfig, sample_channel, superpose
 from .detector import DetectionResult, detect, sign_votes
 from .phy import SYMBOL_ENERGY, PhyConfig, encode_signs
 
@@ -44,10 +45,10 @@ def _positive(**values) -> None:
 
 
 def _at_least(low, **values) -> None:
-    """A ValueError naming the first of `values` that is not >= `low` (NaN included)."""
+    """A ValueError naming the first of `values` not in [`low`, largest float] (NaN included)."""
     for name, value in values.items():
-        if not value >= low:
-            raise ValueError(f"{name} must be >= {low}")
+        if not low <= value <= sys.float_info.max:
+            raise ValueError(f"{name} must be >= {low} and <= {sys.float_info.max:g}")
 
 
 def mean_energy(active_devices: int, mean_tx_power: float, noise_var: float) -> float:
@@ -327,12 +328,14 @@ def mc_error_prob(num_devices: int, flip_prob: float, snr: float, trials: int, s
 
     Detected votes are compared with a true sign of +1, through the real
     pipeline with Rayleigh fading per bin, fresh randomization, unit powers,
-    and noise_var = SYMBOL_ENERGY / snr, so an snr that puts it above
-    channel.NOISE_VAR_MAX is rejected as a noise_var.  Only the snr matters for
-    the detection statistics (scaling signal and noise together never changes
-    an energy comparison), so fixing unit powers loses nothing.
+    and noise_var = SYMBOL_ENERGY / snr, at most channel.NOISE_VAR_MAX (0 at
+    an infinite snr).  Only the snr matters for the detection statistics
+    (scaling signal and noise together never changes an energy comparison),
+    so fixing unit powers loses nothing.
     """
     exact_error_prob(num_devices, snr, flip_prob)  # its argument checks
+    if snr < SYMBOL_ENERGY / NOISE_VAR_MAX:
+        raise ValueError(f"snr must be >= {SYMBOL_ENERGY / NOISE_VAR_MAX:g}")
     _at_least(MC_ERROR_PROB_MIN_TRIALS, trials=trials)
     num_devices, trials = _require_integers(num_devices=num_devices, trials=trials)
     results = _oracle_detect(lambda rng, shape: sign_votes(rng.random(shape) < flip_prob),

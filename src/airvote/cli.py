@@ -132,8 +132,7 @@ def _cmd_mc_verify(args) -> int:
     suite = analysis.SUITE_ALIASES.get(args.suite, args.suite)
     tables = list(analysis.SUITE_TABLES.values()) if suite == "all" else [analysis.SUITE_TABLES[suite]]
     floor = max(table[2] for table in tables)
-    if args.trials is not None and args.trials < floor:
-        raise ValueError(f"trials must be >= {floor}")
+    analysis._at_least(floor, trials=floor if args.trials is None else args.trials)
     ok = True
     for table in tables:
         ok = _run_suite(table, args.trials, args.seed) and ok

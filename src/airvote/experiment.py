@@ -21,7 +21,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .analysis import air_detect, comm_cost
+from .analysis import _at_least, air_detect, comm_cost
 from .channel import ChannelConfig
 from .detector import ideal_majority_vote
 from .learner import (
@@ -49,6 +49,7 @@ from .seeding import (
 )
 
 SCHEMES = ("ideal_signsgd_mv", "fedavg_ideal", "fsk_mv", "fsk_mv_dpc")
+DATASET_KINDS = ("synthetic", "mnist")
 
 _MNIST_FILES = {
     "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
@@ -58,7 +59,7 @@ _MNIST_FILES = {
 
 @dataclass
 class DatasetSpec:
-    kind: str = "synthetic"   # synthetic | mnist
+    kind: str = "synthetic"
     path: str = ""            # mnist: directory holding the four IDX files
     samples: int = 10_000
     test_samples: int = 2_000
@@ -67,16 +68,12 @@ class DatasetSpec:
     separation: float = 4.0
 
     def __post_init__(self):
-        if self.kind not in ("synthetic", "mnist"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
-        if self.samples < 1 or self.test_samples < 1:
-            raise ValueError("samples and test_samples must be positive")
+        if self.kind not in DATASET_KINDS:
+            raise ValueError(f"kind must be one of {DATASET_KINDS}")
+        _at_least(1, samples=self.samples, test_samples=self.test_samples, input_dim=self.input_dim)
+        _at_least(2, classes=self.classes)
         if not math.isfinite(self.separation):
             raise ValueError("separation must be finite")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.classes < 2:
-            raise ValueError("classes must be >= 2")
 
 
 @dataclass
@@ -92,9 +89,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+            raise ValueError(f"scheme must be one of {SCHEMES}")
+        _at_least(1, eval_every=self.eval_every)
+        if not 0 <= self.master_seed < 2**64:  # derive_rngs reduces mod 2**64: two seeds would share a run
+            raise ValueError("master_seed must lie in [0, 2**64)")
 
 
 @dataclass
@@ -337,6 +335,7 @@ def _config_keys() -> dict[str, tuple[str, str, object]]:
 
 
 _CONFIG_KEYS = _config_keys()
+_FILE_KEYS = {name: key for key, (_, name, _) in _CONFIG_KEYS.items()}  # field names are unique
 
 
 def _parse_value(hint, value: str):
@@ -370,7 +369,7 @@ def parse_config_text(text: str) -> dict:
 
 def config_from_values(values: dict) -> ExperimentConfig:
     """ExperimentConfig from typed file-key values; absent keys keep the
-    dataclass defaults."""
+    dataclass defaults, and a rejection names the file key, not the field."""
     kwargs: dict = {section: {} for section in ("", *_SECTIONS)}
     for key, value in values.items():
         if key not in _CONFIG_KEYS:
@@ -378,7 +377,11 @@ def config_from_values(values: dict) -> ExperimentConfig:
         section, name, _ = _CONFIG_KEYS[key]
         kwargs[section][name] = value
     top = kwargs.pop("")
-    return ExperimentConfig(**top, **{s: _SECTIONS[s](**kw) for s, kw in kwargs.items()})
+    try:
+        return ExperimentConfig(**top, **{s: _SECTIONS[s](**kw) for s, kw in kwargs.items()})
+    except ValueError as exc:
+        name, space, rest = str(exc).partition(" ")
+        raise ValueError(_FILE_KEYS.get(name, name) + space + rest) from None
 
 
 def load_config(path) -> ExperimentConfig:

@@ -20,6 +20,8 @@ from .detector import sign_votes
 
 IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
+PARTITION_MODES = ("iid", "non-iid")
+MODEL_KINDS = ("logistic", "mlp")
 
 
 class IdxFormatError(ValueError):
@@ -40,11 +42,8 @@ class Dataset:
         if self.features.ndim != 2:
             raise ValueError("features must be 2-D (samples x input_dim)")
         if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError(
-                f"{self.features.shape[0]} feature rows but {self.labels.shape[0]} labels"
-            )
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
+            raise ValueError(f"{self.features.shape[0]} feature rows but {self.labels.shape[0]} labels")
+        analysis._at_least(1, num_classes=self.num_classes)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
 
@@ -63,20 +62,18 @@ class TrainingConfig:
     rounds: int = 200
     num_devices: int = 31
     partition_mode: str = "iid"
-    model_kind: str = "logistic"  # or "mlp"
+    model_kind: str = "logistic"
     hidden_units: int = 32
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
-        if self.batch_size < 1 or self.rounds < 1 or self.num_devices < 1:
-            raise ValueError("batch_size, rounds and num_devices must be positive")
-        if self.partition_mode not in ("iid", "non-iid"):
-            raise ValueError(f"unknown partition_mode {self.partition_mode!r}")
-        if self.model_kind not in ("logistic", "mlp"):
-            raise ValueError(f"unknown model_kind {self.model_kind!r}")
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be >= 1")
+        analysis._at_least(1, batch_size=self.batch_size, rounds=self.rounds, num_devices=self.num_devices,
+                           hidden_units=self.hidden_units)
+        if self.partition_mode not in PARTITION_MODES:
+            raise ValueError(f"partition_mode must be one of {PARTITION_MODES}")
+        if self.model_kind not in MODEL_KINDS:
+            raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +132,8 @@ def make_synthetic_dataset(
     Every class mean sits at distance `class_separation` from the origin in
     a seeded random direction; samples add unit-variance isotropic noise.
     """
-    if num_samples < 1 or input_dim < 1:
-        raise ValueError("num_samples and input_dim must be positive")
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
+    analysis._at_least(1, num_samples=num_samples, input_dim=input_dim)
+    analysis._at_least(2, num_classes=num_classes)
     if num_classes > num_samples:
         raise ValueError(f"num_classes={num_classes} exceeds num_samples={num_samples}")
     rng = np.random.default_rng(seed)
@@ -162,8 +157,7 @@ def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[np.nd
     sorted by label, cut into 2*num_devices chunks, and each device gets two
     chunks, so a device sees only a few distinct labels.
     """
-    if num_devices <= 0:
-        raise ValueError("num_devices must be positive")
+    analysis._at_least(1, num_devices=num_devices)
     n = len(dataset)
     if num_devices > n:
         raise ValueError(f"cannot split {n} samples across {num_devices} devices")
@@ -175,7 +169,7 @@ def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[np.nd
         assignment = rng.permutation(2 * num_devices)
         return [np.concatenate([chunks[assignment[2 * m]], chunks[assignment[2 * m + 1]]])
                 for m in range(num_devices)]
-    raise ValueError(f"unknown partition mode {mode!r}")
+    raise ValueError(f"mode must be one of {PARTITION_MODES}")
 
 
 # ---------------------------------------------------------------------------

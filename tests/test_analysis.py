@@ -314,10 +314,11 @@ def test_mc_error_prob_near_zero_in_clean_regime():
 
 @pytest.mark.parametrize(
     "devices,snr,q",
-    [(5, 0.5, 0.05), (31, 2.0, 0.2), (15, 8.0, 0.4), (31, 0.5, 0.4)],
+    [(5, 0.5, 0.05), (31, 2.0, 0.2), (15, 8.0, 0.4), (31, 0.5, 0.4), (5, math.inf, 0.2)],
 )
 def test_mc_error_prob_matches_exact_closed_form(devices, snr, q):
-    # The simulator must reproduce the exact exponential-energy statistics.
+    # The simulator must reproduce the exact exponential-energy statistics;
+    # an infinite snr runs noise-free.
     estimate, stderr = mc_error_prob(devices, q, snr, trials=20_000, seed=(6, devices))
     assert estimate == pytest.approx(exact_error_prob(devices, snr, q), abs=4.5 * stderr)
 
@@ -478,7 +479,7 @@ def test_comm_cost_validates():
 
 # Valid arguments of every closed form and oracle that `airvote` exports.  The
 # NaN rows below are made from them, one per numeric argument (every argument
-# but `scheme` and `seed`).
+# but `scheme` and `seed`), and so are an inf and a 10**400 row per count.
 VALID_ARGS = {
     mean_energy: (5, 1.0, 1.0),
     failure_prob_bound: (2.0,),
@@ -494,11 +495,17 @@ VALID_ARGS = {
 }
 
 
-def _nan_rows():
+def _rows(names, bad_values):
+    """One row per bad value of every argument in `names`, the others valid."""
     for function, args in VALID_ARGS.items():
         for i, name in enumerate(inspect.signature(function).parameters):
-            if name not in ("scheme", "seed"):
-                yield function, args[:i] + (math.nan,) + args[i + 1:], name
+            if name in names:
+                yield from ((function, args[:i] + (bad,) + args[i + 1:], name) for bad in bad_values)
+
+
+NUMERIC_ARGS = {name for f in VALID_ARGS for name in inspect.signature(f).parameters} - {"scheme", "seed"}
+# Counts go through `_at_least`, which takes only values a float can hold.
+COUNT_ARGS = {"active_devices", "num_devices", "rounds", "batch_size", "model_dim", "trials"}
 
 
 def test_every_exported_closed_form_and_oracle_has_valid_args():
@@ -514,7 +521,7 @@ def test_every_exported_closed_form_and_oracle_has_valid_args():
 @pytest.mark.parametrize(
     "function, args, name",
     [
-        *_nan_rows(),
+        *_rows(NUMERIC_ARGS, [math.nan]),
         (mean_energy, (5, 1.0, -1.0), "noise_var"),
         (failure_prob_bound, (-1.0,), "grad_snr"),
         (error_prob_bound, (31, 2.0, -3.0), "grad_snr"),
@@ -529,6 +536,7 @@ def test_every_exported_closed_form_and_oracle_has_valid_args():
         (mc_mean_energy, (-2, 1.0, 1.0, 100, 0), "active_devices"),
         (mc_flip_prob, (1.0, -100, 0), "trials"),
         (mc_error_prob, (5, 0.2, -2.0, 1000, 0), "snr"),
+        *_rows(COUNT_ARGS, [math.inf, 10**400]),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
@@ -548,7 +556,7 @@ def test_closed_forms_and_oracles_reject_nan_and_out_of_range(function, args, na
         (mc_error_prob, (5, 0.2, 2.0, 1000.5, 0), "trials must be an integer"),
         # finite noise above channel.NOISE_VAR_MAX: 1e308, and SYMBOL_ENERGY / 1e-305
         (mc_mean_energy, (2, 1.0, 1e308, 10, 0), "noise_var must"),
-        (mc_error_prob, (5, 0.2, 1e-305, 1000, 0), "noise_var must"),
+        (mc_error_prob, (5, 0.2, 1e-305, 1000, 0), "snr must be >= 2e-300"),
     ],
 )
 def test_oracles_reject_bad_counts_and_noise_before_any_draw(function, args, message, monkeypatch):

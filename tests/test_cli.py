@@ -10,7 +10,7 @@ import pytest
 
 from airvote import analysis
 from airvote.cli import main
-from airvote.experiment import DatasetSpec, build_datasets, summary_path
+from airvote.experiment import _CONFIG_KEYS, DatasetSpec, build_datasets, load_config, summary_path
 
 CONFIG_TEMPLATE = """
 scheme = fsk_mv_dpc
@@ -145,6 +145,23 @@ def test_bounds_rejects_batch_size_below_1(capsys, batch_size):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "batch_size must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--convergence", "--rounds"], "rounds"),
+        (["--tau", "--devices"], "num_devices"),
+        (["--cost", "qsgd", "--dim"], "model_dim"),
+        (["--convergence", "--batch-size"], "batch_size"),
+    ],
+)
+def test_bounds_rejects_counts_no_float_can_hold(capsys, argv, name):
+    # a count no float can hold is rejected by name before any arithmetic
+    assert main(["bounds", *argv, str(10**400)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be >= 1")
 
 
 def test_train_missing_config(capsys):
@@ -353,6 +370,62 @@ def test_out_of_range_model_shape_exits_1_at_load(tmp_path, capsys, line):
     key = line.rsplit("\n", 1)[-1].split(" = ")[0]
     assert key.rsplit(".", 1)[-1] + " must be >= " in capsys.readouterr().err
     assert not output.exists()  # rejected at load, before the first round
+
+
+# One bad value for every config key that has a rule; the two keys below take any string.
+BAD_CONFIG_VALUES = {
+    "scheme": "x",
+    "learning_rate": "0",
+    "batch_size": "0",
+    "rounds": "0",
+    "devices": "0",
+    "partition": "x",
+    "model": "x",
+    "hidden_units": "0",
+    "eval_every": "0",
+    "seed": "-1",
+    "channel.noise_var": "-1",
+    "channel.sync_error_max": "1",
+    "channel.fading": "x",
+    "phy.subcarriers": "3",
+    "phy.symbols": "0",
+    "phy.power_cap": "0.5",
+    "dataset.kind": "x",
+    "dataset.samples": "0",
+    "dataset.test_samples": "0",
+    "dataset.input_dim": "0",
+    "dataset.classes": "1",
+    "dataset.separation": "inf",
+}
+RULE_FREE_KEYS = {"output", "dataset.path"}
+
+
+def test_every_ruled_config_key_has_a_bad_value_row():
+    assert sorted(_CONFIG_KEYS.keys() - RULE_FREE_KEYS - BAD_CONFIG_VALUES.keys()) == []
+    # the loader turns a rejection's field name into its key through bare field names
+    names = [name for _, name, _ in _CONFIG_KEYS.values()]
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("key, value", [*BAD_CONFIG_VALUES.items(), ("seed", str(2**64))])
+def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, value):
+    config_path, output = write_config(tmp_path)
+    config_path.write_text(config_path.read_text() + f"{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(key)} "):
+        load_config(config_path)
+    assert main(["train", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {key} ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [config_path.name]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_run(tmp_path, seed):
+    config_path, output = write_config(tmp_path)
+    config_path.write_text(config_path.read_text() + f"seed = {seed}\n")
+    assert main(["train", "--config", str(config_path)]) == 0
+    with summary_path(output).open() as fh:
+        assert next(csv.DictReader(fh))["seed"] == str(seed)
 
 
 @pytest.mark.parametrize("suite", ["mean-energy", "flip-prob", "error-prob", "all"])
