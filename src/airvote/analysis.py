@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import NOISE_VAR_MAX, ChannelConfig, sample_channel, superpose
 from .detector import DetectionResult, detect, sign_votes
-from .phy import SYMBOL_ENERGY, PhyConfig, encode_signs
+from .phy import FFT_SIZE, SYMBOL_ENERGY, PhyConfig, encode_signs
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
 # Monte Carlo oracles
 # ---------------------------------------------------------------------------
 
-_ORACLE_PHY = PhyConfig(num_subcarriers=64, num_symbols=32)  # 1024 coordinates per frame
+_ORACLE_PHY = PhyConfig(num_subcarriers=FFT_SIZE, num_symbols=32)  # 1024 coordinates per frame
 
 
 def _oracle_detect(sign_sampler, powers, noise_var: float, trials: int, seed):

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phy import SYMBOL_ENERGY, lit_subcarriers
+from .phy import FFT_SIZE, SYMBOL_ENERGY, lit_subcarriers
 
 FADING_MODES = ("per_bin", "per_frame", "none")
-# OFDM FFT length: a timing offset of one sample turns subcarrier l by 2*pi*l/FFT_SIZE.
-FFT_SIZE = 64
 NOISE_VAR_MAX = 1e300  # largest noise_var: far below the 1.8e308 where a bin's |r|^2 overflows
 
 

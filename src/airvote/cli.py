@@ -41,15 +41,8 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="airvote", description=__doc__.split("\n\n")[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="airvote", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="run an experiment from a config file")
@@ -190,8 +183,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+    except SystemExit as exc:  # usage errors exit 2 in argparse, 1 here
+        return 1 if exc.code else 0
     handlers = {
         "train": _cmd_train,
         "mc-verify": _cmd_mc_verify,

@@ -28,6 +28,7 @@ from .learner import (
     Dataset,
     TrainingConfig,
     apply_global_update,
+    check_batch_size,
     compute_local_gradient,
     evaluate,
     full_gradient,
@@ -177,10 +178,7 @@ def prepare_run(config: ExperimentConfig) -> RunState:
     predictor = make_predictor(config.training, train)
     shards = partition(train, config.training.num_devices, config.training.partition_mode,
                        seed=derive_rng(config.master_seed, STREAM_PARTITION))
-    smallest = int(np.argmin([len(s) for s in shards]))
-    if config.training.batch_size > len(shards[smallest]):
-        raise ValueError(f"batch_size {config.training.batch_size} exceeds the smallest shard "
-                         f"({len(shards[smallest])} samples, device {smallest})")
+    check_batch_size(config.training.batch_size, shards)
     model = predictor.init_state(seed=derive_rng(config.master_seed, STREAM_INIT))
     return RunState(model, np.ones(config.training.num_devices), predictor, train, test, shards)
 
@@ -266,7 +264,10 @@ def _replacing(path: Path):
     if path.is_dir():
         raise IsADirectoryError(f"output path {path} is a directory")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    sink = tmp.open("w", newline="")
+    try:
+        sink = tmp.open("w", newline="")
+    except OSError as exc:  # name the path the caller gave, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with sink:
             yield sink
@@ -285,7 +286,7 @@ def run_experiment(config: ExperimentConfig) -> Path:
     writes complete.
     """
     out = Path(config.output_path)
-    with _replacing(summary_path(out)) as summary, _replacing(out) as sink:
+    with _replacing(out) as sink, _replacing(summary_path(out)) as summary:
         metrics, state = run_rounds(config)
         for record in metrics:
             sink.write(json.dumps(record.to_record()) + "\n")

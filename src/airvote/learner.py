@@ -144,6 +144,8 @@ def make_synthetic_dataset(
     labels = np.repeat(np.arange(num_classes), counts)
     labels = labels[rng.permutation(num_samples)]
     # Noise first, then each class's mean in place: no second full-size array.
+    # Whole-class temporaries, not row blocks: their frees raise glibc's mmap
+    # and trim thresholds, so later rounds reuse the heap without page faults.
     features = rng.normal(size=(num_samples, input_dim))
     for c in range(num_classes):
         features[labels == c] += means[c]
@@ -187,10 +189,9 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     reductions over the classes axis -2 run along rows of n samples."""
     probs = np.exp(logits - logits.max(axis=-2, keepdims=True))
     probs /= probs.sum(axis=-2, keepdims=True)
-    labels = labels[..., None, :]
-    picked = np.take_along_axis(probs, labels, axis=-2)
-    loss = -np.mean(np.log(picked[..., 0, :] + 1e-300), axis=-1)
-    np.put_along_axis(probs, labels, picked - 1.0, axis=-2)
+    mask = labels[..., None, :] == np.arange(logits.shape[-2])[:, None]
+    loss = -np.mean(np.log(np.einsum("...cn,...cn->...n", probs, mask) + 1e-300), axis=-1)
+    probs -= mask
     probs /= logits.shape[-1]
     return loss, probs
 
@@ -276,6 +277,14 @@ def make_predictor(config: TrainingConfig, dataset: Dataset):
 # Per-round operations
 # ---------------------------------------------------------------------------
 
+def check_batch_size(batch_size: int, shards: list[np.ndarray]):
+    """ValueError unless every shard holds at least `batch_size` samples."""
+    smallest = int(np.argmin([len(s) for s in shards]))
+    if batch_size > len(shards[smallest]):
+        raise ValueError(f"batch_size {batch_size} exceeds the smallest shard "
+                         f"({len(shards[smallest])} samples, device {smallest})")
+
+
 def compute_local_gradient(
     weights: np.ndarray,
     predictor,
@@ -293,23 +302,17 @@ def compute_local_gradient(
     within analysis.BLOCK_BYTES; every row depends only on its own device,
     so the block size cannot change a result.
     """
-    for device, shard in enumerate(shards):
-        if batch_size > len(shard):
-            raise ValueError(
-                f"batch_size {batch_size} exceeds shard size {len(shard)} of device {device}"
-            )
+    check_batch_size(batch_size, shards)
     batches = np.stack([
         rng.choice(shard, size=batch_size, replace=False) for shard, rng in zip(shards, device_rngs)
     ])
-    losses = np.empty(len(shards))
     grads = np.empty((len(shards), predictor.num_params))
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, hi in analysis.blocks(len(shards), batch_size * dataset.features[0].nbytes):
             rows = batches[lo:hi]
-            losses[lo:hi], grads[lo:hi] = predictor.loss_and_gradient(
-                weights, dataset.features[rows], dataset.labels[rows]
-            )
-    finite = np.isfinite(losses) & np.isfinite(grads).all(axis=1)
+            _, grads[lo:hi] = predictor.loss_and_gradient(weights, dataset.features[rows], dataset.labels[rows])
+    # NaN probabilities, the only source of a non-finite loss, make their gradient row NaN.
+    finite = np.isfinite(grads).all(axis=1)
     if not finite.all():
         raise FloatingPointError(f"non-finite gradient on device {np.argmin(finite)}")
     return grads

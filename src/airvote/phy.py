@@ -17,21 +17,23 @@ import numpy as np
 
 # Per-coordinate transmit energy: the single active bin carries sqrt(2).
 SYMBOL_ENERGY = 2.0
+# OFDM FFT length: a timing offset of one sample turns subcarrier l by 2*pi*l/FFT_SIZE.
+FFT_SIZE = 64
 
 
 @dataclass
 class PhyConfig:
     """OFDM frame of num_symbols x num_subcarriers bins.  Coordinate j of a
     frame lights subcarrier 2k (+1) or 2k + 1 (-1) of symbol j // (A/2),
-    with k = j mod (A/2) and A = num_subcarriers."""
+    with k = j mod (A/2) and A = num_subcarriers, at most FFT_SIZE."""
 
     num_subcarriers: int = 64
     num_symbols: int = 8
     power_cap: float | None = None
 
     def __post_init__(self):
-        if self.num_subcarriers < 2 or self.num_subcarriers % 2:
-            raise ValueError("num_subcarriers must be a positive even number")
+        if not 2 <= self.num_subcarriers <= FFT_SIZE or self.num_subcarriers % 2:
+            raise ValueError(f"num_subcarriers must be an even number in [2, {FFT_SIZE}]")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be positive")
         if self.power_cap is not None and not (math.isfinite(self.power_cap) and self.power_cap >= 1.0):

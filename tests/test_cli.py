@@ -252,6 +252,25 @@ def test_plot_data_bad_sidecar_exits_1_and_writes_nothing(tmp_path, capsys, side
     assert not tidy.exists()
 
 
+def test_train_missing_output_dir_names_the_output_path(tmp_path, capsys):
+    output = tmp_path / "missing" / "x.jsonl"
+    config_path, _ = write_config(tmp_path, output=output)
+    assert main(["train", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err and err.endswith(f"'{output}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [config_path.name]
+
+
+def test_plot_data_missing_output_dir_names_the_output_path(tmp_path, capsys):
+    source = tmp_path / "metrics.jsonl"
+    source.write_text('{"round": 0, "test_accuracy": 0.1}\n')
+    tidy = tmp_path / "missing" / "p.csv"
+    assert main(["plot-data", "--input", str(source), "--output", str(tidy), "--scheme", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err and err.endswith(f"'{tidy}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl"]
+
+
 def test_train_reruns_are_byte_identical(tmp_path):
     config_a, out_a = write_config(tmp_path, "a.toml", tmp_path / "a.jsonl")
     config_b, out_b = write_config(tmp_path, "b.toml", tmp_path / "b.jsonl")
@@ -407,7 +426,8 @@ def test_every_ruled_config_key_has_a_bad_value_row():
     assert len(set(names)) == len(names)
 
 
-@pytest.mark.parametrize("key, value", [*BAD_CONFIG_VALUES.items(), ("seed", str(2**64))])
+@pytest.mark.parametrize("key, value", [*BAD_CONFIG_VALUES.items(), ("seed", str(2**64)),
+                                        ("phy.subcarriers", "128"), ("phy.subcarriers", "1000000000000")])
 def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, value):
     config_path, output = write_config(tmp_path)
     config_path.write_text(config_path.read_text() + f"{key} = {value}\n")

@@ -326,7 +326,7 @@ def test_parse_config_defaults():
 
 
 def test_parse_config_rejects_unknown_key():
-    # the FFT length is the constant channel.FFT_SIZE, not a config key
+    # the FFT length is the constant phy.FFT_SIZE, not a config key
     for text in ("velocity = 9\n", "channel.fft_size = 64\n"):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_text(text)

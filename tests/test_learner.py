@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from airvote import analysis
 from airvote.experiment import DatasetSpec
@@ -245,7 +248,7 @@ def test_gradient_deterministic_and_batch_size_check():
     b = compute_local_gradient(weights, model, ds, shards, 8, rngs(5, 6, 7))
     assert a.tobytes() == b.tobytes()
     uneven = [shards[0], shards[1], shards[2][:19]]
-    with pytest.raises(ValueError, match="shard size 19 of device 2"):
+    with pytest.raises(ValueError, match=r"smallest shard \(19 samples, device 2\)"):
         compute_local_gradient(weights, model, ds, uneven, 20, rngs(5, 6, 7))
     with pytest.raises(ValueError):
         compute_local_gradient(weights, model, ds, shards, 21, rngs(5, 6, 7))
@@ -271,6 +274,24 @@ def test_gradient_nonfinite_error_names_device(monkeypatch):
         monkeypatch.setattr(analysis, "BLOCK_BYTES", block_bytes)
         with pytest.raises(FloatingPointError, match="on device 2$"):
             compute_local_gradient(weights, model, ds, shards, 4, rngs(0, 1, 2))
+
+
+# Weights mixing ordinary values with ones that overflow the logits or poison them.
+_WILD_WEIGHTS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([np.inf, -np.inf, np.nan, 1e308, -1e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["logistic", "mlp"]), data=st.data())
+def test_nonfinite_loss_comes_with_nonfinite_gradient(kind, data):
+    # compute_local_gradient flags a device by its gradient row alone, so a
+    # batch whose loss is not finite must not have a finite gradient.
+    model = _model(kind, 3, 4)
+    weights = data.draw(hnp.arrays(np.float64, model.num_params, elements=_WILD_WEIGHTS))
+    features = data.draw(hnp.arrays(np.float64, (3, 5, 3), elements=st.sampled_from([-2.0, -0.5, 0.0, 1.0])))
+    labels = data.draw(hnp.arrays(np.int64, (3, 5), elements=st.integers(0, 3)))
+    with np.errstate(all="ignore"):
+        losses, grads = model.loss_and_gradient(weights, features, labels)
+    assert not np.isfinite(grads[~np.isfinite(losses)]).all(axis=-1).any()
 
 
 def test_devicewise_mean_of_full_shard_gradients_is_full_gradient():
