@@ -67,7 +67,7 @@ def failure_prob_bound(grad_snr: float) -> float:
     """
     _positive(grad_snr=grad_snr)
     if grad_snr > 2.0 / math.sqrt(3.0):
-        return (2.0 / 9.0) / grad_snr**2
+        return (2.0 / 9.0) / (grad_snr * grad_snr)  # overflows to inf, not OverflowError
     return 0.5 - grad_snr / (2.0 * math.sqrt(3.0))
 
 
@@ -146,22 +146,21 @@ def convergence_tau(num_devices: int, snr: float, gamma: float) -> float:
 
 
 def convergence_bound(num_devices: int, snr: float, rounds: int, gamma: float, smoothness_l1: float,
-                      sigma_l1: float, loss_gap: float, batch_size: int | None = None) -> float:
+                      sigma_l1: float, loss_gap: float, batch_size: int = 1) -> float:
     """Bound on the running mean L1 gradient norm after `rounds` rounds.
 
     `gamma` is the ratio of total rounds to batch size, `smoothness_l1` the
     sum of per-coordinate smoothness constants, `sigma_l1` the sum of
     per-coordinate gradient-noise scales and `loss_gap` the initial loss
-    minus its lower bound.  Given a batch_size, the strict form divides the
-    trailing gradient-noise term by sqrt(batch_size), the extra factor the
-    telescoped per-round analysis carries before simplification.
+    minus its lower bound.  The trailing gradient-noise term is divided by
+    sqrt(batch_size), the extra factor the telescoped per-round analysis
+    carries before simplification; the default batch_size of 1 gives the
+    simplified form.
     """
-    _at_least(1, rounds=rounds, batch_size=1 if batch_size is None else batch_size)
+    _at_least(1, rounds=rounds, batch_size=batch_size)
     _positive(smoothness_l1=smoothness_l1, sigma_l1=sigma_l1, loss_gap=loss_gap)
     tau = convergence_tau(num_devices, snr, gamma)  # checks num_devices, snr and gamma
-    trailing = (2.0 * math.sqrt(2.0) / 6.0) * math.sqrt(gamma) * sigma_l1
-    if batch_size is not None:
-        trailing /= math.sqrt(batch_size)
+    trailing = (2.0 * math.sqrt(2.0) / 6.0) * math.sqrt(gamma) * sigma_l1 / math.sqrt(batch_size)
     main = tau * math.sqrt(smoothness_l1) * (loss_gap + gamma / 2.0)
     return (main + trailing) / math.sqrt(rounds)
 
@@ -171,13 +170,13 @@ COMM_SCHEMES = ("sgd", "qsgd", "terngrad", "signsgd_mv")
 
 def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
     """Uplink bits per round for a cohort of num_devices training a
-    model_dim-parameter model."""
+    model_dim-parameter model; inf when the count overflows a float."""
     _at_least(1, num_devices=num_devices, model_dim=model_dim)
     if scheme == "sgd":
         return 64 * num_devices * model_dim
     if scheme in ("qsgd", "terngrad"):
-        bits_per_coord = 2.0 + math.log2(2 * num_devices + 1)
-        return math.ceil(bits_per_coord * num_devices * model_dim)
+        bits = (2.0 + math.log2(2 * num_devices + 1)) * num_devices * model_dim
+        return math.ceil(bits) if math.isfinite(bits) else math.inf
     if scheme == "signsgd_mv":
         return 2 * num_devices * model_dim
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {COMM_SCHEMES}")

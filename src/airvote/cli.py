@@ -5,8 +5,9 @@ runs the Monte Carlo verification suites and prints a pass/fail table;
 `bounds` evaluates the closed-form expressions; `plot-data` flattens a
 metrics JSONL into a tidy CSV for external plotting.
 
-Exit codes: 0 on success, 1 on bad arguments, invalid inputs or a training
-run that diverges, 2 on an unexpected runtime failure.
+Exit codes: 0 on success, 1 on bad arguments, invalid inputs (damaged IDX
+files included), an allocation numpy refuses or a training run that
+diverges, 2 on an unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--smoothness-l1", type=_finite_float, default=1.0)
     bounds.add_argument("--sigma-l1", type=_finite_float, default=1.0)
     bounds.add_argument("--loss-gap", type=_finite_float, default=1.0)
-    bounds.add_argument("--batch-size", type=int, default=None)
+    bounds.add_argument("--batch-size", type=int, default=1)
 
     plot = sub.add_parser("plot-data", help="re-emit metrics JSONL as tidy CSV")
     plot.add_argument("--input", required=True, help="metrics JSONL written by train")
@@ -193,7 +194,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected failures

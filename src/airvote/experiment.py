@@ -17,7 +17,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -322,7 +322,7 @@ _RENAMED = {
 
 
 def _config_keys() -> dict[str, tuple[str, str, object]]:
-    """{file key: (section, field name, type hint)}; section "" is
+    """{file key: (section, field name, field type)}; section "" is
     ExperimentConfig itself."""
     keys = {}
     for section, cls in {"": ExperimentConfig, **_SECTIONS}.items():
@@ -337,14 +337,6 @@ def _config_keys() -> dict[str, tuple[str, str, object]]:
 
 _CONFIG_KEYS = _config_keys()
 _FILE_KEYS = {name: key for key, (_, name, _) in _CONFIG_KEYS.items()}  # field names are unique
-
-
-def _parse_value(hint, value: str):
-    """`value` as the field's type; an optional field also takes `none`."""
-    types = get_args(hint) or (hint,)
-    if type(None) in types and value.lower() == "none":
-        return None
-    return types[0](value)
 
 
 def parse_config_text(text: str) -> dict:
@@ -362,9 +354,9 @@ def parse_config_text(text: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = _parse_value(_CONFIG_KEYS[key][2], value)
+            values[key] = _CONFIG_KEYS[key][2](value)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+            raise ValueError(f"{key} on line {lineno}: bad value {value!r}") from exc
     return values
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,11 @@ class TrainingConfig:
 
 def _read_idx(path, expected_magic: int) -> np.ndarray:
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with opener(path, "rb") as fh:
+            raw = fh.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:  # a damaged .gz
+        raise IdxFormatError(f"{path}: {exc}") from None
     if len(raw) < 4:
         raise IdxFormatError(f"{path}: too short to contain an IDX header")
     magic = int.from_bytes(raw[:4], "big")

@@ -29,15 +29,15 @@ class PhyConfig:
 
     num_subcarriers: int = 64
     num_symbols: int = 8
-    power_cap: float | None = None
+    power_cap: float = math.inf
 
     def __post_init__(self):
         if not 2 <= self.num_subcarriers <= FFT_SIZE or self.num_subcarriers % 2:
             raise ValueError(f"num_subcarriers must be an even number in [2, {FFT_SIZE}]")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be positive")
-        if self.power_cap is not None and not (math.isfinite(self.power_cap) and self.power_cap >= 1.0):
-            raise ValueError("power_cap must be finite and no lower than the initial power of 1")
+        if not self.power_cap >= 1.0:
+            raise ValueError("power_cap must be no lower than the initial power of 1")
 
     @property
     def frame_coordinates(self) -> int:
@@ -104,22 +104,18 @@ def signed_agreement(reports, vote) -> np.ndarray:
     return 2.0 * agree - 1.0
 
 
-def update_power(powers, reports, vote, power_cap: float | None = None) -> np.ndarray:
+def update_power(powers, reports, vote, power_cap: float = math.inf) -> np.ndarray:
     """Per-device transmit powers after raising each by |signed agreement
-    with the vote|.
+    with the vote|, then clamping at `power_cap` (no cap by default).
 
     `powers` holds one multiplier per device, all 1 before the first round.
-    Increments lie in [0, 1], so powers never decrease; an optional cap
-    clamps the growth (off by default).
+    Increments lie in [0, 1], so powers below the cap never decrease.
     """
     increments = np.abs(signed_agreement(reports, vote))
     powers = np.asarray(powers, dtype=np.float64)
     if increments.size != powers.size:
         raise ValueError(f"{increments.size} reports for {powers.size} device powers")
-    powers = powers + increments
-    if power_cap is not None:
-        powers = np.minimum(powers, power_cap)
-    return powers
+    return np.minimum(powers + increments, power_cap)
 
 
 def mean_power(powers) -> float:

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -434,9 +436,10 @@ def test_convergence_bound_monotonicity():
 
 
 def test_convergence_bound_strict_derivation():
-    # a batch size selects the strict form, which divides the trailing term by sqrt(64)
+    # the default batch size 1 is the simplified form; 64 divides the trailing term by sqrt(64)
     params = make_params()
     loose = convergence_bound(**params)
+    assert convergence_bound(**params, batch_size=1) == loose
     strict = convergence_bound(**make_params(batch_size=64))
     trailing = (2.0 * math.sqrt(2.0) / 6.0) * params["sigma_l1"] / math.sqrt(params["rounds"])
     assert loose - strict == pytest.approx(trailing * (1.0 - 1.0 / 8.0), rel=1e-12)
@@ -495,9 +498,9 @@ VALID_ARGS = {
 }
 
 
-def _rows(names, bad_values):
-    """One row per bad value of every argument in `names`, the others valid."""
-    for function, args in VALID_ARGS.items():
+def _rows(names, bad_values, bases=VALID_ARGS.items()):
+    """One row per bad value of every argument in `names`, the others as in `bases`."""
+    for function, args in bases:
         for i, name in enumerate(inspect.signature(function).parameters):
             if name in names:
                 yield from ((function, args[:i] + (bad,) + args[i + 1:], name) for bad in bad_values)
@@ -544,6 +547,22 @@ def test_closed_forms_and_oracles_reject_nan_and_out_of_range(function, args, na
     # each names the one bad argument in its message, before any draw or arithmetic
     with pytest.raises(ValueError, match=f"^{name} must"):
         function(*args)
+
+
+ORACLES = {mc_mean_energy, mc_flip_prob, mc_error_prob}
+# Base arguments of the closed forms: VALID_ARGS' and a second scheme family of comm_cost.
+CLOSED_FORM_ARGS = [*((f, args) for f, args in VALID_ARGS.items() if f not in ORACLES),
+                    (comm_cost, ("qsgd", 31, 100))]
+
+
+@pytest.mark.parametrize("function, args, name", _rows(NUMERIC_ARGS, [sys.float_info.max], CLOSED_FORM_ARGS),
+                         ids=lambda value: getattr(value, "__name__", None))
+def test_closed_forms_at_the_largest_float_return_a_number_or_name_it(function, args, name):
+    # overflow gives the bound's limit (0.0 or inf), never OverflowError
+    try:
+        assert isinstance(function(*args), numbers.Real)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{name} must")
 
 
 @pytest.mark.parametrize(

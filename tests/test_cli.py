@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airvote import analysis
+from airvote import analysis, experiment
 from airvote.cli import main
 from airvote.experiment import _CONFIG_KEYS, DatasetSpec, build_datasets, load_config, summary_path
 
@@ -100,6 +101,8 @@ def test_every_convergence_input_moves_the_bound(capsys, flag, value):
 
 def test_bounds_convergence_batch_size_selects_the_strict_form(capsys):
     assert _convergence(capsys) == "0.25831430288635754"
+    # the simplified form is the strict one at batch size 1, to the byte
+    assert _convergence(capsys, **{"--batch-size": "1"}) == _convergence(capsys)
     assert _convergence(capsys, **{"--batch-size": "64"}) == "0.23222684314885997"
     # the batch size alone selects the strict form; the old flag is unknown
     assert main(["bounds", "--convergence", "--strict-derivation", "--batch-size", "64"]) == 1
@@ -162,6 +165,18 @@ def test_bounds_rejects_counts_no_float_can_hold(capsys, argv, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name} must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [(["--failure-prob", "1e200"], "0.0"),
+     *((["--cost", scheme, "--devices", str(10**200), "--dim", str(10**200)], "inf")
+       for scheme in ("qsgd", "terngrad"))],
+)
+def test_bounds_prints_the_limit_where_float_arithmetic_overflows(capsys, argv, printed):
+    # an overflow gives the bound's limit, vacuous but not false, never an OverflowError (exit 2)
+    assert main(["bounds", *argv]) == 0
+    assert capsys.readouterr().out == printed + "\n"
 
 
 def test_train_missing_config(capsys):
@@ -286,6 +301,37 @@ def _write_idx(directory, part, images, labels):
     (directory / f"{part}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, len(labels)) + bytes(labels))
 
 
+def test_train_with_damaged_gzip_idx_exits_1_naming_it(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    for part in ("train", "t10k"):
+        _write_idx(tmp_path, part, rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
+    plain = tmp_path / "train-images-idx3-ubyte"
+    damaged = tmp_path / "train-images-idx3-ubyte.gz"
+    damaged.write_bytes(gzip.compress(plain.read_bytes())[:-40])  # cut before the end-of-stream marker
+    plain.unlink()
+    config_path, output = write_config(tmp_path)
+    config_path.write_text(config_path.read_text() + f"dataset.kind = mnist\ndataset.path = {tmp_path}\n")
+    inputs = sorted(path.name for path in tmp_path.iterdir())
+    assert main(["train", "--config", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {damaged}: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == inputs
+
+
+def test_refused_allocation_exits_1_naming_its_size(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError for an array the host refuses; the run writes nothing
+    message = "Unable to allocate 8.73 TiB for an array with shape (3, 3200000000000) and data type int8"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(experiment, "run_rounds", refuse)
+    config_path, output = write_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [config_path.name]
+
+
 def test_idx_sets_larger_than_samples_are_subsampled(tmp_path):
     # every pixel of image i is i, so a row's first feature names its index
     for part, count in (("train", 30), ("t10k", 8)):
@@ -359,7 +405,7 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["learning_rate = nan", "channel.noise_var = inf", "phy.power_cap = nan", "dataset.separation = -inf"],
+    ["learning_rate = nan", "channel.noise_var = inf", "dataset.separation = -inf"],
 )
 def test_non_finite_config_value_exits_1_before_training(tmp_path, capsys, line):
     config_path, output = write_config(tmp_path)
@@ -427,7 +473,8 @@ def test_every_ruled_config_key_has_a_bad_value_row():
 
 
 @pytest.mark.parametrize("key, value", [*BAD_CONFIG_VALUES.items(), ("seed", str(2**64)),
-                                        ("phy.subcarriers", "128"), ("phy.subcarriers", "1000000000000")])
+                                        ("phy.subcarriers", "128"), ("phy.subcarriers", "1000000000000"),
+                                        ("phy.power_cap", "nan"), ("phy.power_cap", "none")])
 def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, value):
     config_path, output = write_config(tmp_path)
     config_path.write_text(config_path.read_text() + f"{key} = {value}\n")

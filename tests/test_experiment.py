@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -298,7 +299,7 @@ channel.sync_error_max = 0.1
 channel.fading = per_frame
 phy.subcarriers = 16
 phy.symbols = 2
-phy.power_cap = none
+phy.power_cap = inf
 """
 
 
@@ -313,7 +314,7 @@ def test_parse_config_full(tmp_path):
     assert config.master_seed == 7
     assert config.channel.fading == "per_frame"
     assert config.channel.sync_error_max == 0.1
-    assert config.phy.power_cap is None
+    assert config.phy.power_cap == math.inf
     assert config.dataset.separation == 3.5
     assert config.output_path == "out/metrics.jsonl"
 

@@ -1,5 +1,6 @@
 import gzip
 import math
+import re
 import struct
 
 import numpy as np
@@ -90,6 +91,23 @@ def test_load_idx_truncated(idx_pair, tmp_path):
     short.write_bytes(img_path.read_bytes()[:-5])
     with pytest.raises(IdxFormatError, match="declares"):
         load_idx_dataset(short, lab_path)
+
+
+# A damaged .gz: cut short (EOFError), an invalid deflate block type (zlib.error), no gzip header at all.
+DAMAGED_GZIP = {
+    "truncated": lambda gz: gz[: len(gz) // 2],
+    "corrupted": lambda gz: gz[:10] + b"\xff" * 8 + gz[18:],
+    "not-gzip": lambda gz: b"no gzip",
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_GZIP.values(), ids=DAMAGED_GZIP.keys())
+def test_load_idx_damaged_gzip_names_the_file(idx_pair, tmp_path, damage):
+    img_path, lab_path, *_ = idx_pair
+    damaged = tmp_path / "images-idx3-ubyte.gz"
+    damaged.write_bytes(damage(gzip.compress(img_path.read_bytes())))
+    with pytest.raises(IdxFormatError, match=f"^{re.escape(str(damaged))}: "):
+        load_idx_dataset(damaged, lab_path)
 
 
 def test_load_idx_count_mismatch(idx_pair, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -181,8 +183,8 @@ def test_update_power_negation_symmetry():
 def _power_update_inputs(draw):
     devices = draw(st.integers(1, 8))
     coords = draw(st.integers(1, 12))
-    cap = draw(st.none() | st.floats(1.0, 50.0))
-    powers = draw(hnp.arrays(np.float64, devices, elements=st.floats(1.0, cap or 50.0)))
+    cap = draw(st.just(math.inf) | st.floats(1.0, 50.0))
+    powers = draw(hnp.arrays(np.float64, devices, elements=st.floats(1.0, min(cap, 50.0))))
     signs = st.sampled_from([-1, 1])
     reports = draw(hnp.arrays(np.int8, (devices, coords), elements=signs))
     vote = draw(hnp.arrays(np.int8, coords, elements=signs))
@@ -197,8 +199,16 @@ def test_update_power_monotone_with_bounded_increments(inputs):
     assert np.all(new >= powers)
     # Rounding is monotone, so p + increment never exceeds the rounded p + 1.
     assert np.all(new <= powers + 1.0)
-    if cap is not None:
-        assert np.all(new <= cap)
+    assert np.all(new <= cap)
+
+
+@given(_power_update_inputs())
+def test_update_power_default_cap_adds_agreement_exactly(inputs):
+    # no cap is inf, and min(p, inf) == p: uncapped powers are p + |agreement|, bit for bit
+    powers, reports, vote, _ = inputs
+    expected = powers + np.abs(signed_agreement(reports, vote))
+    assert np.array_equal(update_power(powers, reports, vote), expected)
+    assert np.array_equal(update_power(powers, reports, vote, power_cap=math.inf), expected)
 
 
 def test_update_power_cap():
