@@ -18,6 +18,15 @@ from .phy import FFT_SIZE, SYMBOL_ENERGY, lit_subcarriers
 
 FADING_MODES = ("per_bin", "per_frame", "none")
 NOISE_VAR_MAX = 1e300  # largest noise_var: far below the 1.8e308 where a bin's |r|^2 overflows
+_HALF_ROOT = 1.0 / np.sqrt(2.0)  # not np.sqrt(0.5), 1 ulp larger: the pinned gains use this one
+
+# exp(j*theta) = node k times a series in d (Tang's table-driven method), theta = k*step + d,
+# step = 2*pi/256 = hi + lo: hi's 43 significant bits make k*hi exact for |theta| <= 4*pi.
+_STEP = 2.0 * np.pi / 256
+_STEP_HI = float(np.ldexp(np.rint(np.ldexp(_STEP, 48)), -48))
+_STEP_LO = (_STEP - _STEP_HI) + 2.4492935982947064e-16 / 256  # + (2*pi - fl(2*pi)) / 256
+_TABLE = np.exp(1j * (_STEP_HI * np.arange(256))) * (1.0 + 1j * (_STEP_LO * np.arange(256)))
+_PHASOR_CHUNK = 4096  # elements: a chunk's ~10 live 32 KiB temporaries stay below glibc's heap trim threshold
 
 
 @dataclass
@@ -35,12 +44,30 @@ class ChannelConfig:
             raise ValueError(f"fading must be one of {FADING_MODES}")
 
 
+def _unit_phasors(theta, out) -> None:
+    """exp(j*theta) into `out` (complex, C-contiguous, `theta`'s shape, may hold theta as its
+    imaginary part): within 4 * 2**-52 of np.exp(1j * theta) for |theta| <= 4*pi, exactly 1 at 0."""
+    theta, flat = theta.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat.size, _PHASOR_CHUNK):
+        angle = theta[lo:lo + _PHASOR_CHUNK]
+        k = np.rint(angle * (1.0 / _STEP))
+        d = angle - k * _STEP_HI - k * _STEP_LO
+        d2 = d * d
+        cos = 1.0 + d2 * (-1 / 2 + d2 * (1 / 24 + d2 * (-1 / 720 + d2 * (1 / 40320))))
+        sin = d * (1.0 + d2 * (-1 / 6 + d2 * (1 / 120 + d2 * (-1 / 5040))))
+        node = _TABLE[k.astype(np.intp) & 255]  # k mod 256
+        # Real products: numpy's SIMD complex product fuses roundings that its scalar loop keeps.
+        flat.real[lo:lo + _PHASOR_CHUNK] = node.real * cos - node.imag * sin
+        flat.imag[lo:lo + _PHASOR_CHUNK] = node.real * sin + node.imag * cos
+
+
 def sample_channel(signs, exponents, num_subcarriers: int, config: ChannelConfig, frame_rngs) -> np.ndarray:
     """Each device's unit symbol exp(j*phi) as the receiver sees it on the
     bin its sign lights: (frames, devices, coordinates) complex, one frame
     per generator in `frame_rngs`.  `exponents` holds the j*phi that
-    `phy.encode_signs` returns, complex128 and shaped like `signs`; they
-    are turned into the result in place.
+    `phy.encode_signs` returns, complex128 and shaped like `signs`; only
+    phi is read (the real parts are 0), and the result is written in place
+    as a table-driven unit phasor, within 4 * 2**-52 of np.exp(1j * phi).
 
     The symbol is multiplied by the bin's gain, i.i.d. circularly-symmetric
     complex Gaussian with unit mean-square magnitude; per_frame fading
@@ -65,18 +92,17 @@ def sample_channel(signs, exponents, num_subcarriers: int, config: ChannelConfig
     if len(frame_rngs) != num_frames:
         raise ValueError(f"{len(frame_rngs)} channel generators for signs of shape {signs.shape}")
     draw = (num_devices, num_coordinates) if config.fading == "per_bin" else (num_devices, 1)
-    # One complex exp per lit bin carries the symbol phase and the timing ramp.
+    # One unit phasor per lit bin carries the symbol phase and the timing ramp.
     gains = np.empty(draw, dtype=np.complex128)
     for symbols, frame_signs, rng in zip(faded, signs, frame_rngs):
         if config.fading != "none":
-            gains.real = rng.standard_normal(draw)
-            gains.imag = rng.standard_normal(draw)
-            gains /= np.sqrt(2.0)
+            np.multiply(rng.standard_normal(draw), _HALF_ROOT, out=gains.real)
+            np.multiply(rng.standard_normal(draw), _HALF_ROOT, out=gains.imag)
         offsets = rng.uniform(0.0, config.sync_error_max, size=num_devices)
         if offsets.any():  # with every offset 0 the ramp is exactly 1
             slopes = (-2.0 * np.pi / FFT_SIZE) * offsets
             symbols.imag += slopes[:, None] * lit_subcarriers(frame_signs, num_subcarriers)
-        np.exp(symbols, out=symbols)
+        _unit_phasors(symbols.imag, symbols)
         if config.fading != "none":
             symbols *= gains
     return faded
@@ -112,5 +138,6 @@ def superpose(signs, faded, powers, config: ChannelConfig, frame_rngs) -> np.nda
     if config.noise_var > 0:
         scale = np.sqrt(config.noise_var / 2.0)
         for bins, rng in zip(received, frame_rngs):
-            bins += scale * (rng.standard_normal(bins.shape) + 1j * rng.standard_normal(bins.shape))
+            bins.real += scale * rng.standard_normal(bins.shape)
+            bins.imag += scale * rng.standard_normal(bins.shape)
     return received

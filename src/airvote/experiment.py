@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -259,7 +259,8 @@ def _replacing(path: Path):
     The sink is a temp file next to `path`, opened on entry, so an
     unwritable directory, or a `path` that is itself a directory, fails
     before any work; on error it is removed and `path` keeps its old
-    contents.
+    contents.  Temp files `<name>.<pid>.tmp` of runs that are gone (killed
+    by SIGKILL, say) are removed on entry, as far as the user may.
     """
     if path.is_dir():
         raise IsADirectoryError(f"output path {path} is a directory")
@@ -268,6 +269,16 @@ def _replacing(path: Path):
         sink = tmp.open("w", newline="")
     except OSError as exc:  # name the path the caller gave, not the temp file
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    for stale in path.parent.glob("*.tmp") if os.name == "posix" else ():  # Windows' os.kill(pid, 0) is a Ctrl-C
+        pid = stale.name.removeprefix(f"{path.name}.").removesuffix(".tmp")
+        if pid.isdecimal() and stale.name == f"{path.name}.{int(pid)}.tmp":
+            try:
+                os.kill(int(pid), 0)
+            except ProcessLookupError:
+                with suppress(OSError):  # another user's file in a shared directory, say
+                    stale.unlink()
+            except (OSError, OverflowError):  # alive under another user, or no pid at all
+                pass
     try:
         with sink:
             yield sink

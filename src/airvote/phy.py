@@ -64,8 +64,8 @@ def encode_signs(signs, device_rngs) -> np.ndarray:
     Each device lights one bin of every coordinate's pair, the plus bin for
     +1 and the minus bin for -1, with the symbol sqrt(SYMBOL_ENERGY) *
     exp(j*phi); the paired bin stays empty.  phi is uniform on [0, 2*pi)
-    and the real parts are 0: the channel adds its timing ramp to the
-    exponents and exponentiates them in place (`channel.sample_channel`),
+    and the real parts are 0: the channel adds its timing ramp to phi and
+    reads only it, writing exp(j*phi) in place (`channel.sample_channel`),
     and transmit power is applied during superposition.
 
     `device_rngs` holds one generator per device, each drawing its device's

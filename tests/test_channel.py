@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from airvote import channel
 from airvote.channel import (
     FADING_MODES,
     FFT_SIZE,
     ChannelConfig,
+    _unit_phasors,
     sample_channel,
     superpose,
 )
@@ -15,6 +17,16 @@ from airvote.phy import SYMBOL_ENERGY
 
 def _rngs(*seeds):
     return [np.random.default_rng(seed) for seed in seeds]
+
+
+# _unit_phasors' contract: within 4 ulp of 1 of numpy's complex exp.
+PHASOR_TOLERANCE = 4 * 2.0**-52
+
+
+def _phasors(theta):
+    out = np.empty(np.shape(theta), dtype=np.complex128)
+    _unit_phasors(np.asarray(theta, dtype=np.float64), out)
+    return out
 
 
 def _gains(shape, cfg, seed, signs=None):
@@ -84,7 +96,37 @@ def test_sample_channel_none_is_identity_gain():
     # with unit gains and no ramp the result is the symbol itself
     phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(1, 2, 6))
     symbols = sample_channel(np.ones((1, 2, 6)), 1j * phases, 12, ChannelConfig(fading="none"), _rngs(0))
-    np.testing.assert_array_equal(symbols, np.exp(1j * phases))
+    np.testing.assert_array_equal(symbols, _phasors(phases))
+    assert np.abs(symbols - np.exp(1j * phases)).max() <= PHASOR_TOLERANCE
+
+
+def test_unit_phasors_match_exp():
+    nodes = np.arange(-256, 257) * (2.0 * np.pi / 256)
+    special = [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, np.nextafter(2.0 * np.pi, 0.0)]
+    for theta in (
+        np.random.default_rng(25).uniform(-2.0 * np.pi, 2.0 * np.pi, 10**6),
+        np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf), special]),
+    ):
+        assert np.abs(_phasors(theta) - np.exp(1j * theta)).max() <= PHASOR_TOLERANCE
+    # the zero-offset identity tests rely on an exact 1 at theta = 0
+    one = _phasors([0.0])[0]
+    assert (one.real, one.imag) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8192, 9 * 1000])
+def test_sample_channel_chunking_is_invisible(chunk, monkeypatch):
+    # each phasor is computed on its own, so chunking moves no bit
+    signs, _ = _random_signs((2, 9, 1000), 5)
+    cfg = ChannelConfig(sync_error_max=0.3)
+
+    def draw():
+        exponents = np.zeros(signs.shape, dtype=np.complex128)
+        exponents.imag = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, signs.shape)
+        return sample_channel(signs, exponents, 64, cfg, _rngs((4, 0), (4, 1)))
+
+    reference = draw()
+    monkeypatch.setattr(channel, "_PHASOR_CHUNK", chunk)
+    np.testing.assert_array_equal(draw(), reference)
 
 
 def test_sample_channel_deterministic():

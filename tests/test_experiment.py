@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -252,6 +255,23 @@ def test_failed_run_keeps_previous_output(tmp_path, monkeypatch):
         run_experiment(config)
     assert {path: path.read_bytes() for path in (out, summary_path(out))} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in before)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the sweep runs on POSIX only")
+def test_replacing_removes_temp_files_of_dead_runs(tmp_path):
+    # A run killed by SIGKILL leaves `<name>.<pid>.tmp` behind; the next
+    # writer of `<name>` removes it once that pid is gone, and nothing else.
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()  # reaped, so its pid no longer runs
+    out = tmp_path / "metrics.jsonl"
+    dead, live, other = (tmp_path / name for name in (
+        f"metrics.jsonl.{child.pid}.tmp", f"metrics.jsonl.{os.getppid()}.tmp", f"other.jsonl.{child.pid}.tmp"))
+    for planted in (dead, live, other):
+        planted.write_text("partial\n")
+    with experiment._replacing(out) as sink:
+        sink.write("done\n")
+    assert out.read_text() == "done\n"
+    assert not dead.exists() and live.exists() and other.exists()
 
 
 def test_run_experiment_unwritable_path_fails_fast(tmp_path, monkeypatch):
