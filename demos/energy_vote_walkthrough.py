@@ -40,7 +40,7 @@ print("\nperfect majority vote:", ideal)
 # one frame is sent: signs stacked as (frames, devices, coordinates), and one
 # generator per device for its randomization symbols
 frame_signs = signs[None]
-exponents = encode_signs(frame_signs, [np.random.default_rng((1, m)) for m in range(DEVICES)])
+phases = encode_signs(frame_signs, [np.random.default_rng((1, m)) for m in range(DEVICES)])
 print("\noccupied bins per device (X = energy on the bin):")
 for m in range(DEVICES):
     lit = lit_subcarriers(signs[m], SUBCARRIERS)
@@ -53,7 +53,7 @@ config = ChannelConfig(noise_var=0.5, sync_error_max=0.25)  # offsets up to a qu
 # one generator for the frame: the lit bins' fading gains and timing offsets,
 # then the noise on the coordinates' bins, added to the sum over devices
 frame_rngs = [np.random.default_rng(2)]
-faded = sample_channel(frame_signs, exponents, SUBCARRIERS, config, frame_rngs)
+faded = sample_channel(frame_signs, phases, SUBCARRIERS, config, frame_rngs)
 received = superpose(frame_signs, faded, np.ones(DEVICES), config, frame_rngs)[0]
 
 # --- detect ---------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import NOISE_VAR_MAX, ChannelConfig, sample_channel, superpose
+from .channel import NOISE_VAR_MAX, ChannelConfig, check_powers, sample_channel, superpose
 from .detector import DetectionResult, detect, sign_votes
 from .phy import FFT_SIZE, SYMBOL_ENERGY, PhyConfig, encode_signs
 
@@ -187,11 +187,12 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Most bytes a step of any batched loop (`blocks`) holds: two 31-device oracle
-# frames of the kernel's complex arrays (1,024 coordinates, 0.48 MiB each), five
-# of the 19 frames of 416 coordinates a 7,850-parameter round sends, or one
-# device's 0.8 MB batch of 784 features (31 gradient calls a round).  Larger
-# blocks trade memory for calls (8 MiB: about 18 -> 15 ms, 7 MB more features;
-# 2 CPUs, one BLAS thread); an oracle call of one block faults pages (_oracle_detect).
+# frames of the kernel's complex arrays (1,024 coordinates, 0.48 MiB each; the
+# channel stage also holds their float phases, half that), five of the 19 frames
+# of 416 coordinates a 7,850-parameter round sends, or one device's 0.8 MB batch
+# of 784 features (31 gradient calls a round).  Larger blocks trade memory for
+# calls (8 MiB: about 18 -> 15 ms, 7 MB more features; 2 CPUs, one BLAS thread);
+# an oracle call of one block faults pages (_oracle_detect).
 BLOCK_BYTES = 2**20
 
 
@@ -206,14 +207,12 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
     """Detection of every device's row of sign votes sent over the uplink.
 
     `signs` is (devices, coordinates).  The rows are cut into frames of
-    phy.frame_coordinates, the last padded with +1 votes.  Every device's
-    symbol on the bin its sign lights is faded by its own gain and timing
-    ramp, the symbols are summed onto each coordinate's plus and minus bins
-    with noise, and the bins are detected; the result holds (coordinates,)
-    arrays, the padding dropped.  `device_rngs` holds one generator per
-    device, drawing that device's symbol phases frame after frame;
-    `frame_rngs` holds one generator per frame, drawing its channel and then
-    its noise.  Frames go through in blocks whose complex arrays stay within
+    phy.frame_coordinates, the last padded with +1 votes, go through
+    `encode_signs`, `sample_channel` and `superpose`, and are detected; the
+    result holds (coordinates,) arrays, the padding dropped.  `device_rngs`
+    holds one generator per device, drawing its symbol phases frame after
+    frame; `frame_rngs` one per frame, drawing its channel, then its noise.
+    Frames go through in blocks whose complex arrays stay within
     BLOCK_BYTES; since every generator belongs to one device or one frame,
     and no coordinate's result depends on another's sign, neither the block
     size nor the padding can change the result.
@@ -222,6 +221,7 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
     if signs.ndim != 2:
         raise ValueError(f"signs of shape {signs.shape}; expected (devices, coordinates)")
     num_devices, num_coordinates = signs.shape
+    powers = check_powers(powers, num_devices)  # before any draw
     per_frame = phy.frame_coordinates
     num_frames = phy.num_frames(num_coordinates)
     if len(frame_rngs) != num_frames:
@@ -232,12 +232,11 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
     for lo, hi in blocks(num_frames, frame_bytes):
         # a padded copy per block, not of every row at once: peak memory
         block_signs = np.ones((num_devices, (hi - lo) * per_frame), dtype=signs.dtype)
-        sent = signs[:, lo * per_frame:hi * per_frame]
-        block_signs[:, :sent.shape[1]] = sent
+        block_signs[:, :num_coordinates - lo * per_frame] = signs[:, lo * per_frame:hi * per_frame]
         block_signs = block_signs.reshape(num_devices, hi - lo, per_frame).transpose(1, 0, 2)
         block_rngs = frame_rngs[lo:hi]
-        exponents = encode_signs(block_signs, device_rngs)
-        faded = sample_channel(block_signs, exponents, phy.num_subcarriers, channel, block_rngs)
+        phases = encode_signs(block_signs, device_rngs)
+        faded = sample_channel(block_signs, phases, phy.num_subcarriers, channel, block_rngs)
         result = detect(superpose(block_signs, faded, powers, channel, block_rngs))
         parts.append((result.e_plus, result.e_minus, result.votes))
     return DetectionResult(*(np.concatenate(field, axis=None)[:num_coordinates] for field in zip(*parts)))

@@ -45,8 +45,8 @@ class ChannelConfig:
 
 
 def _unit_phasors(theta, out) -> None:
-    """exp(j*theta) into `out` (complex, C-contiguous, `theta`'s shape, may hold theta as its
-    imaginary part): within 4 * 2**-52 of np.exp(1j * theta) for |theta| <= 4*pi, exactly 1 at 0."""
+    """exp(j*theta) into `out` (complex, C-contiguous, `theta`'s shape), within 4 * 2**-52 of
+    np.exp(1j * theta) for |theta| <= 4*pi, exactly 1 at 0."""
     theta, flat = theta.reshape(-1), out.reshape(-1)
     for lo in range(0, flat.size, _PHASOR_CHUNK):
         angle = theta[lo:lo + _PHASOR_CHUNK]
@@ -61,13 +61,11 @@ def _unit_phasors(theta, out) -> None:
         flat.imag[lo:lo + _PHASOR_CHUNK] = node.real * sin + node.imag * cos
 
 
-def sample_channel(signs, exponents, num_subcarriers: int, config: ChannelConfig, frame_rngs) -> np.ndarray:
-    """Each device's unit symbol exp(j*phi) as the receiver sees it on the
-    bin its sign lights: (frames, devices, coordinates) complex, one frame
-    per generator in `frame_rngs`.  `exponents` holds the j*phi that
-    `phy.encode_signs` returns, complex128 and shaped like `signs`; only
-    phi is read (the real parts are 0), and the result is written in place
-    as a table-driven unit phasor, within 4 * 2**-52 of np.exp(1j * phi).
+def sample_channel(signs, phases, num_subcarriers: int, config: ChannelConfig, frame_rngs) -> np.ndarray:
+    """Each device's unit symbol exp(j*phi) (`_unit_phasors`) as the
+    receiver sees it on the bin its sign lights: (frames, devices,
+    coordinates) complex, one frame per generator in `frame_rngs`, for the
+    float64 `phases` phi of `phy.encode_signs`, which are left as they are.
 
     The symbol is multiplied by the bin's gain, i.i.d. circularly-symmetric
     complex Gaussian with unit mean-square magnitude; per_frame fading
@@ -82,30 +80,41 @@ def sample_channel(signs, exponents, num_subcarriers: int, config: ChannelConfig
     imaginary parts (one per device and coordinate, or one per device for
     per_frame fading, none for "none"), then one offset per device.
     """
-    signs, faded = np.asarray(signs), np.asarray(exponents)
-    if signs.ndim != 3 or faded.shape != signs.shape:
-        raise ValueError(f"exponents of shape {faded.shape} for signs of shape {signs.shape}; "
+    signs, phases = np.asarray(signs), np.asarray(phases)
+    if signs.ndim != 3 or phases.shape != signs.shape:
+        raise ValueError(f"phases of shape {phases.shape} for signs of shape {signs.shape}; "
                          "expected (frames, devices, coordinates) for both")
-    if faded.dtype != np.complex128:
-        raise ValueError(f"exponents must be complex128, not {faded.dtype}")
+    if phases.dtype != np.float64:
+        raise ValueError(f"phases must be real float64, not {phases.dtype}")
     num_frames, num_devices, num_coordinates = signs.shape
     if len(frame_rngs) != num_frames:
         raise ValueError(f"{len(frame_rngs)} channel generators for signs of shape {signs.shape}")
     draw = (num_devices, num_coordinates) if config.fading == "per_bin" else (num_devices, 1)
     # One unit phasor per lit bin carries the symbol phase and the timing ramp.
+    faded = np.empty(signs.shape, dtype=np.complex128)
     gains = np.empty(draw, dtype=np.complex128)
-    for symbols, frame_signs, rng in zip(faded, signs, frame_rngs):
+    for symbols, theta, frame_signs, rng in zip(faded, phases, signs, frame_rngs):
         if config.fading != "none":
             np.multiply(rng.standard_normal(draw), _HALF_ROOT, out=gains.real)
             np.multiply(rng.standard_normal(draw), _HALF_ROOT, out=gains.imag)
         offsets = rng.uniform(0.0, config.sync_error_max, size=num_devices)
         if offsets.any():  # with every offset 0 the ramp is exactly 1
             slopes = (-2.0 * np.pi / FFT_SIZE) * offsets
-            symbols.imag += slopes[:, None] * lit_subcarriers(frame_signs, num_subcarriers)
-        _unit_phasors(symbols.imag, symbols)
+            theta = theta + slopes[:, None] * lit_subcarriers(frame_signs, num_subcarriers)
+        _unit_phasors(theta, symbols)
         if config.fading != "none":
             symbols *= gains
     return faded
+
+
+def check_powers(powers, num_devices: int) -> np.ndarray:
+    """`powers` as float64, one per device, each finite and >= 0 (all 0 is allowed)."""
+    powers = np.asarray(powers, dtype=np.float64)
+    if powers.shape != (num_devices,):
+        raise ValueError(f"{powers.size} powers for {num_devices} devices")
+    if not np.all((powers >= 0) & (powers < np.inf)):
+        raise ValueError("powers must be finite and >= 0")
+    return powers
 
 
 def superpose(signs, faded, powers, config: ChannelConfig, frame_rngs) -> np.ndarray:
@@ -122,9 +131,7 @@ def superpose(signs, faded, powers, config: ChannelConfig, frame_rngs) -> np.nda
         raise ValueError(f"faded symbols of shape {faded.shape} for signs of shape {signs.shape}; "
                          "expected (frames, devices, coordinates) for both")
     num_frames, num_devices, num_coordinates = signs.shape
-    powers = np.asarray(powers, dtype=np.float64)
-    if powers.shape != (num_devices,):
-        raise ValueError(f"{powers.size} powers for {num_devices} devices")
+    powers = check_powers(powers, num_devices)
     if len(frame_rngs) != num_frames:
         raise ValueError(f"{len(frame_rngs)} noise generators for signs of shape {signs.shape}")
     amplitudes = np.sqrt(SYMBOL_ENERGY * powers)[:, None]

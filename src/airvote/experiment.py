@@ -260,7 +260,8 @@ def _replacing(path: Path):
     unwritable directory, or a `path` that is itself a directory, fails
     before any work; on error it is removed and `path` keeps its old
     contents.  Temp files `<name>.<pid>.tmp` of runs that are gone (killed
-    by SIGKILL, say) are removed on entry, as far as the user may.
+    by SIGKILL, say) are removed on entry, as far as the user may; a killed
+    run is gone only once its parent reaps it (os.kill(pid, 0) finds zombies).
     """
     if path.is_dir():
         raise IsADirectoryError(f"output path {path} is a directory")

@@ -58,18 +58,14 @@ def lit_subcarriers(signs, num_subcarriers: int) -> np.ndarray:
 
 
 def encode_signs(signs, device_rngs) -> np.ndarray:
-    """Symbol exponents j*phi, (frames, devices, coordinates) complex, for
-    sign vectors stacked the same way.
+    """Symbol phases phi, (frames, devices, coordinates) float64, for sign
+    vectors stacked the same way: uniform on [0, 2*pi), drawn frame after
+    frame by each device's generator in `device_rngs`.
 
     Each device lights one bin of every coordinate's pair, the plus bin for
     +1 and the minus bin for -1, with the symbol sqrt(SYMBOL_ENERGY) *
-    exp(j*phi); the paired bin stays empty.  phi is uniform on [0, 2*pi)
-    and the real parts are 0: the channel adds its timing ramp to phi and
-    reads only it, writing exp(j*phi) in place (`channel.sample_channel`),
-    and transmit power is applied during superposition.
-
-    `device_rngs` holds one generator per device, each drawing its device's
-    phases frame after frame.
+    exp(j*phi) (the channel forms exp(j*phi), superposition the amplitude);
+    the paired bin stays empty.
     """
     signs = np.asarray(signs)
     if signs.ndim != 3:
@@ -79,10 +75,10 @@ def encode_signs(signs, device_rngs) -> np.ndarray:
     num_frames, num_devices, num_coordinates = signs.shape
     if len(device_rngs) != num_devices:
         raise ValueError(f"{len(device_rngs)} device generators for signs of shape {signs.shape}")
-    exponents = np.zeros(signs.shape, dtype=np.complex128)
+    phases = np.empty(signs.shape)
     for device, rng in enumerate(device_rngs):
-        exponents.imag[:, device] = rng.uniform(0.0, 2.0 * np.pi, size=(num_frames, num_coordinates))
-    return exponents
+        phases[:, device] = rng.uniform(0.0, 2.0 * np.pi, size=(num_frames, num_coordinates))
+    return phases
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,8 @@ Paths used by the round loop, per round r:
   symbols, one per coordinate, for every frame of the round, drawn frame
   after frame;
 - STREAM_CHANNEL (r, f), over the air only: frame f's channel, then its
-  noise, in this order: the real parts of the gains of the bins the devices
-  light (one per device and coordinate for per_bin fading, one per device
-  for per_frame, none for "none"), then their imaginary parts; one timing
-  offset per device; the noise of the frame's 2 x coordinates bins, real
-  parts (plus bins, then minus bins) before imaginary parts.  A frame holds
-  num_subcarriers * num_symbols / 2 coordinates, the last frame of a round
-  padded with +1 votes; no bin a device leaves dark is ever drawn.
+  noise, each in the order `channel.sample_channel` and `channel.superpose`
+  state; the last frame of a round is padded with +1 votes.
 
 The Monte Carlo oracles spawn one generator per device, then one per frame,
 from a seed per grid point (`analysis._oracle_detect`), the frames a kernel

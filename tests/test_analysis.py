@@ -301,6 +301,13 @@ def test_kernel_needs_one_generator_per_frame():
             _kernel(signs, np.ones(2), phy, ChannelConfig(), frames)
     with pytest.raises(ValueError, match="expected \\(devices, coordinates\\)"):
         _kernel(signs[None], np.ones(2), phy, ChannelConfig(), 3)
+    for bad in (-1.0, np.nan, np.inf):
+        device_rngs, frame_rngs = [np.random.default_rng(0)] * 2, [np.random.default_rng(1)] * 3
+        with pytest.raises(ValueError, match="^powers must be finite and >= 0$"):
+            air_detect(signs, np.array([1.0, bad]), phy, ChannelConfig(), device_rngs, frame_rngs)
+        # rejected before any draw
+        assert device_rngs[0].bit_generator.state == np.random.default_rng(0).bit_generator.state
+        assert frame_rngs[0].bit_generator.state == np.random.default_rng(1).bit_generator.state
     assert _kernel(signs, np.ones(2), phy, ChannelConfig(), 3).votes.shape == (5,)
 
 

@@ -12,7 +12,9 @@ from airvote.channel import (
     sample_channel,
     superpose,
 )
-from airvote.phy import SYMBOL_ENERGY
+from airvote.analysis import air_detect
+from airvote.detector import detect
+from airvote.phy import SYMBOL_ENERGY, PhyConfig, encode_signs
 
 
 def _rngs(*seeds):
@@ -30,11 +32,11 @@ def _phasors(theta):
 
 
 def _gains(shape, cfg, seed, signs=None):
-    """sample_channel on zero symbol exponents: the lit bins' gains with
+    """sample_channel on zero symbol phases: the lit bins' gains with
     their timing ramps, one frame per leading index of `shape`."""
     signs = np.ones(shape, dtype=np.int8) if signs is None else signs
     num_frames, _, num_coordinates = shape
-    return sample_channel(signs, np.zeros(shape, dtype=np.complex128), 2 * num_coordinates, cfg, _rngs(*[(seed, f) for f in range(num_frames)]))
+    return sample_channel(signs, np.zeros(shape), 2 * num_coordinates, cfg, _rngs(*[(seed, f) for f in range(num_frames)]))
 
 
 def _timing_offsets(rotated, aligned, lit):
@@ -95,7 +97,7 @@ def test_sample_channel_none_is_identity_gain():
     np.testing.assert_array_equal(gains, np.ones((1, 2, 6)))
     # with unit gains and no ramp the result is the symbol itself
     phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(1, 2, 6))
-    symbols = sample_channel(np.ones((1, 2, 6)), 1j * phases, 12, ChannelConfig(fading="none"), _rngs(0))
+    symbols = sample_channel(np.ones((1, 2, 6)), phases, 12, ChannelConfig(fading="none"), _rngs(0))
     np.testing.assert_array_equal(symbols, _phasors(phases))
     assert np.abs(symbols - np.exp(1j * phases)).max() <= PHASOR_TOLERANCE
 
@@ -120,9 +122,8 @@ def test_sample_channel_chunking_is_invisible(chunk, monkeypatch):
     cfg = ChannelConfig(sync_error_max=0.3)
 
     def draw():
-        exponents = np.zeros(signs.shape, dtype=np.complex128)
-        exponents.imag = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, signs.shape)
-        return sample_channel(signs, exponents, 64, cfg, _rngs((4, 0), (4, 1)))
+        phases = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, signs.shape)
+        return sample_channel(signs, phases, 64, cfg, _rngs((4, 0), (4, 1)))
 
     reference = draw()
     monkeypatch.setattr(channel, "_PHASOR_CHUNK", chunk)
@@ -141,12 +142,13 @@ def test_sample_channel_deterministic():
 
 def test_sample_channel_validates():
     signs = np.ones((2, 3, 4))
-    with pytest.raises(ValueError, match="exponents of shape"):
-        sample_channel(signs, np.zeros((2, 3, 5), dtype=np.complex128), 8, ChannelConfig(), _rngs(0, 1))
-    with pytest.raises(ValueError, match="complex128"):
-        sample_channel(signs, np.zeros((2, 3, 4)), 8, ChannelConfig(), _rngs(0, 1))
+    with pytest.raises(ValueError, match="phases of shape"):
+        sample_channel(signs, np.zeros((2, 3, 5)), 8, ChannelConfig(), _rngs(0, 1))
+    # complex exponents j*phi, the old contract, would otherwise read as phi = 0
+    with pytest.raises(ValueError, match="^phases must be real"):
+        sample_channel(signs, np.zeros((2, 3, 4), dtype=np.complex128), 8, ChannelConfig(), _rngs(0, 1))
     with pytest.raises(ValueError, match="channel generators"):
-        sample_channel(signs, np.zeros((2, 3, 4), dtype=np.complex128), 8, ChannelConfig(), _rngs(0))
+        sample_channel(signs, np.zeros((2, 3, 4)), 8, ChannelConfig(), _rngs(0))
 
 
 def test_config_validation():
@@ -263,6 +265,13 @@ def test_superpose_shape_checks():
         _superpose(signs[0], faded[0], np.ones(2), cfg)
     with pytest.raises(ValueError, match="noise generators"):
         superpose(signs, faded, np.ones(2), cfg, _rngs(0, 1))
+    for bad in (-1.0, np.nan, np.inf):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^powers must be finite and >= 0$"):
+            superpose(signs, faded, np.array([bad, 1.0]), cfg, [rng])
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
+    # silent devices are legal: the bins then hold noise alone
+    assert np.abs(_superpose(signs, faded, np.zeros(2), replace(cfg, noise_var=0.0))).max() == 0.0
 
 
 def test_superpose_deterministic():
@@ -285,15 +294,42 @@ def test_frame_axis_matches_per_frame_calls(fading):
     def generators(tag):
         return _rngs(*[(tag, f) for f in range(3)])
 
-    faded = sample_channel(signs, 1j * phases, 16, cfg, generators(0))
+    faded = sample_channel(signs, phases, 16, cfg, generators(0))
     received = superpose(signs, faded, powers, cfg, generators(1))
     assert faded.shape == (3, 4, 8) and received.shape == (3, 2, 8)
-    aligned = sample_channel(signs, 1j * phases, 16, replace(cfg, sync_error_max=0.0), generators(0))
+    aligned = sample_channel(signs, phases, 16, replace(cfg, sync_error_max=0.0), generators(0))
     for f, (channel_rng, noise_rng) in enumerate(zip(generators(0), generators(1))):
         one = slice(f, f + 1)
-        single = sample_channel(signs[one], 1j * phases[one], 16, cfg, [channel_rng])
+        single = sample_channel(signs[one], phases[one], 16, cfg, [channel_rng])
         np.testing.assert_array_equal(faded[f], single[0])
         np.testing.assert_array_equal(
             _timing_offsets(faded, aligned, lit)[f], _timing_offsets(single, aligned[one], lit[one])[0]
         )
         np.testing.assert_array_equal(received[f], superpose(signs[one], single, powers, cfg, [noise_rng])[0])
+
+
+
+def test_no_stage_writes_its_inputs():
+    # Every stage reads read-only inputs and leaves their bytes as they were.
+    cfg = ChannelConfig(noise_var=0.5, sync_error_max=0.3)
+    rng = np.random.default_rng(12)
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(2, 3, 4))
+    inputs = {
+        "signs": signs,
+        "rows": signs.transpose(1, 0, 2).reshape(3, 8),
+        "powers": np.array([1.0, 2.0, 0.5]),
+        "phases": rng.uniform(0.0, 2.0 * np.pi, signs.shape),
+        "faded": rng.normal(size=signs.shape) + 1j * rng.normal(size=signs.shape),
+        "received": rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4)),
+    }
+    copies = {name: array.copy() for name, array in inputs.items()}
+    for array in inputs.values():
+        array.flags.writeable = False
+    signs, rows, powers, phases, faded, received = inputs.values()
+    encode_signs(signs, _rngs(0, 1, 2))
+    sample_channel(signs, phases, 8, cfg, _rngs(3, 4))
+    superpose(signs, faded, powers, cfg, _rngs(5, 6))
+    detect(received)
+    air_detect(rows, powers, PhyConfig(num_subcarriers=8, num_symbols=1), cfg, _rngs(0, 1, 2), _rngs(3, 4))
+    for name, array in inputs.items():
+        assert array.tobytes() == copies[name].tobytes(), name

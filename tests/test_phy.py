@@ -77,21 +77,21 @@ def _rngs(*seeds):
     return [np.random.default_rng(seed) for seed in seeds]
 
 
-def _received(signs, exponents, num_subcarriers):
+def _received(signs, phases, num_subcarriers):
     """Received plus and minus bins of one unit-power device per sign row,
     over a unit-gain, aligned, noiseless channel."""
     cfg = ChannelConfig(noise_var=0.0, fading="none")
     frame_rngs = _rngs(*range(len(signs)))  # draw only the zero offsets
-    faded = sample_channel(signs, exponents, num_subcarriers, cfg, frame_rngs)
+    faded = sample_channel(signs, phases, num_subcarriers, cfg, frame_rngs)
     return superpose(signs, faded, np.ones(signs.shape[1]), cfg, frame_rngs)
 
 
 def test_encode_positive_sign():
     signs = np.array([[[1]]])
-    exponents = encode_signs(signs, _rngs(0))
-    assert exponents.shape == (1, 1, 1) and exponents.dtype == np.complex128
-    assert exponents[0, 0, 0].real == 0.0 and 0.0 <= exponents[0, 0, 0].imag < 2.0 * np.pi
-    received = _received(signs, exponents, 2)[0]
+    phases = encode_signs(signs, _rngs(0))
+    assert phases.shape == (1, 1, 1) and phases.dtype == np.float64
+    assert 0.0 <= phases[0, 0, 0] < 2.0 * np.pi
+    received = _received(signs, phases, 2)[0]
     assert abs(received[0, 0]) == pytest.approx(np.sqrt(2.0))
     assert received[1, 0] == 0
 
@@ -105,9 +105,9 @@ def test_encode_negative_sign():
 
 def test_encode_pinned_randomization(low_rng):
     signs = np.array([[[1, -1, 1]]])
-    exponents = encode_signs(signs, [low_rng])
-    np.testing.assert_array_equal(exponents, 0.0)
-    received = _received(signs, exponents, 6)[0]
+    phases = encode_signs(signs, [low_rng])
+    np.testing.assert_array_equal(phases, 0.0)
+    received = _received(signs, phases, 6)[0]
     np.testing.assert_array_equal(received, np.sqrt(2.0) * np.array([[1, 0, 1], [0, 1, 0]]))
 
 
@@ -140,14 +140,14 @@ def test_encode_batch_matches_stacked_single_vector_encodes():
     signs = np.random.default_rng(3).choice([-1, 1], size=(3, 4, 6))
     batch = encode_signs(signs, _rngs(*[(7, d) for d in range(4)]))
     # frame at a time on the same continuing generators: the block size of
-    # a batched call cannot change the exponents
+    # a batched call cannot change the phases
     rngs = _rngs(*[(7, d) for d in range(4)])
     np.testing.assert_array_equal(batch, np.concatenate([encode_signs(signs[f:f + 1], rngs) for f in range(3)]))
     # built by hand: each device draws the phases of its frames in order
     rngs = _rngs(*[(7, d) for d in range(4)])
     expected = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=(3, 6)) for rng in rngs], axis=1)
-    np.testing.assert_array_equal(batch.imag, expected)
-    np.testing.assert_array_equal(batch.real, 0.0)
+    np.testing.assert_array_equal(batch, expected)
+    assert batch.dtype == np.float64 and np.all((0.0 <= batch) & (batch < 2.0 * np.pi))
     with pytest.raises(ValueError, match="device generators"):
         encode_signs(signs, _rngs(0, 0, 0))
 
