@@ -117,8 +117,8 @@ def exact_error_prob_weighted(powers, flip_probs, snr: float) -> float:
     flip_probs = np.asarray(flip_probs, dtype=np.float64)
     if powers.ndim != 1 or powers.size < 1 or flip_probs.shape != powers.shape:
         raise ValueError("powers and flip_probs must be equal-length 1-D sequences")
-    if not (np.all(np.isfinite(powers)) and np.all(powers >= 0) and powers.sum() > 0):
-        raise ValueError("powers must be finite and >= 0, with a positive sum")
+    if not check_powers(powers, powers.size).sum() > 0:
+        raise ValueError("powers must have a positive sum")
     if not np.all((flip_probs >= 0) & (flip_probs <= 1)):
         raise ValueError("flip_probs must lie in [0, 1]")
     _positive(snr=snr)

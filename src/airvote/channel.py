@@ -142,9 +142,8 @@ def superpose(signs, faded, powers, config: ChannelConfig, frame_rngs) -> np.nda
         # planes alike; a masked complex sum takes about three times longer.
         received[:, side].real = np.einsum("fdc,fdc->fc", faded.real, weights)
         received[:, side].imag = np.einsum("fdc,fdc->fc", faded.imag, weights)
-    if config.noise_var > 0:
-        scale = np.sqrt(config.noise_var / 2.0)
-        for bins, rng in zip(received, frame_rngs):
-            bins.real += scale * rng.standard_normal(bins.shape)
-            bins.imag += scale * rng.standard_normal(bins.shape)
+    scale = np.sqrt(config.noise_var / 2.0)
+    for bins, rng in zip(received, frame_rngs):
+        bins.real += scale * rng.standard_normal(bins.shape)
+        bins.imag += scale * rng.standard_normal(bins.shape)
     return received

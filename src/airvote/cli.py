@@ -153,6 +153,8 @@ def _cmd_plot_data(args) -> int:
     source = Path(args.input)
     if not source.exists():
         raise FileNotFoundError(f"metrics file not found: {source}")
+    if Path(args.output).resolve() in (source.resolve(), summary_path(source).resolve()):
+        raise ValueError(f"--output {args.output} would overwrite the input {source} or its summary")
     scheme = args.scheme
     if scheme is None:
         sidecar = summary_path(source)

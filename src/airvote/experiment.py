@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -75,6 +75,10 @@ class DatasetSpec:
         _at_least(2, classes=self.classes)
         if not math.isfinite(self.separation):
             raise ValueError("separation must be finite")
+        need = (self.samples + self.test_samples + self.classes) * self.input_dim * 8  # features, class means
+        if self.kind == "synthetic" and need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            largest = max(("samples", "test_samples", "classes", "input_dim"), key=lambda f: getattr(self, f))
+            raise ValueError(f"{largest} makes the synthetic dataset {need:.3g} bytes, more than physical memory")
 
 
 @dataclass
@@ -252,36 +256,29 @@ def summary_path(output_path) -> Path:
     return Path(output_path).with_suffix(".summary.csv")
 
 
-@contextmanager
-def _replacing(path: Path):
-    """Text sink whose contents replace `path` only when the block completes.
-
-    The sink is a temp file next to `path`, opened on entry, so an
-    unwritable directory, or a `path` that is itself a directory, fails
-    before any work; on error it is removed and `path` keeps its old
-    contents.  Temp files `<name>.<pid>.tmp` of runs that are gone (killed
-    by SIGKILL, say) are removed on entry, as far as the user may; a killed
-    run is gone only once its parent reaps it (os.kill(pid, 0) finds zombies).
-    """
+def _new_temp(path: Path) -> Path:
+    """`path`'s temp file `<name>.<pid>.tmp`, created empty.  A `path` that
+    is a directory, or in a missing or unwritable one, raises an OSError
+    naming `path`, not the temp file."""
     if path.is_dir():
         raise IsADirectoryError(f"output path {path} is a directory")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        sink = tmp.open("w", newline="")
-    except OSError as exc:  # name the path the caller gave, not the temp file
+        tmp.touch()
+    except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
-    for stale in path.parent.glob("*.tmp") if os.name == "posix" else ():  # Windows' os.kill(pid, 0) is a Ctrl-C
-        pid = stale.name.removeprefix(f"{path.name}.").removesuffix(".tmp")
-        if pid.isdecimal() and stale.name == f"{path.name}.{int(pid)}.tmp":
-            try:
-                os.kill(int(pid), 0)
-            except ProcessLookupError:
-                with suppress(OSError):  # another user's file in a shared directory, say
-                    stale.unlink()
-            except (OSError, OverflowError):  # alive under another user, or no pid at all
-                pass
+    return tmp
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Text sink whose contents replace `path` only when the block completes;
+    on error its temp file (`_new_temp`) is removed and `path` keeps its old
+    contents.  A process killed inside the block leaves the temp file behind,
+    so the block should hold writes, not work."""
+    tmp = _new_temp(path)
     try:
-        with sink:
+        with tmp.open("w", newline="") as sink:
             yield sink
         os.replace(tmp, path)
     finally:
@@ -289,22 +286,22 @@ def _replacing(path: Path):
 
 
 def run_experiment(config: ExperimentConfig) -> Path:
-    """Run the configured experiment and persist metrics.
-
-    Writes one JSON object per evaluation record to the configured output
-    path and a single-row summary CSV next to it.  Both sinks are opened
-    before any computation, so an unwritable path fails fast, and the two
-    files are replaced together: neither changes unless the run and both
-    writes complete.
-    """
+    """Run the configured experiment and persist metrics: one JSON object
+    per evaluation record at the output path, and a one-row summary CSV
+    next to it.  Both paths are checked before the first round, by creating
+    and removing their temp files, and written after the last, so a run
+    killed before then leaves nothing beside its output; the two are
+    replaced together: neither changes unless the run and both writes complete."""
     out = Path(config.output_path)
+    for path in (out, summary_path(out)):
+        _new_temp(path).unlink()
+    metrics, state = run_rounds(config)
+    family = "sgd" if config.scheme == "fedavg_ideal" else "signsgd_mv"
+    total_bits = comm_cost(family, config.training.num_devices, state.predictor.num_params)
+    total_bits *= config.training.rounds
     with _replacing(out) as sink, _replacing(summary_path(out)) as summary:
-        metrics, state = run_rounds(config)
         for record in metrics:
             sink.write(json.dumps(record.to_record()) + "\n")
-        family = "sgd" if config.scheme == "fedavg_ideal" else "signsgd_mv"
-        total_bits = comm_cost(family, config.training.num_devices, state.predictor.num_params)
-        total_bits *= config.training.rounds
         writer = csv.writer(summary)
         writer.writerow(["scheme", "final_accuracy", "mean_power", "total_bits", "rounds", "seed"])
         writer.writerow([config.scheme, metrics[-1].test_accuracy, metrics[-1].mean_power, total_bits,
@@ -365,6 +362,8 @@ def parse_config_text(text: str) -> dict:
         value = value.strip().strip('"').strip("'")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ValueError(f"{key} on line {lineno}: the key is already set on an earlier line")
         try:
             values[key] = _CONFIG_KEYS[key][2](value)
         except ValueError as exc:

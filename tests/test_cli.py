@@ -42,6 +42,14 @@ def write_config(tmp_path, name="run.toml", output=None):
     return path, output
 
 
+def set_keys(config_path, lines):
+    """Rewrite the config with the `key = value` `lines` in place of its lines
+    that set the same keys: a key given twice is itself an error."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = [line for line in config_path.read_text().splitlines() if line.split("=")[0].strip() not in keys]
+    config_path.write_text("\n".join(kept + lines.splitlines()) + "\n")
+
+
 def test_bounds_cost(capsys):
     assert main(["bounds", "--cost", "signsgd_mv", "--devices", "31", "--dim", "10000"]) == 0
     assert capsys.readouterr().out.strip() == "620000"
@@ -267,6 +275,17 @@ def test_plot_data_bad_sidecar_exits_1_and_writes_nothing(tmp_path, capsys, side
     assert not tidy.exists()
 
 
+def test_plot_data_never_overwrites_its_input(tmp_path, capsys, monkeypatch):
+    config_path, output = write_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == 0
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    for target in (output, f"./{output.name}", summary_path(output), summary_path(output.name)):
+        assert main(["plot-data", "--input", str(output), "--output", str(target)]) == 1
+        assert "would overwrite" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_train_missing_output_dir_names_the_output_path(tmp_path, capsys):
     output = tmp_path / "missing" / "x.jsonl"
     config_path, _ = write_config(tmp_path, output=output)
@@ -310,7 +329,7 @@ def test_train_with_damaged_gzip_idx_exits_1_naming_it(tmp_path, capsys):
     damaged.write_bytes(gzip.compress(plain.read_bytes())[:-40])  # cut before the end-of-stream marker
     plain.unlink()
     config_path, output = write_config(tmp_path)
-    config_path.write_text(config_path.read_text() + f"dataset.kind = mnist\ndataset.path = {tmp_path}\n")
+    set_keys(config_path, f"dataset.kind = mnist\ndataset.path = {tmp_path}")
     inputs = sorted(path.name for path in tmp_path.iterdir())
     assert main(["train", "--config", str(config_path)]) == 1
     captured = capsys.readouterr()
@@ -363,7 +382,7 @@ def test_train_rejects_idx_test_set_that_does_not_fit_the_train_set(tmp_path, ca
     rng = np.random.default_rng(0)
     _write_idx(tmp_path, "train", rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
     config_path, output = write_config(tmp_path)
-    config_path.write_text(config_path.read_text() + f"dataset.kind = mnist\ndataset.path = {tmp_path}\n")
+    set_keys(config_path, f"dataset.kind = mnist\ndataset.path = {tmp_path}")
     # a test set that fits the train set trains
     _write_idx(tmp_path, "t10k", rng.integers(0, 256, (4, 4, 4)), [0, 1, 2, 1])
     assert main(["train", "--config", str(config_path)]) == 0
@@ -409,7 +428,7 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
 )
 def test_non_finite_config_value_exits_1_before_training(tmp_path, capsys, line):
     config_path, output = write_config(tmp_path)
-    config_path.write_text(config_path.read_text() + line + "\n")
+    set_keys(config_path, line)
     assert main(["train", "--config", str(config_path)]) == 1
     assert "must be finite" in capsys.readouterr().err
     assert not output.exists()  # rejected at load, before the first round
@@ -418,7 +437,7 @@ def test_non_finite_config_value_exits_1_before_training(tmp_path, capsys, line)
 def test_noise_var_above_ceiling_exits_1_before_training(tmp_path, capsys):
     # finite, but a bin's energy |r|^2 would overflow: rejected at load
     config_path, output = write_config(tmp_path)
-    config_path.write_text(config_path.read_text() + "channel.noise_var = 1e308\n")
+    set_keys(config_path, "channel.noise_var = 1e308")
     assert main(["train", "--config", str(config_path)]) == 1
     assert "noise_var" in capsys.readouterr().err
     assert not output.exists() and not summary_path(output).exists()
@@ -430,7 +449,7 @@ def test_noise_var_above_ceiling_exits_1_before_training(tmp_path, capsys):
 )
 def test_out_of_range_model_shape_exits_1_at_load(tmp_path, capsys, line):
     config_path, output = write_config(tmp_path)
-    config_path.write_text(config_path.read_text() + line + "\n")
+    set_keys(config_path, line)
     assert main(["train", "--config", str(config_path)]) == 1
     key = line.rsplit("\n", 1)[-1].split(" = ")[0]
     assert key.rsplit(".", 1)[-1] + " must be >= " in capsys.readouterr().err
@@ -474,10 +493,11 @@ def test_every_ruled_config_key_has_a_bad_value_row():
 
 @pytest.mark.parametrize("key, value", [*BAD_CONFIG_VALUES.items(), ("seed", str(2**64)),
                                         ("phy.subcarriers", "128"), ("phy.subcarriers", "1000000000000"),
-                                        ("phy.power_cap", "nan"), ("phy.power_cap", "none")])
+                                        ("phy.power_cap", "nan"), ("phy.power_cap", "none"),
+                                        ("dataset.input_dim", "1000000000000")])  # 10**12: no host holds it
 def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, value):
     config_path, output = write_config(tmp_path)
-    config_path.write_text(config_path.read_text() + f"{key} = {value}\n")
+    set_keys(config_path, f"{key} = {value}")
     with pytest.raises(ValueError, match=f"^{re.escape(key)} "):
         load_config(config_path)
     assert main(["train", "--config", str(config_path)]) == 1
@@ -486,10 +506,22 @@ def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, 
     assert sorted(path.name for path in tmp_path.iterdir()) == [config_path.name]
 
 
+def test_config_key_given_twice_exits_1_at_load_naming_the_repeat(tmp_path, capsys):
+    config_path, output = write_config(tmp_path)
+    text = config_path.read_text()
+    config_path.write_text(text + "rounds = 500\n")
+    repeat = len(text.splitlines()) + 1
+    with pytest.raises(ValueError, match=f"^rounds on line {repeat}: "):
+        load_config(config_path)
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: rounds on line {repeat}: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [config_path.name]
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_seed_range_ends_run(tmp_path, seed):
     config_path, output = write_config(tmp_path)
-    config_path.write_text(config_path.read_text() + f"seed = {seed}\n")
+    set_keys(config_path, f"seed = {seed}")
     assert main(["train", "--config", str(config_path)]) == 0
     with summary_path(output).open() as fh:
         assert next(csv.DictReader(fh))["seed"] == str(seed)

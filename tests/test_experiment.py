@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -71,6 +72,14 @@ def test_synthetic_train_test_share_class_means():
         mu_train = train.features[train.labels == label].mean(axis=0)
         mu_test = test.features[test.labels == label].mean(axis=0)
         assert np.linalg.norm(mu_train - mu_test) < 1.0
+
+
+@pytest.mark.parametrize("largest", ["samples", "test_samples", "input_dim"])
+def test_synthetic_dataset_beyond_physical_memory_is_rejected_naming_its_largest_size(largest):
+    # 10**12 rows or features hold 8 TB or more; building the spec allocates nothing
+    with pytest.raises(ValueError, match=f"^{largest} makes the synthetic dataset .* more than physical memory$"):
+        DatasetSpec(**{largest: 10**12})
+    DatasetSpec(kind="mnist", input_dim=10**12)  # IDX files set their own image size
 
 
 def test_prepare_run_rejects_oversized_batch():
@@ -257,21 +266,31 @@ def test_failed_run_keeps_previous_output(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in before)
 
 
-@pytest.mark.skipif(os.name != "posix", reason="the sweep runs on POSIX only")
-def test_replacing_removes_temp_files_of_dead_runs(tmp_path):
-    # A run killed by SIGKILL leaves `<name>.<pid>.tmp` behind; the next
-    # writer of `<name>` removes it once that pid is gone, and nothing else.
-    child = subprocess.Popen([sys.executable, "-c", ""])
-    child.wait()  # reaped, so its pid no longer runs
-    out = tmp_path / "metrics.jsonl"
-    dead, live, other = (tmp_path / name for name in (
-        f"metrics.jsonl.{child.pid}.tmp", f"metrics.jsonl.{os.getppid()}.tmp", f"other.jsonl.{child.pid}.tmp"))
-    for planted in (dead, live, other):
-        planted.write_text("partial\n")
-    with experiment._replacing(out) as sink:
-        sink.write("done\n")
-    assert out.read_text() == "done\n"
-    assert not dead.exists() and live.exists() and other.exists()
+# A child that runs `run_experiment` with `run_rounds` stood in by a line on stdout and a long sleep.
+_STALLED_RUN = """
+import sys, time
+from airvote import experiment
+def stalled(config):
+    print("running", flush=True)
+    time.sleep(60)
+experiment.run_rounds = stalled
+experiment.run_experiment(experiment.ExperimentConfig(output_path=sys.argv[1]))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="SIGKILL is POSIX")
+def test_run_killed_before_its_writes_leaves_nothing(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(experiment.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen([sys.executable, "-c", _STALLED_RUN, str(tmp_path / "metrics.jsonl")],
+                             stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        assert child.stdout.readline() == "running\n"
+    finally:
+        child.kill()  # SIGKILL: no handler, no finally clause runs in the child
+        child.communicate()
+    assert child.returncode == -signal.SIGKILL
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_experiment_unwritable_path_fails_fast(tmp_path, monkeypatch):
