@@ -93,7 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_train(args) -> int:
     config = load_config(args.config)
-    out = run_experiment(config)
+    out = Path(config.output_path)
+    if Path(args.config).resolve() in (out.resolve(), summary_path(out).resolve()):
+        raise ValueError(f"output {config.output_path} or its summary would overwrite the config {args.config}")
+    run_experiment(config)
     print(f"wrote {out} and {summary_path(out)}")
     return 0
 

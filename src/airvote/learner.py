@@ -182,22 +182,15 @@ def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[np.nd
 # Classifiers
 # ---------------------------------------------------------------------------
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the sample axis -1 of class-major (...,
-    classes, n) logits, and its gradient in the logits; the softmax's
-    reductions over the classes axis -2 run along rows of n samples."""
+def _cross_entropy_gradient(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient in class-major (..., classes, n) logits of the mean
+    cross-entropy over the sample axis -1; the softmax's reductions over
+    the classes axis -2 run along rows of n samples."""
     probs = np.exp(logits - logits.max(axis=-2, keepdims=True))
     probs /= probs.sum(axis=-2, keepdims=True)
-    mask = labels[..., None, :] == np.arange(logits.shape[-2])[:, None]
-    loss = -np.mean(np.log(np.einsum("...cn,...cn->...n", probs, mask) + 1e-300), axis=-1)
-    probs -= mask
+    probs -= labels[..., None, :] == np.arange(logits.shape[-2])[:, None]
     probs /= logits.shape[-1]
-    return loss, probs
+    return probs
 
 
 def _unpack(weights: np.ndarray, shapes) -> list[np.ndarray]:
@@ -220,10 +213,10 @@ def _flat(features: np.ndarray, *parts) -> np.ndarray:
 class SoftmaxRegression:
     """Linear softmax classifier; parameters are [W.ravel(), bias].
 
-    `loss_and_gradient` maps (..., n, input_dim) features and (..., n)
-    labels to the mean losses (...) and gradients (..., num_params) of each
-    batch.  It works on class-major (..., classes, n) logits; `matmul` on
-    swapped axes, not einsum, keeps batching fast.
+    `gradient` maps (..., n, input_dim) features and (..., n) labels to
+    the mean cross-entropy gradients (..., num_params) of each batch; the
+    reported loss is `evaluate`'s.  It works on class-major (..., classes,
+    n) logits; `matmul` on swapped axes, not einsum, keeps batching fast.
     """
 
     def __init__(self, input_dim: int, num_classes: int):
@@ -237,10 +230,10 @@ class SoftmaxRegression:
         w, b = _unpack(weights, self.shapes)
         return features @ w + b
 
-    def loss_and_gradient(self, weights, features, labels):
+    def gradient(self, weights, features, labels):
         w, b = _unpack(weights, self.shapes)
-        loss, d_logits = _cross_entropy(w.T @ features.swapaxes(-1, -2) + b[:, None], labels)
-        return loss, _flat(features, (d_logits @ features).swapaxes(-1, -2), d_logits.sum(axis=-1))
+        d_logits = _cross_entropy_gradient(w.T @ features.swapaxes(-1, -2) + b[:, None], labels)
+        return _flat(features, (d_logits @ features).swapaxes(-1, -2), d_logits.sum(axis=-1))
 
 
 class TanhMlp:
@@ -262,13 +255,13 @@ class TanhMlp:
         w1, b1, w2, b2 = _unpack(weights, self.shapes)
         return np.tanh(features @ w1 + b1) @ w2 + b2
 
-    def loss_and_gradient(self, weights, features, labels):
+    def gradient(self, weights, features, labels):
         w1, b1, w2, b2 = _unpack(weights, self.shapes)
         hidden = np.tanh(features @ w1 + b1)
-        loss, d_logits = _cross_entropy(w2.T @ hidden.swapaxes(-1, -2) + b2[:, None], labels)
+        d_logits = _cross_entropy_gradient(w2.T @ hidden.swapaxes(-1, -2) + b2[:, None], labels)
         d_hidden = (w2 @ d_logits).swapaxes(-1, -2) * (1.0 - hidden**2)
-        return loss, _flat(features, features.swapaxes(-1, -2) @ d_hidden, d_hidden.sum(axis=-2),
-                           (d_logits @ hidden).swapaxes(-1, -2), d_logits.sum(axis=-1))
+        return _flat(features, features.swapaxes(-1, -2) @ d_hidden, d_hidden.sum(axis=-2),
+                     (d_logits @ hidden).swapaxes(-1, -2), d_logits.sum(axis=-1))
 
 
 def make_predictor(config: TrainingConfig, dataset: Dataset):
@@ -314,8 +307,7 @@ def compute_local_gradient(
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, hi in analysis.blocks(len(shards), batch_size * dataset.features[0].nbytes):
             rows = batches[lo:hi]
-            _, grads[lo:hi] = predictor.loss_and_gradient(weights, dataset.features[rows], dataset.labels[rows])
-    # NaN probabilities, the only source of a non-finite loss, make their gradient row NaN.
+            grads[lo:hi] = predictor.gradient(weights, dataset.features[rows], dataset.labels[rows])
     finite = np.isfinite(grads).all(axis=1)
     if not finite.all():
         raise FloatingPointError(f"non-finite gradient on device {np.argmin(finite)}")
@@ -324,8 +316,7 @@ def compute_local_gradient(
 
 def full_gradient(weights: np.ndarray, predictor, dataset: Dataset) -> np.ndarray:
     """Loss gradient over the whole dataset (sign reference for error rates)."""
-    _, grad = predictor.loss_and_gradient(weights, dataset.features, dataset.labels)
-    return grad
+    return predictor.gradient(weights, dataset.features, dataset.labels)
 
 
 def sign_quantize(values) -> np.ndarray:
@@ -342,12 +333,14 @@ def apply_global_update(weights: np.ndarray, direction: np.ndarray, learning_rat
 
 
 def evaluate(weights: np.ndarray, predictor, dataset: Dataset) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy loss); argmax ties go to the lowest class."""
+    """(accuracy, mean cross-entropy loss), the only loss a run computes;
+    argmax ties go to the lowest class."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     logits = predictor.logits(weights, dataset.features)
     predictions = np.argmax(logits, axis=1)
     accuracy = float(np.mean(predictions == dataset.labels))
-    log_probs = _log_softmax(logits)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     mean_loss = float(-np.mean(log_probs[np.arange(len(dataset)), dataset.labels]))
     return accuracy, mean_loss

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class PhyConfig:
     def __post_init__(self):
         if not 2 <= self.num_subcarriers <= FFT_SIZE or self.num_subcarriers % 2:
             raise ValueError(f"num_subcarriers must be an even number in [2, {FFT_SIZE}]")
-        if self.num_symbols < 1:
-            raise ValueError("num_symbols must be positive")
+        if not 1 <= self.num_symbols <= sys.float_info.max:  # analysis._at_least's rule; analysis imports phy
+            raise ValueError(f"num_symbols must be >= 1 and <= {sys.float_info.max:g}")
         if not self.power_cap >= 1.0:
             raise ValueError("power_cap must be no lower than the initial power of 1")
 

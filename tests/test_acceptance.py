@@ -30,7 +30,7 @@ from airvote.channel import ChannelConfig
 from airvote.cli import main as cli_main
 from airvote.detector import ideal_majority_vote
 from airvote.experiment import DatasetSpec, ExperimentConfig, PhyConfig, run_rounds
-from airvote.learner import SoftmaxRegression, TanhMlp, TrainingConfig
+from airvote.learner import Dataset, SoftmaxRegression, TanhMlp, TrainingConfig, evaluate
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -184,17 +184,16 @@ def test_c5_sync_error_invariance():
 # 6. Gradient correctness
 # ---------------------------------------------------------------------------
 
-def _finite_difference(predictor, weights, features, labels, step=1e-5):
+def _finite_difference(predictor, weights, dataset, step=1e-5):
+    """Central differences of `evaluate`'s loss: sample-major logits and a
+    log-softmax, not the models' own class-major backward pass."""
     grad = np.zeros_like(weights)
     for i in range(weights.size):
         up = weights.copy()
         down = weights.copy()
         up[i] += step
         down[i] -= step
-        grad[i] = (
-            predictor.loss_and_gradient(up, features, labels)[0]
-            - predictor.loss_and_gradient(down, features, labels)[0]
-        ) / (2.0 * step)
+        grad[i] = (evaluate(up, predictor, dataset)[1] - evaluate(down, predictor, dataset)[1]) / (2.0 * step)
     return grad
 
 
@@ -212,8 +211,8 @@ def test_c6_gradient_vs_finite_differences():
         weights = rng.normal(scale=0.6, size=predictor.num_params)
         features = rng.normal(size=(n, d))
         labels = rng.integers(0, c, size=n)
-        _, analytic = predictor.loss_and_gradient(weights, features, labels)
-        numeric = _finite_difference(predictor, weights, features, labels)
+        analytic = predictor.gradient(weights, features, labels)
+        numeric = _finite_difference(predictor, weights, Dataset(features, labels, c))
         err = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-12)
         worst = max(worst, err)
     ok = worst < 1e-4

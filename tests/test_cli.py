@@ -286,6 +286,17 @@ def test_plot_data_never_overwrites_its_input(tmp_path, capsys, monkeypatch):
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("name, output", [("run.toml", "run.toml"), ("run.summary.csv", "./run.jsonl")])
+def test_train_never_overwrites_its_config(tmp_path, capsys, monkeypatch, name, output):
+    monkeypatch.chdir(tmp_path)
+    config_path, _ = write_config(tmp_path, name=name, output=output)
+    before = config_path.read_bytes()
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: output {output} or its summary would overwrite the config {config_path}\n"
+    assert config_path.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == [config_path.name]
+
+
 def test_train_missing_output_dir_names_the_output_path(tmp_path, capsys):
     output = tmp_path / "missing" / "x.jsonl"
     config_path, _ = write_config(tmp_path, output=output)
@@ -494,7 +505,8 @@ def test_every_ruled_config_key_has_a_bad_value_row():
 @pytest.mark.parametrize("key, value", [*BAD_CONFIG_VALUES.items(), ("seed", str(2**64)),
                                         ("phy.subcarriers", "128"), ("phy.subcarriers", "1000000000000"),
                                         ("phy.power_cap", "nan"), ("phy.power_cap", "none"),
-                                        ("dataset.input_dim", "1000000000000")])  # 10**12: no host holds it
+                                        ("dataset.input_dim", "1000000000000"),  # 10**12: no host holds it
+                                        ("phy.symbols", str(10**400))])
 def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, value):
     config_path, output = write_config(tmp_path)
     set_keys(config_path, f"{key} = {value}")
