@@ -48,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="run an experiment from a config file")
     train.add_argument("--config", required=True, help="flat key = value config file")
+    train.set_defaults(run=_cmd_train)
 
     verify = sub.add_parser("mc-verify", help="Monte Carlo checks of the closed forms")
     verify.add_argument("--suite", default="all",
@@ -56,8 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--trials", type=int, default=None,
                         help="override the per-suite default trial count")
     verify.add_argument("--seed", type=_nonnegative_int, default=0)
+    verify.set_defaults(run=_cmd_mc_verify)
 
     bounds = sub.add_parser("bounds", help="evaluate a closed-form expression")
+    bounds.set_defaults(run=_cmd_bounds)
     group = bounds.add_mutually_exclusive_group(required=True)
     group.add_argument("--cost", choices=analysis.COMM_SCHEMES,
                        help="uplink bits per round for a compression scheme")
@@ -84,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot.add_argument("--output", required=True, help="CSV path to write")
     plot.add_argument("--scheme", default=None,
                       help="scheme label; default comes from the sibling summary CSV")
+    plot.set_defaults(run=_cmd_plot_data)
     return parser
 
 
@@ -92,11 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _cmd_train(args) -> int:
-    config = load_config(args.config)
-    out = Path(config.output_path)
-    if Path(args.config).resolve() in (out.resolve(), summary_path(out).resolve()):
-        raise ValueError(f"output {config.output_path} or its summary would overwrite the config {args.config}")
-    run_experiment(config)
+    out = run_experiment(load_config(args.config), reads=[args.config])
     print(f"wrote {out} and {summary_path(out)}")
     return 0
 
@@ -154,10 +154,6 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_plot_data(args) -> int:
     source = Path(args.input)
-    if not source.exists():
-        raise FileNotFoundError(f"metrics file not found: {source}")
-    if Path(args.output).resolve() in (source.resolve(), summary_path(source).resolve()):
-        raise ValueError(f"--output {args.output} would overwrite the input {source} or its summary")
     scheme = args.scheme
     if scheme is None:
         sidecar = summary_path(source)
@@ -177,7 +173,7 @@ def _cmd_plot_data(args) -> int:
                 rows.append([record["round"], scheme, record["test_accuracy"]])
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{source} line {number}: not a metrics record ({exc!r})") from None
-    with _replacing(Path(args.output)) as fh:
+    with _replacing(Path(args.output), reads=(source, summary_path(source))) as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "scheme", "accuracy"])
         writer.writerows(rows)
@@ -191,14 +187,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # usage errors exit 2 in argparse, 1 here
         return 1 if exc.code else 0
-    handlers = {
-        "train": _cmd_train,
-        "mc-verify": _cmd_mc_verify,
-        "bounds": _cmd_bounds,
-        "plot-data": _cmd_plot_data,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -52,10 +52,8 @@ from .seeding import (
 SCHEMES = ("ideal_signsgd_mv", "fedavg_ideal", "fsk_mv", "fsk_mv_dpc")
 DATASET_KINDS = ("synthetic", "mnist")
 
-_MNIST_FILES = {
-    "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-}
+_MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",  # in load order: train, then test
+                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
 @dataclass
@@ -136,12 +134,17 @@ class RunState:
 # Setup
 # ---------------------------------------------------------------------------
 
-def _find_idx_file(directory: Path, stem: str) -> Path:
-    for name in (stem, stem + ".gz"):
-        candidate = directory / name
-        if candidate.exists():
-            return candidate
-    raise FileNotFoundError(f"missing {stem}[.gz] under {directory}")
+def _idx_files(spec: DatasetSpec) -> list[Path]:
+    """The dataset files `spec` loads, in `_MNIST_FILES` order, each
+    `<stem>` or else `<stem>.gz` under `spec.path`; none for synthetic data.
+    A missing one raises FileNotFoundError naming its stem and the directory."""
+    directory, files = Path(spec.path), []
+    for stem in _MNIST_FILES if spec.kind == "mnist" else ():
+        found = [path for path in (directory / stem, directory / f"{stem}.gz") if path.exists()]
+        if not found:
+            raise FileNotFoundError(f"missing {stem}[.gz] under {directory}")
+        files.append(found[0])
+    return files
 
 
 def _subsample(dataset: Dataset, size: int, rng) -> Dataset:
@@ -164,10 +167,8 @@ def build_datasets(spec: DatasetSpec, master_seed: int) -> tuple[Dataset, Datase
         train = Dataset(full.features[: spec.samples], full.labels[: spec.samples], full.num_classes)
         test = Dataset(full.features[spec.samples :], full.labels[spec.samples :], full.num_classes)
         return train, test
-    train, test = (
-        load_idx_dataset(*(_find_idx_file(Path(spec.path), stem) for stem in _MNIST_FILES[part]))
-        for part in ("train", "test")
-    )
+    files = _idx_files(spec)
+    train, test = load_idx_dataset(*files[:2]), load_idx_dataset(*files[2:])
     if test.features.shape[1] != train.features.shape[1]:
         raise ValueError(f"the test set's images have {test.features.shape[1]} pixels, "
                          f"the train set's {train.features.shape[1]}")
@@ -256,10 +257,15 @@ def summary_path(output_path) -> Path:
     return Path(output_path).with_suffix(".summary.csv")
 
 
-def _new_temp(path: Path) -> Path:
-    """`path`'s temp file `<name>.<pid>.tmp`, created empty.  A `path` that
-    is a directory, or in a missing or unwritable one, raises an OSError
-    naming `path`, not the temp file."""
+def _new_temp(path: Path, reads=()) -> Path:
+    """`path`'s temp file `<name>.<pid>.tmp`, created empty.  Every write's
+    one rule: a `path` that resolves to one of the files in `reads` raises
+    ValueError naming both, before anything is created.  A `path` that is a
+    directory, or in a missing or unwritable one, raises an OSError naming
+    `path`, not the temp file."""
+    for read in reads:
+        if path.resolve() == Path(read).resolve():
+            raise ValueError(f"output {path} would overwrite the input {read}")
     if path.is_dir():
         raise IsADirectoryError(f"output path {path} is a directory")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -271,12 +277,12 @@ def _new_temp(path: Path) -> Path:
 
 
 @contextmanager
-def _replacing(path: Path):
+def _replacing(path: Path, reads=()):
     """Text sink whose contents replace `path` only when the block completes;
-    on error its temp file (`_new_temp`) is removed and `path` keeps its old
-    contents.  A process killed inside the block leaves the temp file behind,
-    so the block should hold writes, not work."""
-    tmp = _new_temp(path)
+    on error its temp file (`_new_temp(path, reads)`) is removed and `path`
+    keeps its old contents.  A process killed inside the block leaves the
+    temp file behind, so the block should hold writes, not work."""
+    tmp = _new_temp(path, reads)
     try:
         with tmp.open("w", newline="") as sink:
             yield sink
@@ -285,16 +291,18 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
-def run_experiment(config: ExperimentConfig) -> Path:
+def run_experiment(config: ExperimentConfig, reads=()) -> Path:
     """Run the configured experiment and persist metrics: one JSON object
     per evaluation record at the output path, and a one-row summary CSV
-    next to it.  Both paths are checked before the first round, by creating
-    and removing their temp files, and written after the last, so a run
+    next to it.  Both paths pass `_new_temp` before the first round, with
+    `reads` (the config's own file, which the run cannot see) and the
+    dataset files as the inputs, and are written after the last, so a run
     killed before then leaves nothing beside its output; the two are
     replaced together: neither changes unless the run and both writes complete."""
     out = Path(config.output_path)
+    reads = (*reads, *_idx_files(config.dataset))
     for path in (out, summary_path(out)):
-        _new_temp(path).unlink()
+        _new_temp(path, reads).unlink()
     metrics, state = run_rounds(config)
     family = "sgd" if config.scheme == "fedavg_ideal" else "signsgd_mv"
     total_bits = comm_cost(family, config.training.num_devices, state.predictor.num_params)
@@ -389,7 +397,5 @@ def config_from_values(values: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    return config_from_values(parse_config_text(path.read_text()))
+    """ExperimentConfig from a config file; a missing one raises FileNotFoundError naming it."""
+    return config_from_values(parse_config_text(Path(path).read_text()))

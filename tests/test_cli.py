@@ -11,7 +11,15 @@ import pytest
 
 from airvote import analysis, experiment
 from airvote.cli import main
-from airvote.experiment import _CONFIG_KEYS, DatasetSpec, build_datasets, load_config, summary_path
+from airvote.experiment import (
+    _CONFIG_KEYS,
+    _MNIST_FILES,
+    DatasetSpec,
+    build_datasets,
+    load_config,
+    run_experiment,
+    summary_path,
+)
 
 CONFIG_TEMPLATE = """
 scheme = fsk_mv_dpc
@@ -140,13 +148,14 @@ def test_readme_bounds_examples_run(capsys):
         ["--error-prob", "--snr", "nan"],
         ["--tau", "--gamma", "inf"],
         ["--failure-prob", "nan"],
+        ["--tau", "--snr", "abc"],  # not a float at all
     ],
 )
 def test_bounds_rejects_non_finite_floats(capsys, argv):
     assert main(["bounds", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "is not a finite number" in captured.err
+    assert f"{argv[-1]!r} is not a finite number" in captured.err
 
 
 @pytest.mark.parametrize("batch_size", ["0", "-4"])
@@ -189,7 +198,7 @@ def test_bounds_prints_the_limit_where_float_arithmetic_overflows(capsys, argv, 
 
 def test_train_missing_config(capsys):
     assert main(["train", "--config", "missing.toml"]) == 1
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'missing.toml'\n"
 
 
 def test_diverging_run_exits_1_and_writes_nothing(tmp_path, capsys):
@@ -288,11 +297,12 @@ def test_plot_data_never_overwrites_its_input(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, output", [("run.toml", "run.toml"), ("run.summary.csv", "./run.jsonl")])
 def test_train_never_overwrites_its_config(tmp_path, capsys, monkeypatch, name, output):
+    # the refused path is the output or its summary, whichever is the config
     monkeypatch.chdir(tmp_path)
     config_path, _ = write_config(tmp_path, name=name, output=output)
     before = config_path.read_bytes()
     assert main(["train", "--config", str(config_path)]) == 1
-    assert capsys.readouterr().err == f"error: output {output} or its summary would overwrite the config {config_path}\n"
+    assert capsys.readouterr().err == f"error: output {name} would overwrite the input {config_path}\n"
     assert config_path.read_bytes() == before
     assert [path.name for path in tmp_path.iterdir()] == [config_path.name]
 
@@ -331,21 +341,53 @@ def _write_idx(directory, part, images, labels):
     (directory / f"{part}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, len(labels)) + bytes(labels))
 
 
-def test_train_with_damaged_gzip_idx_exits_1_naming_it(tmp_path, capsys):
+def _write_mnist(directory, gzipped=None):
+    """The four IDX files of a 30-image, 3-class MNIST stand-in; `gzipped`
+    names one stem to store only as `<stem>.gz`, from the plain bytes."""
     rng = np.random.default_rng(0)
     for part in ("train", "t10k"):
-        _write_idx(tmp_path, part, rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
-    plain = tmp_path / "train-images-idx3-ubyte"
-    damaged = tmp_path / "train-images-idx3-ubyte.gz"
-    damaged.write_bytes(gzip.compress(plain.read_bytes())[:-40])  # cut before the end-of-stream marker
-    plain.unlink()
+        _write_idx(directory, part, rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
+    if gzipped:
+        plain = directory / gzipped
+        (directory / f"{gzipped}.gz").write_bytes(gzip.compress(plain.read_bytes()))
+        plain.unlink()
+
+
+@pytest.mark.parametrize(
+    "name, damage, message",
+    [("train-images-idx3-ubyte.gz", lambda gz: gz[:-40], "end-of-stream marker"),  # cut short of its end
+     ("train-images-idx3-ubyte", lambda raw: raw[:2], "too short to contain an IDX header"),
+     ("train-images-idx3-ubyte", lambda raw: raw[:6], "truncated dimension header")],  # 3 dimensions declared
+    ids=["gzip-cut-short", "no-header", "header-cut-short"],
+)
+def test_train_with_damaged_idx_exits_1_naming_it(tmp_path, capsys, name, damage, message):
+    _write_mnist(tmp_path, gzipped="train-images-idx3-ubyte" if name.endswith(".gz") else None)
+    damaged = tmp_path / name
+    damaged.write_bytes(damage(damaged.read_bytes()))
     config_path, output = write_config(tmp_path)
     set_keys(config_path, f"dataset.kind = mnist\ndataset.path = {tmp_path}")
     inputs = sorted(path.name for path in tmp_path.iterdir())
     assert main(["train", "--config", str(config_path)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"error: {damaged}: ")
+    assert captured.out == "" and captured.err.startswith(f"error: {damaged}: ") and message in captured.err
     assert sorted(path.name for path in tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize("name", [*_MNIST_FILES, "t10k-labels-idx1-ubyte.gz"])
+def test_train_never_overwrites_its_idx_files(tmp_path, capsys, monkeypatch, name):
+    # the output, given relative to the working directory, resolves to a file the run reads
+    _write_mnist(tmp_path, gzipped=name.removesuffix(".gz") if name.endswith(".gz") else None)
+    monkeypatch.chdir(tmp_path)
+    config_path, _ = write_config(tmp_path, output=name)
+    set_keys(config_path, f"dataset.kind = mnist\ndataset.path = {tmp_path}")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    message = f"output {name} would overwrite the input {tmp_path / name}"
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_experiment(load_config(config_path))
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_refused_allocation_exits_1_naming_its_size(tmp_path, capsys, monkeypatch):
@@ -426,11 +468,16 @@ def test_mc_verify_error_prob_suite_reports_known_failures(capsys):
     assert "FAIL" in out and "exact" in out
 
 
-def test_invalid_config_value_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "line, message",
+    [("rounds = many", "rounds on line 1: bad value 'many'"),
+     ("rounds 5", "line 1: expected 'key = value', got 'rounds 5'")],
+)
+def test_invalid_config_line_exits_1(tmp_path, capsys, line, message):
     path = tmp_path / "bad.toml"
-    path.write_text("rounds = many\n")
+    path.write_text(line + "\n")
     assert main(["train", "--config", str(path)]) == 1
-    assert "bad value" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,8 @@ def test_ideal_majority_vote():
     np.testing.assert_array_equal(ideal_majority_vote([[1], [1], [-1]]), [1])
     np.testing.assert_array_equal(ideal_majority_vote([[1], [-1]]), [1])  # tie rule
     np.testing.assert_array_equal(ideal_majority_vote([[-1, 1, -1]]), [-1, 1, -1])
+    with pytest.raises(ValueError, match="^need at least one report$"):
+        ideal_majority_vote(np.empty((0, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,19 @@ def test_partition_bad_args():
         partition(ds, 0, "iid", seed=0)
     with pytest.raises(ValueError):
         partition(ds, 11, "iid", seed=0)
+    with pytest.raises(ValueError, match="^mode must be one of"):
+        partition(ds, 2, "x", seed=0)
+
+
+@pytest.mark.parametrize(
+    "features, labels, message",
+    [(np.zeros(3), [0, 1, 2], "features must be 2-D"),
+     (np.zeros((3, 2)), [0, 1], "^3 feature rows but 2 labels$"),
+     (np.zeros((2, 2)), [0, 3], re.escape("labels must lie in [0, num_classes)"))],  # 3 is num_classes
+)
+def test_dataset_rejects_inconsistent_arrays(features, labels, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(features, labels, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +493,12 @@ def test_evaluate_single_sample():
     model = SoftmaxRegression(2, 2)
     acc, _ = evaluate(np.zeros(model.num_params), model, ds)
     assert acc in (0.0, 1.0)
+
+
+def test_evaluate_rejects_an_empty_dataset():
+    model = SoftmaxRegression(2, 2)
+    with pytest.raises(ValueError, match="^cannot evaluate on an empty dataset$"):
+        evaluate(np.zeros(model.num_params), model, Dataset(np.zeros((0, 2)), [], 2))
 
 
 def test_sign_vote_training_reaches_90_percent_train_accuracy():

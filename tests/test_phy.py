@@ -226,6 +226,13 @@ def test_signed_agreement_is_signed():
     np.testing.assert_allclose(signed_agreement(reports, vote), [1.0, -1.0])
 
 
+def test_power_control_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="^report length does not match vote length$"):
+        signed_agreement(np.ones((2, 4)), np.ones(3))
+    with pytest.raises(ValueError, match="^2 reports for 3 device powers$"):
+        update_power(np.ones(3), np.ones((2, 4)), np.ones(4))
+
+
 def test_mean_power():
     assert mean_power(np.ones(3)) == pytest.approx(1.0)
     assert mean_power(np.array([1.0, 2.0])) == pytest.approx(1.5)
