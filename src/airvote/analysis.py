@@ -417,10 +417,10 @@ def _cell(key: str, spec: str = "") -> Callable[[dict], str]:
 # The paper's lemma numbers, which mc-verify accepts as suite names.
 SUITE_ALIASES = {"lemma31": "mean-energy", "lemmad1": "flip-prob", "lemma32": "error-prob"}
 
-# How each suite runs and is printed: (runner, default trials, fewest trials,
-# title, columns, failure note).  The runner takes (trials, seed) and returns
-# rows, the title takes the trial count, each column is (header, cell text of
-# a row), and the note, if any, follows the table when a row fails.
+# How each suite runs and is printed, by `cli._run_suite` alone: (runner,
+# default trials, fewest trials, title, columns, failure note).  The runner
+# takes (trials, seed) and returns rows, the title takes the trial count, each
+# column is (header, cell text of a row), and a note, if any, follows a failed table.
 SUITE_TABLES = {
     "mean-energy": (
         run_mean_energy_suite, 100_000, 1, "mean received bin energy vs closed form ({trials} trials)",

@@ -101,24 +101,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _print_table(title: str, header: list[str], rows: list[list[str]]):
-    print(title)
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    print()
-
-
 def _run_suite(table, trials: int | None, seed: int) -> bool:
+    """Run one suite and print its table, the one text form of suite rows."""
     run, default_trials, _, title, columns, note = table
     trials = default_trials if trials is None else trials
     rows = run(trials, seed)
-    _print_table(
-        title.format(trials=trials),
-        [header for header, _ in columns] + ["status"],
-        [[cell(r) for _, cell in columns] + ["PASS" if r["passed"] else "FAIL"] for r in rows],
-    )
+    lines = [[header for header, _ in columns] + ["status"]]
+    lines += [[cell(r) for _, cell in columns] + ["PASS" if r["passed"] else "FAIL"] for r in rows]
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    print(title.format(trials=trials))
+    for line in lines:
+        print("  ".join(text.ljust(w) for text, w in zip(line, widths)))
+    print()
     passed = all(r["passed"] for r in rows)
     if note and not passed:
         print(note)
@@ -192,7 +186,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - unexpected failures
+    except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

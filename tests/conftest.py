@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from airvote.analysis import air_detect
+from airvote.channel import ChannelConfig
+from airvote.phy import PhyConfig
+
 
 class LowEndGenerator:
     """Stand-in for a numpy Generator whose uniform draws all return the low
@@ -20,3 +24,24 @@ class LowEndGenerator:
 @pytest.fixture
 def low_rng():
     return LowEndGenerator()
+
+
+@pytest.fixture
+def clean_channel_votes(low_rng):
+    """Votes of the production kernel, one one-symbol frame per (devices,
+    coordinates) sign pattern, with unit gains, no noise, unit powers and
+    every randomization symbol 1.
+
+    With all symbols equal to 1, e_plus = 2 * (votes for +1)^2 and
+    e_minus = 2 * (votes for -1)^2, so the energy comparison reproduces the
+    count comparison exactly.
+    """
+    def votes(sign_patterns):
+        num_frames, num_devices, num_coordinates = sign_patterns.shape
+        rows = sign_patterns.transpose(1, 0, 2).reshape(num_devices, -1)
+        phy = PhyConfig(num_subcarriers=2 * num_coordinates, num_symbols=1)
+        return air_detect(
+            rows, np.ones(num_devices), phy, ChannelConfig(noise_var=0.0, fading="none"),
+            [low_rng] * num_devices, [low_rng] * num_frames,
+        ).votes.reshape(num_frames, num_coordinates)
+    return votes

@@ -108,19 +108,7 @@ def test_c3b_error_prob_below_half_and_runtime(error_prob_rows):
 # 4. Ideal-channel oracle equivalence
 # ---------------------------------------------------------------------------
 
-def _pipeline_votes_ideal(sign_patterns, cfg, low_rng):
-    """Votes of the production kernel with every randomization symbol 1,
-    one one-symbol frame per (devices, coordinates) sign pattern."""
-    num_frames, num_devices, num_coordinates = sign_patterns.shape
-    rows = sign_patterns.transpose(1, 0, 2).reshape(num_devices, -1)
-    phy = PhyConfig(num_subcarriers=2 * num_coordinates, num_symbols=1)
-    return air_detect(
-        rows, np.ones(num_devices), phy, cfg, [low_rng] * num_devices, [low_rng] * num_frames
-    ).votes.reshape(num_frames, num_coordinates)
-
-
-def test_c4_oracle_equivalence(low_rng):
-    cfg = ChannelConfig(noise_var=0.0, fading="none")
+def test_c4_oracle_equivalence(clean_channel_votes):
     rng = np.random.default_rng(0)
     groups = (
         # 64 patterns at (M=3, q=2)
@@ -133,7 +121,7 @@ def test_c4_oracle_equivalence(low_rng):
     mismatches = 0
     cases = 0
     for patterns in groups:
-        votes = _pipeline_votes_ideal(patterns, cfg, low_rng)
+        votes = clean_channel_votes(patterns)
         cases += len(patterns)
         mismatches += sum(
             not np.array_equal(vote, ideal_majority_vote(signs)) for signs, vote in zip(patterns, votes)

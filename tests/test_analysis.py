@@ -547,6 +547,9 @@ def test_every_exported_closed_form_and_oracle_has_valid_args():
         (mc_flip_prob, (1.0, -100, 0), "trials"),
         (mc_error_prob, (5, 0.2, -2.0, 1000, 0), "snr"),
         *_rows(COUNT_ARGS, [math.inf, 10**400]),
+        (exact_error_prob_weighted, ([[1.0, 1.0]], [[0.1, 0.1]], 2.0), "powers and flip_probs"),  # 2-D
+        (exact_error_prob_weighted, ([], [], 2.0), "powers and flip_probs"),
+        (exact_error_prob_weighted, ([1.0], [0.1, 0.2], 2.0), "powers and flip_probs"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )

@@ -149,9 +149,14 @@ def test_sample_channel_validates():
         sample_channel(signs, np.zeros((2, 3, 4), dtype=np.complex128), 8, ChannelConfig(), _rngs(0, 1))
     with pytest.raises(ValueError, match="channel generators"):
         sample_channel(signs, np.zeros((2, 3, 4)), 8, ChannelConfig(), _rngs(0))
+    with pytest.raises(ValueError, match=r"expected \(frames, devices, coordinates\) for both$"):
+        sample_channel(signs[0], np.zeros((3, 4)), 8, ChannelConfig(), _rngs(0))
 
 
 def test_config_validation():
+    assert ChannelConfig(noise_var=channel.NOISE_VAR_MAX).noise_var == channel.NOISE_VAR_MAX
+    with pytest.raises(ValueError, match="^noise_var must be"):
+        ChannelConfig(noise_var=np.nextafter(channel.NOISE_VAR_MAX, np.inf))
     with pytest.raises(ValueError):
         ChannelConfig(noise_var=-1.0)
     with pytest.raises(ValueError):

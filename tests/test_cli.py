@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airvote import analysis, experiment
+from airvote import analysis, cli, experiment
 from airvote.cli import main
 from airvote.experiment import (
     _CONFIG_KEYS,
@@ -212,6 +212,16 @@ def test_diverging_run_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not output.exists() and not summary_path(output).exists()
 
 
+def test_unexpected_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def fail(config, reads=()):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    config_path, _ = write_config(tmp_path)
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert capsys.readouterr() == ("", "runtime error: unexpected\n")
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["bounds", "--does-not-exist"]) == 1
     assert "usage" in capsys.readouterr().err
@@ -232,11 +242,13 @@ def test_help_exits_0():
 def test_train_and_plot_data_roundtrip(tmp_path, capsys):
     config_path, output = write_config(tmp_path)
     assert main(["train", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {output} and {summary_path(output)}\n"
     records = [json.loads(line) for line in output.read_text().splitlines()]
     assert [r["round"] for r in records] == [0, 3, 6]
 
     tidy = tmp_path / "tidy.csv"
     assert main(["plot-data", "--input", str(output), "--output", str(tidy)]) == 0
+    assert capsys.readouterr().out == f"wrote {tidy} (3 rows)\n"
     with tidy.open() as fh:
         rows = list(csv.DictReader(fh))
     assert [r["round"] for r in rows] == ["0", "3", "6"]
@@ -252,6 +264,15 @@ def test_plot_data_scheme_override(tmp_path):
     with tidy.open() as fh:
         rows = list(csv.DictReader(fh))
     assert all(r["scheme"] == "xyz" for r in rows)
+
+
+def test_plot_data_without_summary_labels_rows_unknown(tmp_path, capsys):
+    source = tmp_path / "metrics.jsonl"
+    source.write_text('{"round": 0, "test_accuracy": 0.1}\n{"round": 5, "test_accuracy": 0.7}\n')
+    tidy = tmp_path / "tidy.csv"
+    assert main(["plot-data", "--input", str(source), "--output", str(tidy)]) == 0
+    assert capsys.readouterr().out == f"wrote {tidy} (2 rows)\n"
+    assert tidy.read_text() == "round,scheme,accuracy\n0,unknown,0.1\n5,unknown,0.7\n"
 
 
 def test_plot_data_missing_input(tmp_path, capsys):
@@ -370,6 +391,17 @@ def test_train_with_damaged_idx_exits_1_naming_it(tmp_path, capsys, name, damage
     assert main(["train", "--config", str(config_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {damaged}: ") and message in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == inputs
+
+
+def test_train_with_missing_idx_file_exits_1_naming_it(tmp_path, capsys):
+    _write_mnist(tmp_path)
+    (tmp_path / "t10k-labels-idx1-ubyte").unlink()
+    config_path, _ = write_config(tmp_path)
+    set_keys(config_path, f"dataset.kind = mnist\ndataset.path = {tmp_path}")
+    inputs = sorted(path.name for path in tmp_path.iterdir())
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr() == ("", f"error: missing t10k-labels-idx1-ubyte[.gz] under {tmp_path}\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == inputs
 
 
@@ -550,6 +582,7 @@ def test_every_ruled_config_key_has_a_bad_value_row():
 
 
 @pytest.mark.parametrize("key, value", [*BAD_CONFIG_VALUES.items(), ("seed", str(2**64)),
+                                        ("learning_rate", "inf"),
                                         ("phy.subcarriers", "128"), ("phy.subcarriers", "1000000000000"),
                                         ("phy.power_cap", "nan"), ("phy.power_cap", "none"),
                                         ("dataset.input_dim", "1000000000000"),  # 10**12: no host holds it

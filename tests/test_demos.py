@@ -28,13 +28,6 @@ def test_energy_vote_walkthrough_runs():
     assert all(len(row) == 16 and all(row[k:k + 2].count("X") == 1 for k in range(0, 16, 2)) for row in rows)
 
 
-def test_verify_bounds_runs():
-    demo = _run_demo("verify_bounds.py", "--trials", "2000")
-    assert demo.returncode == 0, demo.stderr
-    for title in ("mean received bin energy", "single-device sign flips", "majority-vote detection error"):
-        assert f"=== {title} (2000 " in demo.stdout
-
-
 def test_train_compare_schemes_runs(tmp_path):
     from airvote.experiment import SCHEMES
 

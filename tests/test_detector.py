@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -83,34 +81,9 @@ def test_ideal_majority_vote():
 # Oracle equivalence in the ideal channel
 # ---------------------------------------------------------------------------
 
-def air_vote_ideal(sign_patterns, low_rng):
-    """Pipeline votes, one one-symbol frame per (devices, coordinates)
-    pattern, with unit gains, no noise, unit powers and every randomization
-    symbol 1.
-
-    With all symbols equal to 1, e_plus = 2 * (votes for +1)^2 and
-    e_minus = 2 * (votes for -1)^2, so the energy comparison reproduces the
-    count comparison exactly.
-    """
-    cfg = ChannelConfig(noise_var=0.0, fading="none")
-    num_frames, num_devices, num_coordinates = sign_patterns.shape
-    rows = sign_patterns.transpose(1, 0, 2).reshape(num_devices, -1)
-    phy = PhyConfig(num_subcarriers=2 * num_coordinates, num_symbols=1)
-    return air_detect(
-        rows, np.ones(num_devices), phy, cfg, [low_rng] * num_devices, [low_rng] * num_frames
-    ).votes.reshape(num_frames, num_coordinates)
-
-
-def test_energy_detection_equals_majority_vote_exhaustive(low_rng):
-    patterns = np.array(list(itertools.product([-1, 1], repeat=6))).reshape(-1, 3, 2)  # all 2^(3*2)
-    votes = air_vote_ideal(patterns, low_rng)
-    for signs, vote in zip(patterns, votes):
-        np.testing.assert_array_equal(vote, ideal_majority_vote(signs))
-
-
-def test_energy_detection_equals_majority_vote_random_patterns(low_rng):
+def test_energy_detection_equals_majority_vote_random_patterns(clean_channel_votes):
     patterns = np.random.default_rng(21).choice([-1, 1], size=(200, 31, 10))
-    votes = air_vote_ideal(patterns, low_rng)
+    votes = clean_channel_votes(patterns)
     for signs, vote in zip(patterns, votes):
         np.testing.assert_array_equal(vote, ideal_majority_vote(signs))
 

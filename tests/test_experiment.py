@@ -293,6 +293,17 @@ def test_run_killed_before_its_writes_leaves_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    target = tmp_path / "metrics.jsonl"
+    target.write_text("old metrics\n")
+    with pytest.raises(RuntimeError, match="^write failed$"):
+        with experiment._replacing(target) as sink:
+            sink.write("new metrics\n")
+            raise RuntimeError("write failed")
+    assert target.read_text() == "old metrics\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_run_experiment_unwritable_path_fails_fast(tmp_path, monkeypatch):
     # A missing directory, an output path that is a directory and a summary
     # path that is a directory each fail before the first round, and every

@@ -140,6 +140,15 @@ def test_synthetic_rejects_too_many_classes():
         make_synthetic_dataset(3, 2, 4, seed=0, class_separation=SEPARATION)
 
 
+@pytest.mark.parametrize(
+    "counts, name",
+    [((0, 2, 2), "num_samples"), ((10, 0, 2), "input_dim"), ((10, 2, 1), "num_classes")],
+)
+def test_synthetic_rejects_counts_below_their_floor(counts, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        make_synthetic_dataset(*counts, seed=0, class_separation=SEPARATION)
+
+
 def test_partition_iid_sizes():
     ds = make_synthetic_dataset(100, 3, 2, seed=0, class_separation=SEPARATION)
     shards = partition(ds, 4, "iid", seed=0)
@@ -185,7 +194,7 @@ def test_partition_returns_int64_index_arrays():
 
 def test_partition_bad_args():
     ds = make_synthetic_dataset(10, 2, 2, seed=0, class_separation=SEPARATION)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^num_devices must be >= 1 "):
         partition(ds, 0, "iid", seed=0)
     with pytest.raises(ValueError):
         partition(ds, 11, "iid", seed=0)
@@ -197,11 +206,17 @@ def test_partition_bad_args():
     "features, labels, message",
     [(np.zeros(3), [0, 1, 2], "features must be 2-D"),
      (np.zeros((3, 2)), [0, 1], "^3 feature rows but 2 labels$"),
-     (np.zeros((2, 2)), [0, 3], re.escape("labels must lie in [0, num_classes)"))],  # 3 is num_classes
+     (np.zeros((2, 2)), [0, 3], re.escape("labels must lie in [0, num_classes)")),  # 3 is num_classes
+     (np.zeros((2, 2)), [0, -1], re.escape("labels must lie in [0, num_classes)"))],
 )
 def test_dataset_rejects_inconsistent_arrays(features, labels, message):
     with pytest.raises(ValueError, match=message):
         Dataset(features, labels, 3)
+
+
+def test_dataset_rejects_num_classes_below_1():
+    with pytest.raises(ValueError, match="^num_classes must be >= 1 "):
+        Dataset(np.zeros((0, 2)), [], 0)  # no label to reject
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +486,7 @@ def test_apply_global_update_examples():
 
 
 def test_apply_global_update_length_check():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^direction length 2 does not match model size 3$"):
         apply_global_update(np.zeros(3), np.array([1, -1]), 0.1)
 
 

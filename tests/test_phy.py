@@ -36,6 +36,12 @@ def test_map_requires_even_subcarriers():
         PhyConfig(num_subcarriers=5, num_symbols=1)
 
 
+def test_power_cap_floor_is_the_initial_power():
+    assert PhyConfig(power_cap=1.0).power_cap == 1.0
+    with pytest.raises(ValueError, match="^power_cap must be no lower than the initial power of 1$"):
+        PhyConfig(power_cap=np.nextafter(1.0, 0.0))
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
                                    np.uint8, np.uint16, np.uint32, np.uint64])
 def test_num_frames_of_numpy_integers_is_the_ceiling(dtype):
