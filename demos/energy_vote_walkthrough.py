@@ -11,18 +11,9 @@ Run:  python3 demos/energy_vote_walkthrough.py
 
 import numpy as np
 
-from airvote import (
-    ChannelConfig,
-    detect,
-    encode_signs,
-    ideal_majority_vote,
-    lit_subcarriers,
-    mean_power,
-    sample_channel,
-    signed_agreement,
-    superpose,
-    update_power,
-)
+from airvote.channel import ChannelConfig, sample_channel, superpose
+from airvote.detector import detect, ideal_majority_vote
+from airvote.phy import encode_signs, lit_subcarriers, mean_power, signed_agreement, update_power
 
 DEVICES = 5
 COORDS = 8

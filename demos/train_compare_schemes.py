@@ -15,10 +15,10 @@ import csv
 
 import numpy as np
 
-from airvote import DatasetSpec, ExperimentConfig, PhyConfig, run_rounds
 from airvote.channel import ChannelConfig
-from airvote.experiment import SCHEMES
+from airvote.experiment import SCHEMES, DatasetSpec, ExperimentConfig, run_rounds
 from airvote.learner import TrainingConfig
+from airvote.phy import PhyConfig
 
 
 def build_config(scheme, rounds, seed):

@@ -29,8 +29,9 @@ from airvote.analysis import (
 from airvote.channel import ChannelConfig
 from airvote.cli import main as cli_main
 from airvote.detector import ideal_majority_vote
-from airvote.experiment import DatasetSpec, ExperimentConfig, PhyConfig, run_rounds
+from airvote.experiment import DatasetSpec, ExperimentConfig, run_rounds
 from airvote.learner import Dataset, SoftmaxRegression, TanhMlp, TrainingConfig, evaluate
+from airvote.phy import PhyConfig
 
 
 def report(criterion: str, passed: bool, detail: str):

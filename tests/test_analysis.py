@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
-import airvote
 from airvote import analysis
 from airvote.analysis import (
     air_detect,
@@ -31,7 +30,7 @@ from airvote.analysis import (
     run_error_prob_suite,
     run_flip_prob_suite,
 )
-from airvote.channel import FADING_MODES, ChannelConfig
+from airvote.channel import FADING_MODES, NOISE_VAR_MAX, ChannelConfig
 from airvote.phy import SYMBOL_ENERGY, PhyConfig
 
 
@@ -417,6 +416,7 @@ def make_params(**overrides):
 
 def test_convergence_tau_spot_value():
     assert convergence_tau(31, 2.0, 1.0) == pytest.approx(1.032258064516129, abs=1e-12)
+    assert convergence_tau(31, 2.0, 4.0) == pytest.approx(1.032258064516129 / 2.0, abs=1e-12)  # / sqrt(gamma)
 
 
 def test_convergence_bound_scales_with_rounds():
@@ -443,13 +443,15 @@ def test_convergence_bound_monotonicity():
 
 
 def test_convergence_bound_strict_derivation():
-    # the default batch size 1 is the simplified form; 64 divides the trailing term by sqrt(64)
-    params = make_params()
-    loose = convergence_bound(**params)
-    assert convergence_bound(**params, batch_size=1) == loose
-    strict = convergence_bound(**make_params(batch_size=64))
-    trailing = (2.0 * math.sqrt(2.0) / 6.0) * params["sigma_l1"] / math.sqrt(params["rounds"])
-    assert loose - strict == pytest.approx(trailing * (1.0 - 1.0 / 8.0), rel=1e-12)
+    # the default batch size 1 is the simplified form; 64 divides the trailing
+    # term by sqrt(64), and sqrt(gamma) multiplies it
+    for gamma in (1.0, 4.0):
+        params = make_params(gamma=gamma)
+        loose = convergence_bound(**params)
+        assert convergence_bound(**params, batch_size=1) == loose
+        strict = convergence_bound(**make_params(gamma=gamma, batch_size=64))
+        trailing = (2.0 * math.sqrt(2.0) / 6.0) * math.sqrt(gamma) * params["sigma_l1"] / math.sqrt(params["rounds"])
+        assert loose - strict == pytest.approx(trailing * (1.0 - 1.0 / 8.0), rel=1e-12)
 
 
 def test_convergence_bound_positivity():
@@ -487,7 +489,7 @@ def test_comm_cost_validates():
 # Argument checks
 # ---------------------------------------------------------------------------
 
-# Valid arguments of every closed form and oracle that `airvote` exports.  The
+# Valid arguments of every public closed form and oracle of `analysis`.  The
 # NaN rows below are made from them, one per numeric argument (every argument
 # but `scheme` and `seed`), and so are an inf and a 10**400 row per count.
 VALID_ARGS = {
@@ -518,11 +520,19 @@ NUMERIC_ARGS = {name for f in VALID_ARGS for name in inspect.signature(f).parame
 COUNT_ARGS = {"active_devices", "num_devices", "rounds", "batch_size", "model_dim", "trials"}
 
 
+# Public functions of `analysis` that are not plain-argument closed forms or
+# oracles: array arguments (with their own rows below), the kernel and its
+# block rule, and the suite runners.
+NOT_CLOSED_FORMS = {"exact_error_prob_weighted", "blocks", "air_detect",
+                    "run_mean_energy_suite", "run_flip_prob_suite", "run_error_prob_suite"}
+
+
 def test_every_exported_closed_form_and_oracle_has_valid_args():
-    # a closed form or oracle added to `airvote` gets its NaN rows only
+    # a closed form or oracle added to `analysis` gets its NaN rows only
     # through VALID_ARGS, so it cannot skip the one-argument rule
-    exported = {value for value in vars(airvote).values()
-                if inspect.isfunction(value) and value.__module__ == analysis.__name__}
+    exported = {value for name, value in vars(analysis).items()
+                if inspect.isfunction(value) and value.__module__ == analysis.__name__
+                and not name.startswith("_") and name not in NOT_CLOSED_FORMS}
     assert exported and sorted(f.__name__ for f in exported - VALID_ARGS.keys()) == []
     for function, args in VALID_ARGS.items():
         function(*args)  # the base arguments are valid
@@ -537,6 +547,8 @@ def test_every_exported_closed_form_and_oracle_has_valid_args():
         (error_prob_bound, (31, 2.0, -3.0), "grad_snr"),
         (error_prob_intermediate_bound, (31, -2.0, 0.2), "snr"),
         (exact_error_prob, (31, -2.0, 0.2), "snr"),
+        (exact_error_prob, (31, 2.0, 0.0), "flip_prob"),
+        (exact_error_prob, (31, 2.0, 0.5), "flip_prob"),
         (exact_error_prob_weighted, ([1.0, math.nan], [0.1, 0.1], 2.0), "powers"),
         (exact_error_prob_weighted, ([1.0, 1.0], [0.1, -0.1], 2.0), "flip_probs"),
         (convergence_tau, (31, 2.0, -1.0), "gamma"),
@@ -597,6 +609,14 @@ def test_oracles_reject_bad_counts_and_noise_before_any_draw(function, args, mes
         function(*args)
 
 
+def test_range_ends_are_accepted():
+    # the largest float is a count, and the smallest snr mc_error_prob takes
+    # gives the largest noise variance a channel holds
+    analysis._at_least(1, count=sys.float_info.max)
+    estimate, stderr = mc_error_prob(5, 0.2, SYMBOL_ENERGY / NOISE_VAR_MAX, 1000, 0)
+    assert estimate == pytest.approx(0.5, abs=4 * stderr)
+
+
 def test_oracles_accept_numpy_integer_counts():
     assert mc_error_prob(np.int64(5), 0.2, 2.0, np.int64(1000), 0) == mc_error_prob(5, 0.2, 2.0, 1000, 0)
     assert mc_flip_prob(1.0, np.int32(100), 0) == mc_flip_prob(1.0, 100, 0)
@@ -625,6 +645,23 @@ def test_error_prob_suite_structure():
         assert row["below_half"]
     # the attenuated comparison target is only beaten at small flip rates
     assert all(r["passed"] for r in rows if r["flip_prob"] == 0.05)
+
+
+@pytest.mark.parametrize("stderrs, passed", [(3.0, True), (3.5, False)])
+def test_suite_rows_pass_up_to_three_standard_errors_above_their_bound(monkeypatch, stderrs, passed):
+    stderr = 0.01
+    monkeypatch.setattr(analysis, "mc_flip_prob", lambda grad_snr, trials, seed: (
+        failure_prob_bound(grad_snr) + stderrs * stderr, stderr))
+    monkeypatch.setattr(analysis, "mc_error_prob", lambda num_devices, flip_prob, snr, trials, seed: (
+        error_prob_intermediate_bound(num_devices, snr, flip_prob) + stderrs * stderr, stderr))
+    for rows in (run_flip_prob_suite(1, 0), run_error_prob_suite(1000, 0)):
+        assert [row["passed"] for row in rows] == [passed] * len(rows)
+
+
+@pytest.mark.parametrize("estimate, below_half", [(math.nextafter(0.5, 0.0), True), (0.5, False)])
+def test_error_prob_rows_are_below_half_only_below_half(monkeypatch, estimate, below_half):
+    monkeypatch.setattr(analysis, "mc_error_prob", lambda *args, **kwargs: (estimate, 0.0))
+    assert {row["below_half"] for row in run_error_prob_suite(1000, 0)} == {below_half}
 
 
 # Row keys of each suite, grid keys first, as mc-verify prints them.

@@ -6,7 +6,6 @@ import pytest
 from airvote import channel
 from airvote.channel import (
     FADING_MODES,
-    FFT_SIZE,
     ChannelConfig,
     _unit_phasors,
     sample_channel,
@@ -14,7 +13,7 @@ from airvote.channel import (
 )
 from airvote.analysis import air_detect
 from airvote.detector import detect
-from airvote.phy import SYMBOL_ENERGY, PhyConfig, encode_signs
+from airvote.phy import FFT_SIZE, SYMBOL_ENERGY, PhyConfig, encode_signs
 
 
 def _rngs(*seeds):

@@ -227,6 +227,20 @@ def test_unknown_flag_exits_1(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["train"], "the following arguments are required: --config"),
+    (["bounds"], "one of the arguments --cost --failure-prob --error-prob --tau --convergence is required"),
+    (["plot-data", "--output", "out.csv"], "the following arguments are required: --input"),
+    (["plot-data", "--input", "metrics.jsonl"], "the following arguments are required: --output"),
+])
+def test_missing_required_argument_exits_1_with_usage(capsys, argv, missing):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: airvote {argv[0]} ")
+    assert captured.err.endswith(f"\nairvote {argv[0]}: error: {missing}\n")
+
+
 def test_unknown_subcommand_exits_1():
     assert main(["frobnicate"]) == 1
 
@@ -489,6 +503,25 @@ def test_mc_verify_flip_prob_suite(capsys):
     assert f"({default} draws)" in capsys.readouterr().out.splitlines()[0]
 
 
+@pytest.mark.parametrize("argv, runs", [
+    ([], [("mean-energy", 100_000, 0), ("flip-prob", 100_000, 0), ("error-prob", 10_000, 0)]),
+    (["--suite", "mean-energy", "--trials", "1"], [("mean-energy", 1, 0)]),
+    (["--suite", "flip-prob", "--trials", "1", "--seed", "5"], [("flip-prob", 1, 5)]),
+    (["--suite", "error-prob", "--trials", "1000"], [("error-prob", 1000, 0)]),
+])
+def test_mc_verify_default_and_fewest_trials_and_seed(capsys, monkeypatch, argv, runs):
+    # the README's defaults: 100k/100k/10k trials, fewest 1/1/1,000, seed 0
+    calls = []
+    for suite, (_, *rest) in analysis.SUITE_TABLES.items():
+        def recording(trials, seed, suite=suite):
+            calls.append((suite, trials, seed))
+            return []
+
+        monkeypatch.setitem(analysis.SUITE_TABLES, suite, (recording, *rest))
+    assert main(["mc-verify", *argv]) == 0
+    assert calls == runs
+
+
 def test_mc_verify_suite_alias(capsys):
     assert main(["mc-verify", "--suite", "lemmad1", "--trials", "5000", "--seed", "1"]) == 0
 
@@ -596,6 +629,15 @@ def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, 
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {key} ")
     assert sorted(path.name for path in tmp_path.iterdir()) == [config_path.name]
+
+
+def test_readme_synthetic_memory_example(tmp_path, capsys):
+    # the other sizes at their defaults: (10,000 + 2,000 + 10) x 10**8 x 8 bytes
+    config_path = tmp_path / "huge.conf"
+    config_path.write_text("dataset.input_dim = 100000000\n")
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr() == ("", "error: dataset.input_dim makes the synthetic dataset 9.61e+12 bytes, "
+                                       "more than physical memory\n")
 
 
 def test_config_key_given_twice_exits_1_at_load_naming_the_repeat(tmp_path, capsys):

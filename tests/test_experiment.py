@@ -17,7 +17,6 @@ from airvote.experiment import (
     _CONFIG_KEYS,
     DatasetSpec,
     ExperimentConfig,
-    PhyConfig,
     build_datasets,
     config_from_values,
     load_config,
@@ -29,7 +28,7 @@ from airvote.experiment import (
     summary_path,
 )
 from airvote.learner import Dataset, SoftmaxRegression, TrainingConfig
-from airvote.phy import encode_signs
+from airvote.phy import PhyConfig, encode_signs
 
 JSONL_KEYS = ["round", "test_accuracy", "test_loss", "mean_power", "vote_agreement", "empirical_perr"]
 

@@ -13,6 +13,7 @@ from airvote.learner import (
     IdxFormatError,
     SoftmaxRegression,
     TanhMlp,
+    TrainingConfig,
     _unpack,
     apply_global_update,
     compute_local_gradient,
@@ -83,11 +84,13 @@ def test_load_idx_wrong_magic(idx_pair):
 
 
 def test_load_idx_truncated(idx_pair, tmp_path):
-    img_path, lab_path, *_ = idx_pair
+    img_path, lab_path, *_ = idx_pair  # 7 images of 4 x 3 pixels after a 16-byte header
     short = tmp_path / "short-idx3-ubyte"
-    short.write_bytes(img_path.read_bytes()[:-5])
-    with pytest.raises(IdxFormatError, match="declares"):
-        load_idx_dataset(short, lab_path)
+    for kept, message in [(-5, "header declares 84 data bytes, found 79"),
+                          (16, "header declares 84 data bytes, found 0"), (4, "truncated dimension header")]:
+        short.write_bytes(img_path.read_bytes()[:kept])
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(str(short))}: {message}$"):
+            load_idx_dataset(short, lab_path)
 
 
 # A damaged .gz: cut short (EOFError), an invalid deflate block type (zlib.error), no gzip header at all.
@@ -169,6 +172,22 @@ def test_partition_noniid_label_cardinality():
         assert labels.size <= 4
 
 
+def test_partition_noniid_pairs_consecutive_assigned_chunks():
+    # 8 samples sorted by label cut into the chunks [1, 3], [5, 7], [0, 2] and
+    # [4, 6]; device m takes those at positions 2m and 2m + 1 of the seeded
+    # permutation [2, 0, 1, 3]
+    ds = Dataset(np.zeros((8, 1)), [1, 0, 1, 0, 1, 0, 1, 0], 2)
+    shards = partition(ds, 2, "non-iid", seed=0)
+    assert [shard.tolist() for shard in shards] == [[0, 2, 1, 3], [5, 7, 4, 6]]
+
+
+def test_counts_at_their_ends_are_accepted():
+    TrainingConfig(batch_size=1, rounds=1, num_devices=1, hidden_units=1)
+    ds = make_synthetic_dataset(3, 1, 3, seed=0, class_separation=SEPARATION)  # one sample per class
+    assert sorted(ds.labels.tolist()) == [0, 1, 2]
+    assert [len(shard) for shard in partition(ds, 3, "iid", seed=0)] == [1, 1, 1]  # one sample per device
+
+
 def test_partition_single_device():
     ds = make_synthetic_dataset(50, 3, 2, seed=1, class_separation=SEPARATION)
     for mode in ("iid", "non-iid"):
@@ -247,6 +266,16 @@ def test_zero_weight_single_sample_closed_form():
     p_minus_y = np.array([0.5, -0.5])
     expected = np.concatenate([np.outer(x[0], p_minus_y).ravel(), p_minus_y])
     np.testing.assert_allclose(grad, expected, atol=1e-12)
+
+
+def test_gradient_and_loss_stay_finite_at_logits_of_1000():
+    # logits (1000, -1000) and (-1000, 1000): only a softmax shifted by its
+    # largest logit keeps exp from overflowing
+    model = SoftmaxRegression(1, 2)
+    weights = np.array([1000.0, -1000.0, 0.0, 0.0])
+    features, labels = np.array([[1.0], [-1.0]]), np.array([0, 0])
+    np.testing.assert_array_equal(model.gradient(weights, features, labels), [0.5, -0.5, -0.5, 0.5])
+    assert evaluate(weights, model, Dataset(features, labels, 2)) == (0.5, 1000.0)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
