@@ -12,11 +12,10 @@ Run:  python3 demos/train_compare_schemes.py  [--rounds N] [--csv PATH]
 
 import argparse
 import csv
-
-import numpy as np
+from pathlib import Path
 
 from airvote.channel import ChannelConfig
-from airvote.experiment import SCHEMES, DatasetSpec, ExperimentConfig, run_rounds
+from airvote.experiment import SCHEMES, DatasetSpec, ExperimentConfig, _replacing, run_rounds
 from airvote.learner import TrainingConfig
 from airvote.phy import PhyConfig
 
@@ -67,7 +66,7 @@ def main():
         row = f"{r:>5d} " + "".join(f"{curves[s][i].test_accuracy:>20.4f}" for s in SCHEMES)
         print(row)
 
-    with open(args.csv, "w", newline="") as fh:
+    with _replacing(Path(args.csv)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["round", "scheme", "accuracy"])
         for scheme in SCHEMES:

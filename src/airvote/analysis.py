@@ -179,7 +179,7 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
         return math.ceil(bits) if math.isfinite(bits) else math.inf
     if scheme == "signsgd_mv":
         return 2 * num_devices * model_dim
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {COMM_SCHEMES}")
+    raise ValueError(f"scheme must be one of {COMM_SCHEMES}")
 
 
 # ---------------------------------------------------------------------------

@@ -160,13 +160,13 @@ def partition(dataset: Dataset, num_devices: int, mode: str, seed) -> list[np.nd
     """Split a dataset into disjoint int64 sample-index arrays, one per device.
 
     iid: a seeded permutation cut into near-equal chunks.  non-iid: samples
-    sorted by label, cut into 2*num_devices chunks, and each device gets two
-    chunks, so a device sees only a few distinct labels.
+    sorted by label, cut into 2*num_devices non-empty chunks, and each device
+    gets two, so a device sees only a few distinct labels.
     """
     analysis._at_least(1, num_devices=num_devices)
     n = len(dataset)
-    if num_devices > n:
-        raise ValueError(f"cannot split {n} samples across {num_devices} devices")
+    if (per_device := 2 if mode == "non-iid" else 1) * num_devices > n:
+        raise ValueError(f"cannot split {n} samples across {num_devices} devices, {per_device} or more each")
     rng = np.random.default_rng(seed)
     if mode == "iid":
         return np.array_split(rng.permutation(n), num_devices)

@@ -1,9 +1,41 @@
+import struct
+
 import numpy as np
 import pytest
 
 from airvote.analysis import air_detect
 from airvote.channel import ChannelConfig
+from airvote.learner import evaluate
 from airvote.phy import PhyConfig
+
+
+def rngs(*seeds):
+    """One numpy Generator per seed, in order."""
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+def finite_difference_gradient(predictor, weights, dataset, step=1e-5):
+    """Central-difference gradient of `evaluate`'s mean loss (sample-major
+    logits and a log-softmax); the independent oracle for the models' own
+    class-major backward passes."""
+    grad = np.zeros_like(weights)
+    for i in range(weights.size):
+        up = weights.copy()
+        down = weights.copy()
+        up[i] += step
+        down[i] -= step
+        grad[i] = (evaluate(up, predictor, dataset)[1] - evaluate(down, predictor, dataset)[1]) / (2.0 * step)
+    return grad
+
+
+def write_idx(directory, part, images, labels):
+    """IDX image and label files of one MNIST part ("train" or "t10k") under
+    `directory`; returns their paths."""
+    images, labels = np.asarray(images, dtype=np.uint8), np.asarray(labels, dtype=np.uint8)
+    paths = directory / f"{part}-images-idx3-ubyte", directory / f"{part}-labels-idx1-ubyte"
+    paths[0].write_bytes(struct.pack(">IIII", 2051, *images.shape) + images.tobytes())
+    paths[1].write_bytes(struct.pack(">II", 2049, labels.size) + labels.tobytes())
+    return paths
 
 
 class LowEndGenerator:

@@ -27,11 +27,12 @@ from airvote.analysis import (
     run_mean_energy_suite,
 )
 from airvote.channel import ChannelConfig
-from airvote.cli import main as cli_main
 from airvote.detector import ideal_majority_vote
 from airvote.experiment import DatasetSpec, ExperimentConfig, run_rounds
-from airvote.learner import Dataset, SoftmaxRegression, TanhMlp, TrainingConfig, evaluate
+from airvote.learner import Dataset, SoftmaxRegression, TanhMlp, TrainingConfig
 from airvote.phy import PhyConfig
+from conftest import finite_difference_gradient
+from test_golden import C10, _train_digests
 
 
 def report(criterion: str, passed: bool, detail: str):
@@ -173,19 +174,6 @@ def test_c5_sync_error_invariance():
 # 6. Gradient correctness
 # ---------------------------------------------------------------------------
 
-def _finite_difference(predictor, weights, dataset, step=1e-5):
-    """Central differences of `evaluate`'s loss: sample-major logits and a
-    log-softmax, not the models' own class-major backward pass."""
-    grad = np.zeros_like(weights)
-    for i in range(weights.size):
-        up = weights.copy()
-        down = weights.copy()
-        up[i] += step
-        down[i] -= step
-        grad[i] = (evaluate(up, predictor, dataset)[1] - evaluate(down, predictor, dataset)[1]) / (2.0 * step)
-    return grad
-
-
 def test_c6_gradient_vs_finite_differences():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -201,7 +189,7 @@ def test_c6_gradient_vs_finite_differences():
         features = rng.normal(size=(n, d))
         labels = rng.integers(0, c, size=n)
         analytic = predictor.gradient(weights, features, labels)
-        numeric = _finite_difference(predictor, weights, Dataset(features, labels, c))
+        numeric = finite_difference_gradient(predictor, weights, Dataset(features, labels, c))
         err = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-12)
         worst = max(worst, err)
     ok = worst < 1e-4
@@ -332,37 +320,10 @@ def test_c9_convergence_evaluator():
 # ---------------------------------------------------------------------------
 
 def test_c10_train_runs_byte_identical(tmp_path):
-    template = """
-scheme = fsk_mv_dpc
-rounds = 8
-devices = 5
-batch_size = 16
-learning_rate = 0.01
-partition = iid
-seed = 123
-eval_every = 2
-output = {out}
-dataset.kind = synthetic
-dataset.samples = 300
-dataset.test_samples = 100
-dataset.input_dim = 6
-dataset.classes = 3
-channel.noise_var = 0.5
-channel.sync_error_max = 0.2
-phy.subcarriers = 16
-phy.symbols = 4
-"""
-    outputs = []
+    digests = []
     for run in ("a", "b"):
-        out = tmp_path / f"{run}.jsonl"
-        config = tmp_path / f"{run}.toml"
-        config.write_text(template.format(out=out))
-        assert cli_main(["train", "--config", str(config)]) == 0
-        outputs.append(out)
-    jsonl_match = outputs[0].read_bytes() == outputs[1].read_bytes()
-    summary_a = outputs[0].with_suffix(".summary.csv").read_text()
-    summary_b = outputs[1].with_suffix(".summary.csv").read_text()
-    ok = jsonl_match and summary_a == summary_b
+        (tmp_path / run).mkdir()
+        digests.append(_train_digests(tmp_path / run, scheme="fsk_mv_dpc", **C10))  # (metrics JSONL, summary CSV)
+    ok = digests[0] == digests[1]
     report("10", ok, "repeated train runs with one config and seed are byte-identical")
-    assert jsonl_match
-    assert summary_a == summary_b
+    assert ok

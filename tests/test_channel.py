@@ -14,10 +14,7 @@ from airvote.channel import (
 from airvote.analysis import air_detect
 from airvote.detector import detect
 from airvote.phy import FFT_SIZE, SYMBOL_ENERGY, PhyConfig, encode_signs
-
-
-def _rngs(*seeds):
-    return [np.random.default_rng(seed) for seed in seeds]
+from conftest import rngs
 
 
 # _unit_phasors' contract: within 4 ulp of 1 of numpy's complex exp.
@@ -35,7 +32,7 @@ def _gains(shape, cfg, seed, signs=None):
     their timing ramps, one frame per leading index of `shape`."""
     signs = np.ones(shape, dtype=np.int8) if signs is None else signs
     num_frames, _, num_coordinates = shape
-    return sample_channel(signs, np.zeros(shape), 2 * num_coordinates, cfg, _rngs(*[(seed, f) for f in range(num_frames)]))
+    return sample_channel(signs, np.zeros(shape), 2 * num_coordinates, cfg, rngs(*[(seed, f) for f in range(num_frames)]))
 
 
 def _timing_offsets(rotated, aligned, lit):
@@ -96,7 +93,7 @@ def test_sample_channel_none_is_identity_gain():
     np.testing.assert_array_equal(gains, np.ones((1, 2, 6)))
     # with unit gains and no ramp the result is the symbol itself
     phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(1, 2, 6))
-    symbols = sample_channel(np.ones((1, 2, 6)), phases, 12, ChannelConfig(fading="none"), _rngs(0))
+    symbols = sample_channel(np.ones((1, 2, 6)), phases, 12, ChannelConfig(fading="none"), rngs(0))
     np.testing.assert_array_equal(symbols, _phasors(phases))
     assert np.abs(symbols - np.exp(1j * phases)).max() <= PHASOR_TOLERANCE
 
@@ -122,7 +119,7 @@ def test_sample_channel_chunking_is_invisible(chunk, monkeypatch):
 
     def draw():
         phases = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, signs.shape)
-        return sample_channel(signs, phases, 64, cfg, _rngs((4, 0), (4, 1)))
+        return sample_channel(signs, phases, 64, cfg, rngs((4, 0), (4, 1)))
 
     reference = draw()
     monkeypatch.setattr(channel, "_PHASOR_CHUNK", chunk)
@@ -142,25 +139,25 @@ def test_sample_channel_deterministic():
 def test_sample_channel_validates():
     signs = np.ones((2, 3, 4))
     with pytest.raises(ValueError, match="phases of shape"):
-        sample_channel(signs, np.zeros((2, 3, 5)), 8, ChannelConfig(), _rngs(0, 1))
+        sample_channel(signs, np.zeros((2, 3, 5)), 8, ChannelConfig(), rngs(0, 1))
     # complex exponents j*phi, the old contract, would otherwise read as phi = 0
     with pytest.raises(ValueError, match="^phases must be real"):
-        sample_channel(signs, np.zeros((2, 3, 4), dtype=np.complex128), 8, ChannelConfig(), _rngs(0, 1))
+        sample_channel(signs, np.zeros((2, 3, 4), dtype=np.complex128), 8, ChannelConfig(), rngs(0, 1))
     with pytest.raises(ValueError, match="channel generators"):
-        sample_channel(signs, np.zeros((2, 3, 4)), 8, ChannelConfig(), _rngs(0))
+        sample_channel(signs, np.zeros((2, 3, 4)), 8, ChannelConfig(), rngs(0))
     with pytest.raises(ValueError, match=r"expected \(frames, devices, coordinates\) for both$"):
-        sample_channel(signs[0], np.zeros((3, 4)), 8, ChannelConfig(), _rngs(0))
+        sample_channel(signs[0], np.zeros((3, 4)), 8, ChannelConfig(), rngs(0))
 
 
 def test_config_validation():
     assert ChannelConfig(noise_var=channel.NOISE_VAR_MAX).noise_var == channel.NOISE_VAR_MAX
     with pytest.raises(ValueError, match="^noise_var must be"):
         ChannelConfig(noise_var=np.nextafter(channel.NOISE_VAR_MAX, np.inf))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^noise_var must be"):
         ChannelConfig(noise_var=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sync_error_max must lie in \[0, 1\)$"):
         ChannelConfig(sync_error_max=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^fading must be one of"):
         ChannelConfig(fading="rician")
 
 
@@ -198,7 +195,7 @@ def test_sync_error_preserves_magnitudes_and_dc():
 # ---------------------------------------------------------------------------
 
 def _superpose(signs, faded, powers, cfg, seed=0):
-    return superpose(signs, faded, powers, cfg, _rngs(*[(seed, f) for f in range(len(signs))]))
+    return superpose(signs, faded, powers, cfg, rngs(*[(seed, f) for f in range(len(signs))]))
 
 
 def test_superpose_identity_channel():
@@ -268,7 +265,7 @@ def test_superpose_shape_checks():
     with pytest.raises(ValueError, match="frames, devices, coordinates"):
         _superpose(signs[0], faded[0], np.ones(2), cfg)
     with pytest.raises(ValueError, match="noise generators"):
-        superpose(signs, faded, np.ones(2), cfg, _rngs(0, 1))
+        superpose(signs, faded, np.ones(2), cfg, rngs(0, 1))
     for bad in (-1.0, np.nan, np.inf):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="^powers must be finite and >= 0$"):
@@ -296,7 +293,7 @@ def test_frame_axis_matches_per_frame_calls(fading):
     powers = np.array([1.0, 2.0, 0.5, 3.0])
 
     def generators(tag):
-        return _rngs(*[(tag, f) for f in range(3)])
+        return rngs(*[(tag, f) for f in range(3)])
 
     faded = sample_channel(signs, phases, 16, cfg, generators(0))
     received = superpose(signs, faded, powers, cfg, generators(1))
@@ -330,10 +327,10 @@ def test_no_stage_writes_its_inputs():
     for array in inputs.values():
         array.flags.writeable = False
     signs, rows, powers, phases, faded, received = inputs.values()
-    encode_signs(signs, _rngs(0, 1, 2))
-    sample_channel(signs, phases, 8, cfg, _rngs(3, 4))
-    superpose(signs, faded, powers, cfg, _rngs(5, 6))
+    encode_signs(signs, rngs(0, 1, 2))
+    sample_channel(signs, phases, 8, cfg, rngs(3, 4))
+    superpose(signs, faded, powers, cfg, rngs(5, 6))
     detect(received)
-    air_detect(rows, powers, PhyConfig(num_subcarriers=8, num_symbols=1), cfg, _rngs(0, 1, 2), _rngs(3, 4))
+    air_detect(rows, powers, PhyConfig(num_subcarriers=8, num_symbols=1), cfg, rngs(0, 1, 2), rngs(3, 4))
     for name, array in inputs.items():
         assert array.tobytes() == copies[name].tobytes(), name

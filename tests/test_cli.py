@@ -3,7 +3,6 @@ import gzip
 import json
 import re
 import shlex
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from airvote.experiment import (
     run_experiment,
     summary_path,
 )
+from conftest import write_idx
 
 CONFIG_TEMPLATE = """
 scheme = fsk_mv_dpc
@@ -361,27 +361,12 @@ def test_plot_data_missing_output_dir_names_the_output_path(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl"]
 
 
-def test_train_reruns_are_byte_identical(tmp_path):
-    config_a, out_a = write_config(tmp_path, "a.toml", tmp_path / "a.jsonl")
-    config_b, out_b = write_config(tmp_path, "b.toml", tmp_path / "b.jsonl")
-    assert main(["train", "--config", str(config_a)]) == 0
-    assert main(["train", "--config", str(config_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
-def _write_idx(directory, part, images, labels):
-    """IDX image and label files of one MNIST part ("train" or "t10k")."""
-    images = np.asarray(images, dtype=np.uint8)
-    (directory / f"{part}-images-idx3-ubyte").write_bytes(struct.pack(">IIII", 2051, *images.shape) + images.tobytes())
-    (directory / f"{part}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 2049, len(labels)) + bytes(labels))
-
-
 def _write_mnist(directory, gzipped=None):
     """The four IDX files of a 30-image, 3-class MNIST stand-in; `gzipped`
     names one stem to store only as `<stem>.gz`, from the plain bytes."""
     rng = np.random.default_rng(0)
     for part in ("train", "t10k"):
-        _write_idx(directory, part, rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
+        write_idx(directory, part, rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
     if gzipped:
         plain = directory / gzipped
         (directory / f"{gzipped}.gz").write_bytes(gzip.compress(plain.read_bytes()))
@@ -453,8 +438,8 @@ def test_refused_allocation_exits_1_naming_its_size(tmp_path, capsys, monkeypatc
 def test_idx_sets_larger_than_samples_are_subsampled(tmp_path):
     # every pixel of image i is i, so a row's first feature names its index
     for part, count in (("train", 30), ("t10k", 8)):
-        _write_idx(tmp_path, part, np.repeat(np.arange(count), 16).reshape(count, 4, 4),
-                   [i % 3 for i in range(count)])
+        write_idx(tmp_path, part, np.repeat(np.arange(count), 16).reshape(count, 4, 4),
+                  [i % 3 for i in range(count)])
     spec = DatasetSpec(kind="mnist", path=str(tmp_path), samples=12, test_samples=4)
 
     def indices(seed):
@@ -479,15 +464,15 @@ def test_idx_sets_larger_than_samples_are_subsampled(tmp_path):
 )
 def test_train_rejects_idx_test_set_that_does_not_fit_the_train_set(tmp_path, capsys, test_side, test_labels, message):
     rng = np.random.default_rng(0)
-    _write_idx(tmp_path, "train", rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
+    write_idx(tmp_path, "train", rng.integers(0, 256, (30, 4, 4)), [i % 3 for i in range(30)])
     config_path, output = write_config(tmp_path)
     set_keys(config_path, f"dataset.kind = mnist\ndataset.path = {tmp_path}")
     # a test set that fits the train set trains
-    _write_idx(tmp_path, "t10k", rng.integers(0, 256, (4, 4, 4)), [0, 1, 2, 1])
+    write_idx(tmp_path, "t10k", rng.integers(0, 256, (4, 4, 4)), [0, 1, 2, 1])
     assert main(["train", "--config", str(config_path)]) == 0
     output.unlink()
     summary_path(output).unlink()
-    _write_idx(tmp_path, "t10k", rng.integers(0, 256, (4, test_side, test_side)), test_labels)
+    write_idx(tmp_path, "t10k", rng.integers(0, 256, (4, test_side, test_side)), test_labels)
     assert main(["train", "--config", str(config_path)]) == 1
     assert message in capsys.readouterr().err
     assert not output.exists() and not summary_path(output).exists()  # rejected before any round
@@ -628,6 +613,17 @@ def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, 
     assert main(["train", "--config", str(config_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {key} ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [config_path.name]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_non_iid_devices_without_two_samples_each_exit_1_at_every_seed(tmp_path, capsys, seed):
+    # 20 non-iid devices cut 30 samples into 40 chunks: some seeds would leave a device no sample
+    config_path, output = write_config(tmp_path)
+    set_keys(config_path, f"scheme = fsk_mv\ndevices = 20\nbatch_size = 1\npartition = non-iid\n"
+                          f"dataset.samples = 30\nseed = {seed}")
+    assert main(["train", "--config", str(config_path)]) == 1
+    assert capsys.readouterr() == ("", "error: cannot split 30 samples across 20 devices, 2 or more each\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == [config_path.name]
 
 

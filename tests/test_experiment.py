@@ -240,14 +240,6 @@ def test_run_experiment_files(tmp_path):
     assert fields[5] == "6"
 
 
-def test_run_experiment_byte_identical_reruns(tmp_path):
-    config_a = small_config(seed=9, output_path=str(tmp_path / "a.jsonl"))
-    config_b = small_config(seed=9, output_path=str(tmp_path / "b.jsonl"))
-    out_a = run_experiment(config_a)
-    out_b = run_experiment(config_b)
-    assert out_a.read_bytes() == out_b.read_bytes()
-
-
 def test_failed_run_keeps_previous_output(tmp_path, monkeypatch):
     config = small_config(seed=6, output_path=str(tmp_path / "metrics.jsonl"))
     out = run_experiment(config)
@@ -316,8 +308,11 @@ def test_run_experiment_unwritable_path_fails_fast(tmp_path, monkeypatch):
     (tmp_path / "metrics.jsonl").write_text("old metrics\n")
     summary_path(tmp_path / "metrics.jsonl").mkdir()
     before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
-    for output in ("missing_dir/metrics.jsonl", "runs", "metrics.jsonl"):
-        with pytest.raises(OSError):
+    for output, named, message in (("missing_dir/metrics.jsonl", "missing_dir/metrics.jsonl",
+                                    "No such file or directory: '{}'$"),
+                                   ("runs", "runs", "^output path {} is a directory$"),
+                                   ("metrics.jsonl", "metrics.summary.csv", "^output path {} is a directory$")):
+        with pytest.raises(OSError, match=message.format(re.escape(str(tmp_path / named)))):
             run_experiment(small_config(output_path=str(tmp_path / output)))
         assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 

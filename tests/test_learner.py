@@ -1,7 +1,6 @@
 import gzip
 import math
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from airvote.learner import (
     partition,
     sign_quantize,
 )
+from conftest import finite_difference_gradient, rngs, write_idx
 
 SEPARATION = DatasetSpec().separation  # the config's default class separation
 
@@ -32,27 +32,12 @@ SEPARATION = DatasetSpec().separation  # the config's default class separation
 # IDX reader
 # ---------------------------------------------------------------------------
 
-def write_idx_images(path, images):
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    path.write_bytes(struct.pack(">IIII", 2051, n, rows, cols) + images.tobytes())
-
-
-def write_idx_labels(path, labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    path.write_bytes(struct.pack(">II", 2049, labels.size) + labels.tobytes())
-
-
 @pytest.fixture
 def idx_pair(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(7, 4, 3), dtype=np.uint8)
     labels = np.array([0, 1, 2, 0, 1, 2, 1], dtype=np.uint8)
-    img_path = tmp_path / "images-idx3-ubyte"
-    lab_path = tmp_path / "labels-idx1-ubyte"
-    write_idx_images(img_path, images)
-    write_idx_labels(lab_path, labels)
-    return img_path, lab_path, images, labels
+    return *write_idx(tmp_path, "train", images, labels), images, labels
 
 
 def test_load_idx_roundtrip(idx_pair):
@@ -79,7 +64,7 @@ def test_load_idx_wrong_magic(idx_pair):
     img_path, lab_path, *_ = idx_pair
     with pytest.raises(IdxFormatError, match="magic"):
         load_idx_dataset(lab_path, lab_path)  # labels file passed as images
-    with pytest.raises(IdxFormatError, match=str(img_path.name)[:6]):
+    with pytest.raises(IdxFormatError, match=re.escape(img_path.name)):
         load_idx_dataset(img_path, img_path)
 
 
@@ -111,9 +96,8 @@ def test_load_idx_damaged_gzip_names_the_file(idx_pair, tmp_path, damage):
 
 
 def test_load_idx_count_mismatch(idx_pair, tmp_path):
-    img_path, _, _, labels = idx_pair
-    lab_path = tmp_path / "extra-labels-idx1-ubyte"
-    write_idx_labels(lab_path, np.concatenate([labels, [1]]))
+    img_path, _, images, labels = idx_pair
+    _, lab_path = write_idx(tmp_path, "extra", images, np.concatenate([labels, [1]]))
     with pytest.raises(IdxFormatError, match="images"):
         load_idx_dataset(img_path, lab_path)
 
@@ -139,7 +123,7 @@ def test_synthetic_balance():
 
 
 def test_synthetic_rejects_too_many_classes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^num_classes=4 exceeds num_samples=3$"):
         make_synthetic_dataset(3, 2, 4, seed=0, class_separation=SEPARATION)
 
 
@@ -211,14 +195,25 @@ def test_partition_returns_int64_index_arrays():
             assert isinstance(shard, np.ndarray) and shard.dtype == np.int64 and shard.ndim == 1
 
 
-def test_partition_bad_args():
-    ds = make_synthetic_dataset(10, 2, 2, seed=0, class_separation=SEPARATION)
-    with pytest.raises(ValueError, match="^num_devices must be >= 1 "):
-        partition(ds, 0, "iid", seed=0)
-    with pytest.raises(ValueError):
-        partition(ds, 11, "iid", seed=0)
-    with pytest.raises(ValueError, match="^mode must be one of"):
-        partition(ds, 2, "x", seed=0)
+@pytest.mark.parametrize(
+    "devices, mode, message",
+    [(0, "iid", "^num_devices must be >= 1 "),
+     (31, "iid", "^cannot split 30 samples across 31 devices, 1 or more each$"),
+     (16, "non-iid", "^cannot split 30 samples across 16 devices, 2 or more each$"),  # 32 chunks of 30
+     (2, "x", "^mode must be one of")],
+)
+def test_partition_bad_args(devices, mode, message):
+    ds = make_synthetic_dataset(30, 2, 3, seed=0, class_separation=SEPARATION)
+    with pytest.raises(ValueError, match=message):
+        partition(ds, devices, mode, seed=0)
+
+
+def test_partition_at_the_most_devices_gives_every_device_its_samples():
+    # one sample per iid device and two per non-iid device, at every seed
+    ds = make_synthetic_dataset(30, 2, 3, seed=0, class_separation=SEPARATION)
+    for seed in range(6):
+        assert [len(shard) for shard in partition(ds, 30, "iid", seed)] == [1] * 30
+        assert [len(shard) for shard in partition(ds, 15, "non-iid", seed)] == [2] * 15
 
 
 @pytest.mark.parametrize(
@@ -241,20 +236,6 @@ def test_dataset_rejects_num_classes_below_1():
 # ---------------------------------------------------------------------------
 # Gradients
 # ---------------------------------------------------------------------------
-
-def finite_difference_gradient(predictor, weights, dataset, step=1e-5):
-    """Central-difference gradient of `evaluate`'s mean loss (sample-major
-    logits and a log-softmax); the independent oracle for the analytic
-    backward passes."""
-    grad = np.zeros_like(weights)
-    for i in range(weights.size):
-        up = weights.copy()
-        down = weights.copy()
-        up[i] += step
-        down[i] -= step
-        grad[i] = (evaluate(up, predictor, dataset)[1] - evaluate(down, predictor, dataset)[1]) / (2.0 * step)
-    return grad
-
 
 def test_zero_weight_single_sample_closed_form():
     # Two classes, zero weights: probabilities are (1/2, 1/2), so the
@@ -295,10 +276,6 @@ def test_gradient_matches_finite_differences(kind):
     assert worst < 1e-4
 
 
-def rngs(*seeds):
-    return [np.random.default_rng(seed) for seed in seeds]
-
-
 def test_full_batch_gradient_ignores_seed():
     ds = make_synthetic_dataset(40, 3, 2, seed=0, class_separation=SEPARATION)
     shards = partition(ds, 2, "iid", seed=0)
@@ -321,7 +298,7 @@ def test_gradient_deterministic_and_batch_size_check():
     uneven = [shards[0], shards[1], shards[2][:19]]
     with pytest.raises(ValueError, match=r"smallest shard \(19 samples, device 2\)"):
         compute_local_gradient(weights, model, ds, uneven, 20, rngs(5, 6, 7))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^batch_size 21 exceeds the smallest shard \(20 samples, device 0\)$"):
         compute_local_gradient(weights, model, ds, shards, 21, rngs(5, 6, 7))
 
 

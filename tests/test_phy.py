@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from airvote.channel import ChannelConfig, sample_channel, superpose
 from airvote.phy import (
+    FFT_SIZE,
     SYMBOL_ENERGY,
     PhyConfig,
     encode_signs,
@@ -16,6 +18,7 @@ from airvote.phy import (
     signed_agreement,
     update_power,
 )
+from conftest import rngs
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +35,7 @@ def test_map_layout_q2_a4_s1():
 
 
 def test_map_requires_even_subcarriers():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"num_subcarriers must be an even number in [2, {FFT_SIZE}]")):
         PhyConfig(num_subcarriers=5, num_symbols=1)
 
 
@@ -79,22 +82,18 @@ def test_lit_subcarriers_follow_the_sign():
     np.testing.assert_array_equal(lit_subcarriers(signs, 6), [[[0, 3, 4], [1, 3, 4]]])
 
 
-def _rngs(*seeds):
-    return [np.random.default_rng(seed) for seed in seeds]
-
-
 def _received(signs, phases, num_subcarriers):
     """Received plus and minus bins of one unit-power device per sign row,
     over a unit-gain, aligned, noiseless channel."""
     cfg = ChannelConfig(noise_var=0.0, fading="none")
-    frame_rngs = _rngs(*range(len(signs)))  # draw only the zero offsets
+    frame_rngs = rngs(*range(len(signs)))  # draw only the zero offsets
     faded = sample_channel(signs, phases, num_subcarriers, cfg, frame_rngs)
     return superpose(signs, faded, np.ones(signs.shape[1]), cfg, frame_rngs)
 
 
 def test_encode_positive_sign():
     signs = np.array([[[1]]])
-    phases = encode_signs(signs, _rngs(0))
+    phases = encode_signs(signs, rngs(0))
     assert phases.shape == (1, 1, 1) and phases.dtype == np.float64
     assert 0.0 <= phases[0, 0, 0] < 2.0 * np.pi
     received = _received(signs, phases, 2)[0]
@@ -104,7 +103,7 @@ def test_encode_positive_sign():
 
 def test_encode_negative_sign():
     signs = np.array([[[-1]]])
-    received = _received(signs, encode_signs(signs, _rngs(0)), 2)[0]
+    received = _received(signs, encode_signs(signs, rngs(0)), 2)[0]
     assert received[0, 0] == 0
     assert abs(received[1, 0]) == pytest.approx(np.sqrt(2.0))
 
@@ -121,7 +120,7 @@ def test_encode_per_coordinate_energy_and_exactly_one_active():
     rng = np.random.default_rng(1)
     for trial in range(20):
         signs = rng.choice([-1, 1], size=(1, 1, 16))  # four symbols of 8 subcarriers
-        received = _received(signs, encode_signs(signs, _rngs(trial)), 8)[0]
+        received = _received(signs, encode_signs(signs, rngs(trial)), 8)[0]
         e_plus, e_minus = np.abs(received) ** 2
         np.testing.assert_allclose(e_plus + e_minus, SYMBOL_ENERGY, atol=1e-12)
         assert np.all((e_plus == 0) ^ (e_minus == 0))
@@ -131,31 +130,31 @@ def test_encode_per_coordinate_energy_and_exactly_one_active():
 
 def test_encode_deterministic_and_validates():
     signs = np.array([[[1, -1, -1, 1]]])
-    a = encode_signs(signs, _rngs(9))
-    b = encode_signs(signs, _rngs(9))
+    a = encode_signs(signs, rngs(9))
+    b = encode_signs(signs, rngs(9))
     np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError):
-        encode_signs(np.array([[[1, 0, -1, 1]]]), _rngs(0))
+    with pytest.raises(ValueError, match=r"^signs must be exactly -1 or \+1$"):
+        encode_signs(np.array([[[1, 0, -1, 1]]]), rngs(0))
     with pytest.raises(ValueError, match="frames, devices, coordinates"):
-        encode_signs(np.array([[1, -1, -1, 1]]), _rngs(0))
+        encode_signs(np.array([[1, -1, -1, 1]]), rngs(0))
     with pytest.raises(ValueError, match="device generators"):
-        encode_signs(signs, _rngs(0, 1))
+        encode_signs(signs, rngs(0, 1))
 
 
 def test_encode_batch_matches_stacked_single_vector_encodes():
     signs = np.random.default_rng(3).choice([-1, 1], size=(3, 4, 6))
-    batch = encode_signs(signs, _rngs(*[(7, d) for d in range(4)]))
+    batch = encode_signs(signs, rngs(*[(7, d) for d in range(4)]))
     # frame at a time on the same continuing generators: the block size of
     # a batched call cannot change the phases
-    rngs = _rngs(*[(7, d) for d in range(4)])
-    np.testing.assert_array_equal(batch, np.concatenate([encode_signs(signs[f:f + 1], rngs) for f in range(3)]))
+    generators = rngs(*[(7, d) for d in range(4)])
+    np.testing.assert_array_equal(batch, np.concatenate([encode_signs(signs[f:f + 1], generators) for f in range(3)]))
     # built by hand: each device draws the phases of its frames in order
-    rngs = _rngs(*[(7, d) for d in range(4)])
-    expected = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=(3, 6)) for rng in rngs], axis=1)
+    generators = rngs(*[(7, d) for d in range(4)])
+    expected = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=(3, 6)) for rng in generators], axis=1)
     np.testing.assert_array_equal(batch, expected)
     assert batch.dtype == np.float64 and np.all((0.0 <= batch) & (batch < 2.0 * np.pi))
     with pytest.raises(ValueError, match="device generators"):
-        encode_signs(signs, _rngs(0, 0, 0))
+        encode_signs(signs, rngs(0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_power_control_rejects_mismatched_shapes():
 def test_mean_power():
     assert mean_power(np.ones(3)) == pytest.approx(1.0)
     assert mean_power(np.array([1.0, 2.0])) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no device powers$"):
         mean_power(np.array([]))
 
 
