@@ -21,10 +21,11 @@ NOISE_VAR_MAX = 1e300  # largest noise_var: far below the 1.8e308 where a bin's 
 _HALF_ROOT = 1.0 / np.sqrt(2.0)  # not np.sqrt(0.5), 1 ulp larger: the pinned gains use this one
 
 # exp(j*theta) = node k times a series in d (Tang's table-driven method), theta = k*step + d,
-# step = 2*pi/256 = hi + lo: hi's 43 significant bits make k*hi exact for |theta| <= 4*pi.
+# step = 2*pi/256 = hi + lo: hi's 43 significant bits make k*hi exact for |theta| <= 4*pi.  lo adds
+# (2*pi - fl(2*pi)) / 256: without it most phasors' last bit moves, which the 4-ulp bound cannot see.
 _STEP = 2.0 * np.pi / 256
 _STEP_HI = float(np.ldexp(np.rint(np.ldexp(_STEP, 48)), -48))
-_STEP_LO = (_STEP - _STEP_HI) + 2.4492935982947064e-16 / 256  # + (2*pi - fl(2*pi)) / 256
+_STEP_LO = (_STEP - _STEP_HI) + 2.4492935982947064e-16 / 256
 _TABLE = np.exp(1j * (_STEP_HI * np.arange(256))) * (1.0 + 1j * (_STEP_LO * np.arange(256)))
 _PHASOR_CHUNK = 4096  # elements: a chunk's ~10 live 32 KiB temporaries stay below glibc's heap trim threshold
 
@@ -53,7 +54,7 @@ def _unit_phasors(theta, out) -> None:
         k = np.rint(angle * (1.0 / _STEP))
         d = angle - k * _STEP_HI - k * _STEP_LO
         d2 = d * d
-        cos = 1.0 + d2 * (-1 / 2 + d2 * (1 / 24 + d2 * (-1 / 720 + d2 * (1 / 40320))))
+        cos = 1.0 + d2 * (-1 / 2 + d2 * (1 / 24 + d2 * (-1 / 720)))  # d**8 / 8! < 1.3e-20 for |d| <= pi/256
         sin = d * (1.0 + d2 * (-1 / 6 + d2 * (1 / 120 + d2 * (-1 / 5040))))
         node = _TABLE[k.astype(np.intp) & 255]  # k mod 256
         # Real products: numpy's SIMD complex product fuses roundings that its scalar loop keeps.
@@ -135,11 +136,10 @@ def superpose(signs, faded, powers, config: ChannelConfig, frame_rngs) -> np.nda
     if len(frame_rngs) != num_frames:
         raise ValueError(f"{len(frame_rngs)} noise generators for signs of shape {signs.shape}")
     amplitudes = np.sqrt(SYMBOL_ENERGY * powers)[:, None]
-    on_plus = amplitudes * (signs > 0)  # 0 where the device lights the minus bin
+    on_minus = amplitudes * (signs < 0)  # 0 where the device lights the plus bin
     received = np.empty((num_frames, 2, num_coordinates), dtype=np.complex128)
-    for side, weights in enumerate((on_plus, amplitudes - on_plus)):
-        # Sum over devices of weight x symbol, on the real and imaginary
-        # planes alike; a masked complex sum takes about three times longer.
+    for side, weights in enumerate((amplitudes - on_minus, on_minus)):
+        # Sum over devices of weight x symbol, real and imaginary planes alike: a masked complex sum is 3x slower.
         received[:, side].real = np.einsum("fdc,fdc->fc", faded.real, weights)
         received[:, side].imag = np.einsum("fdc,fdc->fc", faded.imag, weights)
     scale = np.sqrt(config.noise_var / 2.0)

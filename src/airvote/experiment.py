@@ -71,6 +71,8 @@ class DatasetSpec:
             raise ValueError(f"kind must be one of {DATASET_KINDS}")
         _at_least(1, samples=self.samples, test_samples=self.test_samples, input_dim=self.input_dim)
         _at_least(2, classes=self.classes)
+        if self.kind == "synthetic" and self.classes > (total := self.samples + self.test_samples):
+            raise ValueError(f"classes {self.classes} exceeds the {total} samples of samples + test_samples")
         if not math.isfinite(self.separation):
             raise ValueError("separation must be finite")
         need = (self.samples + self.test_samples + self.classes) * self.input_dim * 8  # features, class means

@@ -51,9 +51,9 @@ class PhyConfig:
 
 
 def lit_subcarriers(signs, num_subcarriers: int) -> np.ndarray:
-    """Subcarrier of the bin each sign lights: 2k for +1 and 2k + 1 for -1,
-    k = j mod (num_subcarriers / 2) for coordinate j of the frame; `signs`
-    ends in the coordinate axis."""
+    """Subcarrier of the bin each sign lights: 2k + 1 where it is negative
+    (-1), 2k elsewhere (+1), k = j mod (num_subcarriers / 2) for coordinate
+    j of the frame; `signs` ends in the coordinate axis."""
     signs = np.asarray(signs)
     return 2 * (np.arange(signs.shape[-1]) % (num_subcarriers // 2)) + (signs < 0)
 
@@ -71,11 +71,9 @@ def encode_signs(signs, device_rngs) -> np.ndarray:
     signs = np.asarray(signs)
     if signs.ndim != 3:
         raise ValueError(f"sign vectors of shape {signs.shape}; expected (frames, devices, coordinates)")
-    if not np.all(np.abs(signs) == 1):
-        raise ValueError("signs must be exactly -1 or +1")
     num_frames, num_devices, num_coordinates = signs.shape
     if len(device_rngs) != num_devices:
-        raise ValueError(f"{len(device_rngs)} device generators for signs of shape {signs.shape}")
+        raise ValueError(f"{len(device_rngs)} device generators for {num_devices} devices")
     phases = np.empty(signs.shape)
     for device, rng in enumerate(device_rngs):
         phases[:, device] = rng.uniform(0.0, 2.0 * np.pi, size=(num_frames, num_coordinates))

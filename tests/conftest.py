@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -5,8 +6,18 @@ import pytest
 
 from airvote.analysis import air_detect
 from airvote.channel import ChannelConfig
-from airvote.learner import evaluate
+from airvote.cli import main as cli_main
+from airvote.learner import Dataset, evaluate
 from airvote.phy import PhyConfig
+
+# The c10 acceptance config; 21 parameters fit one 4 x 16 frame.
+C10 = {
+    "rounds": 8, "devices": 5, "batch_size": 16, "learning_rate": 0.01,
+    "partition": "iid", "seed": 123, "eval_every": 2, "dataset.kind": "synthetic",
+    "dataset.samples": 300, "dataset.test_samples": 100, "dataset.input_dim": 6,
+    "dataset.classes": 3, "channel.noise_var": 0.5, "channel.sync_error_max": 0.2,
+    "phy.subcarriers": 16, "phy.symbols": 4,
+}
 
 
 def rngs(*seeds):
@@ -26,6 +37,28 @@ def finite_difference_gradient(predictor, weights, dataset, step=1e-5):
         down[i] -= step
         grad[i] = (evaluate(up, predictor, dataset)[1] - evaluate(down, predictor, dataset)[1]) / (2.0 * step)
     return grad
+
+
+def _train_digests(tmp_path, **values):
+    """sha256 of the (metrics JSONL, summary CSV) of `airvote train` on the
+    config of `values`, written under `tmp_path`."""
+    out = tmp_path / f"{values['scheme']}.jsonl"
+    config = tmp_path / f"{values['scheme']}.toml"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in {**values, "output": out}.items()))
+    assert cli_main(["train", "--config", str(config)]) == 0
+    return (
+        hashlib.sha256(out.read_bytes()).hexdigest(),
+        hashlib.sha256(out.with_suffix(".summary.csv").read_bytes()).hexdigest(),
+    )
+
+
+def _sign_split_dataset():
+    """Twelve samples on three 4-sample shards.  Feature 0 is -1 on devices 0
+    and 1 and +1 on device 2, so an infinite weight on it sends only device
+    2's logits to +inf."""
+    features = np.ones((12, 3))
+    features[:8, 0] = -1.0
+    return Dataset(features, np.arange(12) % 2, 2), [np.arange(0, 4), np.arange(4, 8), np.arange(8, 12)]
 
 
 def write_idx(directory, part, images, labels):

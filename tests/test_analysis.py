@@ -44,11 +44,6 @@ def test_mean_energy_values():
     assert mean_energy(0, 1.0, 0.3) == pytest.approx(0.3)
 
 
-def test_mc_mean_energy_matches_closed_form():
-    estimate = mc_mean_energy(5, 1.0, 1.0, trials=100_000, seed=0)
-    assert estimate == pytest.approx(11.0, rel=0.02)
-
-
 def test_mean_energy_depends_only_on_mean_power():
     # Spread per-device powers with mean 2 fill a bin like five devices at
     # power 2: 100 frames of 1024 coordinates through the production kernel.
@@ -60,11 +55,6 @@ def test_mean_energy_depends_only_on_mean_power():
         [np.random.default_rng((2, f)) for f in range(frames)],
     )
     assert result.e_plus.mean() == pytest.approx(mean_energy(5, 2.0, 0.5), rel=0.02)
-
-
-def test_mc_mean_energy_noise_only():
-    estimate = mc_mean_energy(0, 1.0, 0.7, trials=50_000, seed=2)
-    assert estimate == pytest.approx(0.7, rel=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +240,19 @@ def test_kernel_scaling_powers_and_noise_together(fading, inputs, k, noise_var):
     np.testing.assert_array_equal(scaled.e_minus, base.e_minus * scale)
 
 
-def test_kernel_needs_one_generator_per_frame():
+def test_kernel_reads_minus_exactly_where_a_value_is_negative():
+    # Every stage reads a vote as detector.sign_votes does: in place of +1 any
+    # value that is not negative, in place of -1 any negative one, gives the
+    # same bytes.  Timing offsets make the lit subcarrier show, not only the bin.
+    phy, channel = PhyConfig(num_subcarriers=6, num_symbols=2), ChannelConfig(noise_var=0.5, sync_error_max=0.3)
+    signs = np.random.default_rng(7).choice([-1.0, 1.0], size=(5, 30))
+    values = np.where(signs > 0, np.resize([0.0, -0.0, 0.5, np.nan, np.inf], signs.shape), -2.5)
+    reference, other = (_kernel(rows, np.ones(5), phy, channel, 5) for rows in (signs, values))
+    for name in ("e_plus", "e_minus", "votes"):
+        assert getattr(other, name).tobytes() == getattr(reference, name).tobytes()
+
+
+def test_kernel_needs_one_generator_per_device_and_frame(monkeypatch):
     phy = PhyConfig(num_subcarriers=4, num_symbols=1)  # 2 coordinates per frame
     signs = np.ones((2, 5), dtype=np.int8)  # 3 frames, the last one padded
     for frames in (0, 2, 4):
@@ -265,6 +267,13 @@ def test_kernel_needs_one_generator_per_frame():
         # rejected before any draw
         assert device_rngs[0].bit_generator.state == np.random.default_rng(0).bit_generator.state
         assert frame_rngs[0].bit_generator.state == np.random.default_rng(1).bit_generator.state
+    # a short device list is named by its counts, not by a block's shape, whatever the block size
+    for block_bytes in (analysis.BLOCK_BYTES, 1):
+        monkeypatch.setattr(analysis, "BLOCK_BYTES", block_bytes)
+        frame_rngs = [np.random.default_rng(1)] * 3
+        with pytest.raises(ValueError, match="^1 device generators for 2 devices$"):
+            air_detect(signs, np.ones(2), phy, ChannelConfig(), [np.random.default_rng(0)], frame_rngs)
+        assert frame_rngs[0].bit_generator.state == np.random.default_rng(1).bit_generator.state  # no draw
     assert _kernel(signs, np.ones(2), phy, ChannelConfig(), 3).votes.shape == (5,)
 
 
@@ -278,15 +287,10 @@ def test_mc_error_prob_near_zero_in_clean_regime():
     assert estimate <= 0.005
 
 
-@pytest.mark.parametrize(
-    "devices,snr,q",
-    [(5, 0.5, 0.05), (31, 2.0, 0.2), (15, 8.0, 0.4), (31, 0.5, 0.4), (5, math.inf, 0.2)],
-)
-def test_mc_error_prob_matches_exact_closed_form(devices, snr, q):
-    # The simulator must reproduce the exact exponential-energy statistics;
-    # an infinite snr runs noise-free.
-    estimate, stderr = mc_error_prob(devices, q, snr, trials=20_000, seed=(6, devices))
-    assert estimate == pytest.approx(exact_error_prob(devices, snr, q), abs=4.5 * stderr)
+def test_mc_error_prob_matches_exact_closed_form_without_noise():
+    # An infinite snr runs noise-free; test_c3c checks the finite-snr grid.
+    estimate, stderr = mc_error_prob(5, 0.2, math.inf, trials=20_000, seed=(6, 5))
+    assert estimate == pytest.approx(exact_error_prob(5, math.inf, 0.2), abs=4.5 * stderr)
 
 
 def _oracle_estimates():
@@ -578,17 +582,6 @@ def test_flip_prob_suite_all_pass_small():
     rows = run_flip_prob_suite(trials=5_000, seed=0)
     assert len(rows) == 7
     assert all(r["passed"] for r in rows)
-
-
-def test_error_prob_suite_structure():
-    rows = run_error_prob_suite(trials=2_000, seed=0)
-    assert len(rows) == 27
-    # the simulator itself must track the exact closed form everywhere
-    for row in rows:
-        assert row["estimate"] == pytest.approx(row["exact"], abs=5 * max(row["stderr"], 1e-4))
-        assert row["below_half"]
-    # the attenuated comparison target is only beaten at small flip rates
-    assert all(r["passed"] for r in rows if r["flip_prob"] == 0.05)
 
 
 @pytest.mark.parametrize("stderrs, passed", [(3.0, True), (3.5, False)])

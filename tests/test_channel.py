@@ -126,16 +126,6 @@ def test_sample_channel_chunking_is_invisible(chunk, monkeypatch):
     np.testing.assert_array_equal(draw(), reference)
 
 
-def test_sample_channel_deterministic():
-    signs, lit = _random_signs((1, 3, 6), 6)
-    cfg = ChannelConfig(sync_error_max=0.1)
-    a = _gains(signs.shape, cfg, 6, signs)
-    b = _gains(signs.shape, cfg, 6, signs)
-    np.testing.assert_array_equal(a, b)
-    aligned = _gains(signs.shape, ChannelConfig(), 6, signs)
-    np.testing.assert_array_equal(_timing_offsets(a, aligned, lit), _timing_offsets(b, aligned, lit))
-
-
 def test_sample_channel_validates():
     signs = np.ones((2, 3, 4))
     with pytest.raises(ValueError, match="phases of shape"):
@@ -194,17 +184,8 @@ def test_sync_error_preserves_magnitudes_and_dc():
 # Superposition
 # ---------------------------------------------------------------------------
 
-def _superpose(signs, faded, powers, cfg, seed=0):
-    return superpose(signs, faded, powers, cfg, rngs(*[(seed, f) for f in range(len(signs))]))
-
-
-def test_superpose_identity_channel():
-    cfg = ChannelConfig(noise_var=0.0, fading="none")
-    signs = np.array([[[1, -1, -1]]])
-    faded = np.array([[[1 + 2j, 3 - 1j, -0.5j]]])
-    out = _superpose(signs, faded, np.array([1.0]), cfg)
-    amplitude = np.sqrt(SYMBOL_ENERGY)
-    np.testing.assert_array_equal(out[0], [[amplitude * (1 + 2j), 0, 0], [0, amplitude * (3 - 1j), amplitude * -0.5j]])
+def _superpose(signs, faded, powers, cfg):
+    return superpose(signs, faded, powers, cfg, rngs(*[(0, f) for f in range(len(signs))]))
 
 
 def test_superpose_noise_only_energy():
@@ -215,13 +196,6 @@ def test_superpose_noise_only_energy():
     assert np.mean(np.abs(out) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
-def test_superpose_destructive_interference():
-    cfg = ChannelConfig(noise_var=0.0, fading="none")
-    faded = np.array([[[1.0 + 0j], [-1.0 + 0j]]])
-    out = _superpose(np.ones((1, 2, 1)), faded, np.array([1.0, 1.0]), cfg)
-    np.testing.assert_allclose(out, np.zeros((1, 2, 1)))
-
-
 def test_superpose_sums_each_bin_over_the_devices_lighting_it():
     cfg = ChannelConfig(noise_var=0.0)
     rng = np.random.default_rng(9)
@@ -230,28 +204,8 @@ def test_superpose_sums_each_bin_over_the_devices_lighting_it():
     powers = np.array([1.0, 2.0, 0.5])
     out = _superpose(signs, faded, powers, cfg)
     weighted = np.sqrt(SYMBOL_ENERGY * powers)[:, None] * faded
-    np.testing.assert_allclose(out[:, 0], np.where(signs > 0, weighted, 0).sum(axis=1), atol=1e-12)
-    np.testing.assert_allclose(out[:, 1], np.where(signs < 0, weighted, 0).sum(axis=1), atol=1e-12)
-
-
-def test_superpose_linear_in_frames():
-    cfg = ChannelConfig(noise_var=0.0)
-    rng = np.random.default_rng(9)
-    signs = rng.choice([-1, 1], size=(1, 3, 4))
-    powers = np.array([1.0, 2.0, 0.5])
-    f1 = rng.normal(size=(1, 3, 4)) + 1j * rng.normal(size=(1, 3, 4))
-    f2 = rng.normal(size=(1, 3, 4)) + 1j * rng.normal(size=(1, 3, 4))
-    lhs = _superpose(signs, f1 + f2, powers, cfg)
-    rhs = _superpose(signs, f1, powers, cfg) + _superpose(signs, f2, powers, cfg)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_superpose_applies_power_scaling():
-    cfg = ChannelConfig(noise_var=0.0, fading="none")
-    signs = np.array([[[1, -1]]])
-    out = _superpose(signs, np.ones((1, 1, 2), dtype=complex), np.array([4.0]), cfg)
-    amplitude = 2.0 * np.sqrt(SYMBOL_ENERGY)
-    np.testing.assert_allclose(out, [[[amplitude, 0], [0, amplitude]]])
+    np.testing.assert_array_equal(out[:, 0], np.where(signs > 0, weighted, 0).sum(axis=1))
+    np.testing.assert_array_equal(out[:, 1], np.where(signs < 0, weighted, 0).sum(axis=1))
 
 
 def test_superpose_shape_checks():
@@ -273,15 +227,6 @@ def test_superpose_shape_checks():
         assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
     # silent devices are legal: the bins then hold noise alone
     assert np.abs(_superpose(signs, faded, np.zeros(2), replace(cfg, noise_var=0.0))).max() == 0.0
-
-
-def test_superpose_deterministic():
-    cfg = ChannelConfig(noise_var=0.5)
-    signs = np.array([[[1, -1, 1, 1], [-1, -1, 1, -1]]])
-    faded = _gains(signs.shape, cfg, 3, signs)
-    a = _superpose(signs, faded, np.ones(2), cfg, seed=4)
-    b = _superpose(signs, faded, np.ones(2), cfg, seed=4)
-    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("fading", FADING_MODES)

@@ -530,89 +530,67 @@ def test_invalid_config_line_exits_1(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "line",
-    ["learning_rate = nan", "channel.noise_var = inf", "dataset.separation = -inf"],
-)
-def test_non_finite_config_value_exits_1_before_training(tmp_path, capsys, line):
-    config_path, output = write_config(tmp_path)
-    set_keys(config_path, line)
-    assert main(["train", "--config", str(config_path)]) == 1
-    assert "must be finite" in capsys.readouterr().err
-    assert not output.exists()  # rejected at load, before the first round
-
-
-def test_noise_var_above_ceiling_exits_1_before_training(tmp_path, capsys):
-    # finite, but a bin's energy |r|^2 would overflow: rejected at load
-    config_path, output = write_config(tmp_path)
-    set_keys(config_path, "channel.noise_var = 1e308")
-    assert main(["train", "--config", str(config_path)]) == 1
-    assert "noise_var" in capsys.readouterr().err
-    assert not output.exists() and not summary_path(output).exists()
-
-
-@pytest.mark.parametrize(
-    "line",
-    ["model = mlp\nhidden_units = 0", "hidden_units = -2", "dataset.input_dim = 0", "dataset.classes = 1"],
-)
-def test_out_of_range_model_shape_exits_1_at_load(tmp_path, capsys, line):
-    config_path, output = write_config(tmp_path)
-    set_keys(config_path, line)
-    assert main(["train", "--config", str(config_path)]) == 1
-    key = line.rsplit("\n", 1)[-1].split(" = ")[0]
-    assert key.rsplit(".", 1)[-1] + " must be >= " in capsys.readouterr().err
-    assert not output.exists()  # rejected at load, before the first round
-
-
-# One bad value for every config key that has a rule; the two keys below take any string.
-BAD_CONFIG_VALUES = {
-    "scheme": "x",
-    "learning_rate": "0",
-    "batch_size": "0",
-    "rounds": "0",
-    "devices": "0",
-    "partition": "x",
-    "model": "x",
-    "hidden_units": "0",
-    "eval_every": "0",
-    "seed": "-1",
-    "channel.noise_var": "-1",
-    "channel.sync_error_max": "1",
-    "channel.fading": "x",
-    "phy.subcarriers": "3",
-    "phy.symbols": "0",
-    "phy.power_cap": "0.5",
-    "dataset.kind": "x",
-    "dataset.samples": "0",
-    "dataset.test_samples": "0",
-    "dataset.input_dim": "0",
-    "dataset.classes": "1",
-    "dataset.separation": "inf",
-}
+# One bad value for every config key that has a rule, then more values of some keys, each with
+# the `error: <key> ...` line it prints after its key; the two keys below take any string.
+AT_LEAST_1 = "must be >= 1 and <= 1.79769e+308"
+BAD_CONFIG_ROWS = [
+    ("scheme", "x", "must be one of ('ideal_signsgd_mv', 'fedavg_ideal', 'fsk_mv', 'fsk_mv_dpc')"),
+    ("learning_rate", "0", "must be finite and > 0"),
+    ("batch_size", "0", AT_LEAST_1),
+    ("rounds", "0", AT_LEAST_1),
+    ("devices", "0", AT_LEAST_1),
+    ("partition", "x", "must be one of ('iid', 'non-iid')"),
+    ("model", "x", "must be one of ('logistic', 'mlp')"),
+    ("hidden_units", "0", AT_LEAST_1),
+    ("eval_every", "0", AT_LEAST_1),
+    ("seed", "-1", "must lie in [0, 2**64)"),
+    ("channel.noise_var", "-1", "must be finite, >= 0 and <= 1e+300"),
+    ("channel.sync_error_max", "1", "must lie in [0, 1)"),
+    ("channel.fading", "x", "must be one of ('per_bin', 'per_frame', 'none')"),
+    ("phy.subcarriers", "3", "must be an even number in [2, 64]"),
+    ("phy.symbols", "0", AT_LEAST_1),
+    ("phy.power_cap", "0.5", "must be no lower than the initial power of 1"),
+    ("dataset.kind", "x", "must be one of ('synthetic', 'mnist')"),
+    ("dataset.samples", "0", AT_LEAST_1),
+    ("dataset.test_samples", "0", AT_LEAST_1),
+    ("dataset.input_dim", "0", AT_LEAST_1),
+    ("dataset.classes", "1", "must be >= 2 and <= 1.79769e+308"),
+    ("dataset.separation", "inf", "must be finite"),
+    ("seed", str(2**64), "must lie in [0, 2**64)"),
+    ("learning_rate", "inf", "must be finite and > 0"),
+    ("learning_rate", "nan", "must be finite and > 0"),
+    ("hidden_units", "-2", AT_LEAST_1),
+    ("channel.noise_var", "inf", "must be finite, >= 0 and <= 1e+300"),
+    ("channel.noise_var", "1e308", "must be finite, >= 0 and <= 1e+300"),  # a bin's |r|^2 would overflow
+    ("phy.subcarriers", "128", "must be an even number in [2, 64]"),
+    ("phy.subcarriers", "1000000000000", "must be an even number in [2, 64]"),
+    ("phy.symbols", str(10**400), AT_LEAST_1),
+    ("phy.power_cap", "nan", "must be no lower than the initial power of 1"),
+    ("phy.power_cap", "none", "on line 20: bad value 'none'"),
+    ("dataset.input_dim", "1000000000000",  # 10**12: no host holds it
+     "makes the synthetic dataset 1.3e+15 bytes, more than physical memory"),
+    ("dataset.classes", "161", "161 exceeds the 160 samples of samples + test_samples"),
+    ("dataset.separation", "-inf", "must be finite"),
+]
 RULE_FREE_KEYS = {"output", "dataset.path"}
 
 
 def test_every_ruled_config_key_has_a_bad_value_row():
-    assert sorted(_CONFIG_KEYS.keys() - RULE_FREE_KEYS - BAD_CONFIG_VALUES.keys()) == []
+    assert sorted(_CONFIG_KEYS.keys() - RULE_FREE_KEYS - {key for key, _, _ in BAD_CONFIG_ROWS}) == []
     # the loader turns a rejection's field name into its key through bare field names
     names = [name for _, name, _ in _CONFIG_KEYS.values()]
     assert len(set(names)) == len(names)
 
 
-@pytest.mark.parametrize("key, value", [*BAD_CONFIG_VALUES.items(), ("seed", str(2**64)),
-                                        ("learning_rate", "inf"),
-                                        ("phy.subcarriers", "128"), ("phy.subcarriers", "1000000000000"),
-                                        ("phy.power_cap", "nan"), ("phy.power_cap", "none"),
-                                        ("dataset.input_dim", "1000000000000"),  # 10**12: no host holds it
-                                        ("phy.symbols", str(10**400))])
-def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, value):
-    config_path, output = write_config(tmp_path)
+@pytest.mark.parametrize("key, value, message", BAD_CONFIG_ROWS,
+                         ids=[f"{key}={value[:16]}" for key, value, _ in BAD_CONFIG_ROWS])
+def test_bad_config_value_exits_1_at_load_naming_its_key(tmp_path, capsys, key, value, message):
+    config_path, _ = write_config(tmp_path)
     set_keys(config_path, f"{key} = {value}")
-    with pytest.raises(ValueError, match=f"^{re.escape(key)} "):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{key} {message}')}$"):
         load_config(config_path)
     assert main(["train", "--config", str(config_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"error: {key} ")
+    assert capsys.readouterr() == ("", f"error: {key} {message}\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == [config_path.name]
 
 

@@ -12,12 +12,6 @@ from airvote.detector import detect, ideal_majority_vote, sign_votes
 from airvote.phy import PhyConfig
 
 
-def test_measure_energies_values():
-    result = detect(np.array([[3 + 4j], [0]]))
-    assert result.e_plus[0] == pytest.approx(25.0)
-    assert result.e_minus[0] == pytest.approx(0.0)
-
-
 def test_measure_energies_zero_frame():
     result = detect(np.zeros((1, 2, 4), dtype=complex))
     assert np.all(result.e_plus == 0) and np.all(result.e_minus == 0)
@@ -42,24 +36,6 @@ def test_single_device_clean_energy():
     assert result.e_minus[0] == pytest.approx(0.0)
 
 
-def _pair_bins(e_plus, e_minus):
-    """Received plus and minus bins carrying the given energies."""
-    return np.sqrt(np.array([e_plus, e_minus])).astype(complex)
-
-
-def test_detect_votes_rules():
-    np.testing.assert_array_equal(detect(_pair_bins([5.0, 1.0], [2.0, 4.0])).votes, [1, -1])
-    np.testing.assert_array_equal(detect(_pair_bins([2.0, 2.0], [2.0, 2.0])).votes, [1, 1])
-
-
-def test_detect_votes_antisymmetric_without_ties():
-    rng = np.random.default_rng(0)
-    a = rng.uniform(0.1, 5.0, size=50)
-    b = rng.uniform(0.1, 5.0, size=50)
-    b[np.isclose(a, b)] += 0.5
-    np.testing.assert_array_equal(detect(_pair_bins(a, b)).votes, -detect(_pair_bins(b, a)).votes)
-
-
 def test_sign_votes_builds_a_copy():
     negative = np.array([[1, 0], [0, 1]], dtype=np.int8)  # already int8: no conversion would copy it
     votes = sign_votes(negative)
@@ -80,13 +56,6 @@ def test_ideal_majority_vote():
 # ---------------------------------------------------------------------------
 # Oracle equivalence in the ideal channel
 # ---------------------------------------------------------------------------
-
-def test_energy_detection_equals_majority_vote_random_patterns(clean_channel_votes):
-    patterns = np.random.default_rng(21).choice([-1, 1], size=(200, 31, 10))
-    votes = clean_channel_votes(patterns)
-    for signs, vote in zip(patterns, votes):
-        np.testing.assert_array_equal(vote, ideal_majority_vote(signs))
-
 
 _SIGN_ROWS = st.integers(1, 31).flatmap(lambda devices: hnp.arrays(
     np.int8, st.tuples(st.just(devices), st.integers(1, 40)), elements=st.sampled_from([-1, 1])))

@@ -27,8 +27,9 @@ from airvote.experiment import (
     run_rounds,
     summary_path,
 )
-from airvote.learner import Dataset, SoftmaxRegression, TrainingConfig
+from airvote.learner import SoftmaxRegression, TrainingConfig
 from airvote.phy import PhyConfig, encode_signs
+from conftest import _sign_split_dataset
 
 JSONL_KEYS = ["round", "test_accuracy", "test_loss", "mean_power", "vote_agreement", "empirical_perr"]
 
@@ -179,15 +180,10 @@ def test_round_kernel_block_size_does_not_change_votes(monkeypatch):
 
 
 def test_nonfinite_gradient_error_names_round_and_device():
-    # Feature 0 is -1 on devices 0 and 1 and +1 on device 2, so an infinite
-    # weight on it sends only device 2's logits to +inf.
-    features = np.ones((12, 3))
-    features[:8, 0] = -1.0
-    dataset = Dataset(features, np.arange(12) % 2, 2)
+    dataset, shards = _sign_split_dataset()
     predictor = SoftmaxRegression(3, 2)
     weights = np.zeros(predictor.num_params)
     weights[0] = np.inf
-    shards = [np.arange(0, 4), np.arange(4, 8), np.arange(8, 12)]
     state = experiment.RunState(weights, np.ones(3), predictor, dataset, dataset, shards)
     config = small_config(scheme="ideal_signsgd_mv")
     config.training = TrainingConfig(batch_size=4, rounds=20, num_devices=3)

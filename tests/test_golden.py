@@ -12,15 +12,7 @@ import pytest
 
 from airvote.analysis import mc_error_prob, mc_mean_energy
 from airvote.cli import main as cli_main
-
-# The c10 acceptance config; 21 parameters fit one 4 x 16 frame.
-C10 = {
-    "rounds": 8, "devices": 5, "batch_size": 16, "learning_rate": 0.01,
-    "partition": "iid", "seed": 123, "eval_every": 2, "dataset.kind": "synthetic",
-    "dataset.samples": 300, "dataset.test_samples": 100, "dataset.input_dim": 6,
-    "dataset.classes": 3, "channel.noise_var": 0.5, "channel.sync_error_max": 0.2,
-    "phy.subcarriers": 16, "phy.symbols": 4,
-}
+from conftest import C10, _train_digests
 
 # sha256 of (metrics JSONL, summary CSV) per scheme.  The over-the-air
 # schemes are pinned under one generator per (round, device) for the batch
@@ -90,17 +82,6 @@ MC_VERIFY_DIGESTS = {
     "flip-prob": (0, "4ce9e96a3bdb0a34738792bce116da55d3b5fc0786fbeaa2b9e8cd798ee1be21"),
     "error-prob": (1, "de4710caa0ff43d17fec8b8d444e2caad01588fb7193e28e209817d6cc5724a0"),
 }
-
-
-def _train_digests(tmp_path, **values):
-    out = tmp_path / f"{values['scheme']}.jsonl"
-    config = tmp_path / f"{values['scheme']}.toml"
-    config.write_text("".join(f"{key} = {value}\n" for key, value in {**values, "output": out}.items()))
-    assert cli_main(["train", "--config", str(config)]) == 0
-    return (
-        hashlib.sha256(out.read_bytes()).hexdigest(),
-        hashlib.sha256(out.with_suffix(".summary.csv").read_bytes()).hexdigest(),
-    )
 
 
 @pytest.mark.parametrize("scheme", sorted(C10_DIGESTS))

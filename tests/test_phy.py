@@ -91,23 +91,6 @@ def _received(signs, phases, num_subcarriers):
     return superpose(signs, faded, np.ones(signs.shape[1]), cfg, frame_rngs)
 
 
-def test_encode_positive_sign():
-    signs = np.array([[[1]]])
-    phases = encode_signs(signs, rngs(0))
-    assert phases.shape == (1, 1, 1) and phases.dtype == np.float64
-    assert 0.0 <= phases[0, 0, 0] < 2.0 * np.pi
-    received = _received(signs, phases, 2)[0]
-    assert abs(received[0, 0]) == pytest.approx(np.sqrt(2.0))
-    assert received[1, 0] == 0
-
-
-def test_encode_negative_sign():
-    signs = np.array([[[-1]]])
-    received = _received(signs, encode_signs(signs, rngs(0)), 2)[0]
-    assert received[0, 0] == 0
-    assert abs(received[1, 0]) == pytest.approx(np.sqrt(2.0))
-
-
 def test_encode_pinned_randomization(low_rng):
     signs = np.array([[[1, -1, 1]]])
     phases = encode_signs(signs, [low_rng])
@@ -128,16 +111,11 @@ def test_encode_per_coordinate_energy_and_exactly_one_active():
         np.testing.assert_array_equal(e_plus > 0, signs[0, 0] > 0)
 
 
-def test_encode_deterministic_and_validates():
+def test_encode_validates():
     signs = np.array([[[1, -1, -1, 1]]])
-    a = encode_signs(signs, rngs(9))
-    b = encode_signs(signs, rngs(9))
-    np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError, match=r"^signs must be exactly -1 or \+1$"):
-        encode_signs(np.array([[[1, 0, -1, 1]]]), rngs(0))
     with pytest.raises(ValueError, match="frames, devices, coordinates"):
-        encode_signs(np.array([[1, -1, -1, 1]]), rngs(0))
-    with pytest.raises(ValueError, match="device generators"):
+        encode_signs(signs[0], rngs(0))
+    with pytest.raises(ValueError, match="^2 device generators for 1 devices$"):
         encode_signs(signs, rngs(0, 1))
 
 
@@ -153,8 +131,6 @@ def test_encode_batch_matches_stacked_single_vector_encodes():
     expected = np.stack([rng.uniform(0.0, 2.0 * np.pi, size=(3, 6)) for rng in generators], axis=1)
     np.testing.assert_array_equal(batch, expected)
     assert batch.dtype == np.float64 and np.all((0.0 <= batch) & (batch < 2.0 * np.pi))
-    with pytest.raises(ValueError, match="device generators"):
-        encode_signs(signs, rngs(0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +219,3 @@ def test_mean_power():
     assert mean_power(np.array([1.0, 2.0])) == pytest.approx(1.5)
     with pytest.raises(ValueError, match="^no device powers$"):
         mean_power(np.array([]))
-
-
-def test_mean_power_bounded_by_round_count():
-    rng = np.random.default_rng(13)
-    powers = np.ones(4)
-    rounds = 15
-    for _ in range(rounds):
-        reports = rng.choice([-1, 1], size=(4, 6))
-        vote = rng.choice([-1, 1], size=6)
-        powers = update_power(powers, reports, vote)
-    assert 1.0 <= mean_power(powers) <= 1.0 + rounds
