@@ -13,7 +13,7 @@ import numpy as np
 
 from airvote.channel import ChannelConfig, sample_channel, superpose
 from airvote.detector import detect, ideal_majority_vote
-from airvote.phy import encode_signs, lit_subcarriers, mean_power, signed_agreement, update_power
+from airvote.phy import PhyConfig, encode_signs, lit_subcarriers, mean_power, signed_agreement, update_power
 
 DEVICES = 5
 COORDS = 8
@@ -65,6 +65,6 @@ print("timing offsets only rotate phases, so they never touch the energies above
 # --- power control ---------------------------------------------------------
 powers = np.ones(DEVICES)  # every device starts at unit transmit power
 print("\nsigned per-device agreement with the detected vote:", np.round(signed_agreement(signs, result.votes), 3))
-powers = update_power(powers, signs, result.votes)
+powers = update_power(powers, signs, result.votes, PhyConfig().power_cap)
 print("powers after one update (grow by |signed agreement|):", np.round(powers, 3))
 print(f"mean transmit power: {mean_power(powers):.3f}")

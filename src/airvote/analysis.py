@@ -187,12 +187,12 @@ def comm_cost(scheme: str, num_devices: int, model_dim: int) -> int:
 # ---------------------------------------------------------------------------
 
 # Most bytes a step of any batched loop (`blocks`) holds: two 31-device oracle
-# frames of the kernel's complex arrays (1,024 coordinates, 0.48 MiB each; the
-# channel stage also holds their float phases, half that), five of the 19 frames
-# of 416 coordinates a 7,850-parameter round sends, or one device's 0.8 MB batch
-# of 784 features (31 gradient calls a round).  Larger blocks trade memory for
-# calls (8 MiB: about 18 -> 15 ms, 7 MB more features; 2 CPUs, one BLAS thread);
-# an oracle call of one block faults pages (_oracle_detect).
+# frames of the kernel's real and imaginary float64 planes (16 bytes a lit bin,
+# 0.48 MiB a frame of 1,024 coordinates; the channel stage also holds their
+# phases, half that), five of the 19 frames of 416 coordinates a 7,850-parameter
+# round sends, or one device's 0.8 MB batch of 784 features (31 gradient calls a
+# round).  Larger blocks trade memory for calls (8 MiB: about 18 -> 15 ms, 7 MB more
+# features; 2 CPUs, one BLAS thread); an oracle call of one block faults pages (_oracle_detect).
 BLOCK_BYTES = 2**20
 
 
@@ -212,7 +212,7 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
     result holds (coordinates,) arrays, the padding dropped.  `device_rngs`
     holds one generator per device, drawing its symbol phases frame after
     frame; `frame_rngs` one per frame, drawing its channel, then its noise.
-    Frames go through in blocks whose complex arrays stay within
+    Frames go through in blocks whose faded planes stay within
     BLOCK_BYTES; since every generator belongs to one device or one frame,
     and no coordinate's result depends on another's sign, neither the block
     size nor the padding can change the result.
@@ -227,7 +227,7 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
     if len(frame_rngs) != num_frames:
         raise ValueError(f"{len(frame_rngs)} frame generators for {num_coordinates} coordinates "
                          f"in frames of {per_frame}")
-    frame_bytes = num_devices * per_frame * np.dtype(np.complex128).itemsize
+    frame_bytes = num_devices * per_frame * 16  # a lit bin's real and imaginary float64
     parts = []
     for lo, hi in blocks(num_frames, frame_bytes):
         # a padded copy per block, not of every row at once: peak memory

@@ -28,15 +28,14 @@ class DetectionResult:
 
 
 def detect(received: np.ndarray) -> DetectionResult:
-    """Squared magnitudes of the paired bins of every coordinate and the
-    vote they give: +1 where e_plus > e_minus, -1 where smaller, +1 on an
-    exact tie.  Received bins (..., 2, coordinates), plus bins before minus
-    bins as `channel.superpose` stacks them, give (..., coordinates)
-    arrays."""
+    """Energies re*re + im*im (np.abs rounds by SIMD level) of the paired bins of every
+    coordinate and the vote they give: +1 where e_plus > e_minus, -1 where smaller, +1 on
+    an exact tie.  Received bins (..., 2, coordinates), plus bins before minus bins as
+    `channel.superpose` stacks them, give (..., coordinates) arrays."""
     received = np.asarray(received)
     if received.ndim < 2 or received.shape[-2] != 2:
         raise ValueError(f"received bins of shape {received.shape}; expected (..., 2, coordinates)")
-    energies = np.abs(received) ** 2
+    energies = received.real * received.real + received.imag * received.imag
     e_plus, e_minus = energies[..., 0, :], energies[..., 1, :]
     return DetectionResult(e_plus, e_minus, sign_votes(e_plus < e_minus))
 

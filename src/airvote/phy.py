@@ -99,9 +99,9 @@ def signed_agreement(reports, vote) -> np.ndarray:
     return 2.0 * agree - 1.0
 
 
-def update_power(powers, reports, vote, power_cap: float = math.inf) -> np.ndarray:
+def update_power(powers, reports, vote, power_cap: float) -> np.ndarray:
     """Per-device transmit powers after raising each by |signed agreement
-    with the vote|, then clamping at `power_cap` (no cap by default).
+    with the vote|, then clamping at `power_cap` (`PhyConfig.power_cap`).
 
     `powers` holds one multiplier per device, all 1 before the first round.
     Increments lie in [0, 1], so powers below the cap never decrease.

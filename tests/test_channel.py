@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,18 +25,26 @@ from conftest import rngs
 PHASOR_TOLERANCE = 4 * 2.0**-52
 
 
+def _complex(planes):
+    """Real and imaginary planes (2, ...) as one complex array; exact."""
+    return planes[0] + 1j * planes[1]
+
+
 def _phasors(theta):
-    out = np.empty(np.shape(theta), dtype=np.complex128)
-    _unit_phasors(np.asarray(theta, dtype=np.float64), out)
-    return out
+    """_unit_phasors at unit gains, one row per angle, as complex."""
+    column = np.asarray(theta, dtype=np.float64).reshape(-1, 1)
+    out = np.empty((2, *column.shape))
+    _unit_phasors(column, np.broadcast_to([[[1.0]], [[0.0]]], (2, len(column), 1)), out)
+    return _complex(out).reshape(np.shape(theta))
 
 
 def _gains(shape, cfg, seed, signs=None):
     """sample_channel on zero symbol phases: the lit bins' gains with
-    their timing ramps, one frame per leading index of `shape`."""
+    their timing ramps, one frame per leading index of `shape`, as complex."""
     signs = np.ones(shape, dtype=np.int8) if signs is None else signs
     num_frames, _, num_coordinates = shape
-    return sample_channel(signs, np.zeros(shape), 2 * num_coordinates, cfg, rngs(*[(seed, f) for f in range(num_frames)]))
+    frame_rngs = rngs(*[(seed, f) for f in range(num_frames)])
+    return _complex(sample_channel(signs, np.zeros(shape), 2 * num_coordinates, cfg, frame_rngs))
 
 
 def _timing_offsets(rotated, aligned, lit):
@@ -93,7 +105,7 @@ def test_sample_channel_none_is_identity_gain():
     np.testing.assert_array_equal(gains, np.ones((1, 2, 6)))
     # with unit gains and no ramp the result is the symbol itself
     phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=(1, 2, 6))
-    symbols = sample_channel(np.ones((1, 2, 6)), phases, 12, ChannelConfig(fading="none"), rngs(0))
+    symbols = _complex(sample_channel(np.ones((1, 2, 6)), phases, 12, ChannelConfig(fading="none"), rngs(0)))
     np.testing.assert_array_equal(symbols, _phasors(phases))
     assert np.abs(symbols - np.exp(1j * phases)).max() <= PHASOR_TOLERANCE
 
@@ -133,7 +145,7 @@ def test_sample_channel_validates():
     # complex exponents j*phi, the old contract, would otherwise read as phi = 0
     with pytest.raises(ValueError, match="^phases must be real"):
         sample_channel(signs, np.zeros((2, 3, 4), dtype=np.complex128), 8, ChannelConfig(), rngs(0, 1))
-    with pytest.raises(ValueError, match="channel generators"):
+    with pytest.raises(ValueError, match="^1 channel generators for 2 frames$"):
         sample_channel(signs, np.zeros((2, 3, 4)), 8, ChannelConfig(), rngs(0))
     with pytest.raises(ValueError, match=r"expected \(frames, devices, coordinates\) for both$"):
         sample_channel(signs[0], np.zeros((3, 4)), 8, ChannelConfig(), rngs(0))
@@ -191,7 +203,7 @@ def _superpose(signs, faded, powers, cfg):
 def test_superpose_noise_only_energy():
     cfg = ChannelConfig(noise_var=1.0, fading="none")
     signs = np.ones((1, 1, 50_000))
-    out = _superpose(signs, np.zeros(signs.shape, dtype=complex), np.array([1.0]), cfg)
+    out = _superpose(signs, np.zeros((2, *signs.shape)), np.array([1.0]), cfg)
     assert out.shape == (1, 2, 50_000)  # 1e5 noisy bins
     assert np.mean(np.abs(out) ** 2) == pytest.approx(1.0, rel=0.02)
 
@@ -200,10 +212,10 @@ def test_superpose_sums_each_bin_over_the_devices_lighting_it():
     cfg = ChannelConfig(noise_var=0.0)
     rng = np.random.default_rng(9)
     signs = rng.choice([-1, 1], size=(2, 3, 5))
-    faded = rng.normal(size=signs.shape) + 1j * rng.normal(size=signs.shape)
+    faded = rng.normal(size=(2, *signs.shape))
     powers = np.array([1.0, 2.0, 0.5])
     out = _superpose(signs, faded, powers, cfg)
-    weighted = np.sqrt(SYMBOL_ENERGY * powers)[:, None] * faded
+    weighted = np.sqrt(SYMBOL_ENERGY * powers)[:, None] * _complex(faded)
     np.testing.assert_array_equal(out[:, 0], np.where(signs > 0, weighted, 0).sum(axis=1))
     np.testing.assert_array_equal(out[:, 1], np.where(signs < 0, weighted, 0).sum(axis=1))
 
@@ -211,15 +223,15 @@ def test_superpose_sums_each_bin_over_the_devices_lighting_it():
 def test_superpose_shape_checks():
     cfg = ChannelConfig()
     signs = np.ones((1, 2, 4))
-    faded = np.ones((1, 2, 4), dtype=complex)
+    faded = np.ones((2, 1, 2, 4))
     with pytest.raises(ValueError, match="faded symbols"):
-        _superpose(signs, np.ones((1, 3, 4), dtype=complex), np.ones(2), cfg)
+        _superpose(signs, np.ones((2, 1, 3, 4)), np.ones(2), cfg)
     with pytest.raises(ValueError, match="powers"):
         _superpose(signs, faded, np.ones(3), cfg)
     with pytest.raises(ValueError, match="frames, devices, coordinates"):
-        _superpose(signs[0], faded[0], np.ones(2), cfg)
-    with pytest.raises(ValueError, match="noise generators"):
-        superpose(signs, faded, np.ones(2), cfg, rngs(0, 1))
+        _superpose(signs[0], faded[:, 0], np.ones(2), cfg)
+    with pytest.raises(ValueError, match="^1 noise generators for 2 frames$"):
+        superpose(np.ones((2, 2, 4)), np.ones((2, 2, 2, 4)), np.ones(2), cfg, rngs(0))
     for bad in (-1.0, np.nan, np.inf):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="^powers must be finite and >= 0$"):
@@ -242,17 +254,61 @@ def test_frame_axis_matches_per_frame_calls(fading):
 
     faded = sample_channel(signs, phases, 16, cfg, generators(0))
     received = superpose(signs, faded, powers, cfg, generators(1))
-    assert faded.shape == (3, 4, 8) and received.shape == (3, 2, 8)
-    aligned = sample_channel(signs, phases, 16, replace(cfg, sync_error_max=0.0), generators(0))
+    assert faded.shape == (2, 3, 4, 8) and received.shape == (3, 2, 8)
+    aligned = _complex(sample_channel(signs, phases, 16, replace(cfg, sync_error_max=0.0), generators(0)))
     for f, (channel_rng, noise_rng) in enumerate(zip(generators(0), generators(1))):
         one = slice(f, f + 1)
         single = sample_channel(signs[one], phases[one], 16, cfg, [channel_rng])
-        np.testing.assert_array_equal(faded[f], single[0])
+        np.testing.assert_array_equal(faded[:, f], single[:, 0])
         np.testing.assert_array_equal(
-            _timing_offsets(faded, aligned, lit)[f], _timing_offsets(single, aligned[one], lit[one])[0]
+            _timing_offsets(_complex(faded), aligned, lit)[f],
+            _timing_offsets(_complex(single), aligned[one], lit[one])[0],
         )
         np.testing.assert_array_equal(received[f], superpose(signs[one], single, powers, cfg, [noise_rng])[0])
 
+
+# One air_detect call per fading mode (31 devices, 7,850 coordinates, spread
+# powers, timing offsets); prints the digest of its e_plus and e_minus bytes.
+_ENERGY_DIGESTS = """
+import hashlib
+import numpy as np
+from airvote.analysis import air_detect
+from airvote.channel import FADING_MODES, ChannelConfig
+from airvote.phy import PhyConfig
+phy, devices, coordinates = PhyConfig(), 31, 7850
+signs = np.random.default_rng(35).choice(np.array([-1, 1], dtype=np.int8), size=(devices, coordinates))
+for fading in FADING_MODES:
+    result = air_detect(signs, np.linspace(1.0, 5.0, devices), phy,
+                        ChannelConfig(noise_var=0.5, sync_error_max=0.25, fading=fading),
+                        [np.random.default_rng((1, m)) for m in range(devices)],
+                        [np.random.default_rng((2, f)) for f in range(phy.num_frames(coordinates))])
+    print(fading, hashlib.sha256(result.e_plus.tobytes() + result.e_minus.tobytes()).hexdigest())
+"""
+
+
+def _energy_digests(disabled):
+    """_ENERGY_DIGESTS' output in a child interpreter whose numpy dispatches none of `disabled`."""
+    env = {key: value for key, value in os.environ.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(channel.__file__).parents[1]), env.get("PYTHONPATH")]))
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    child = subprocess.run([sys.executable, "-c", _ENERGY_DIGESTS], capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+@pytest.mark.parametrize("cap", ["X86_V3", "X86_V2"])
+def test_kernel_energies_do_not_depend_on_the_simd_level(cap):
+    # Capped at X86_V3, numpy runs no target above it; capped at X86_V2, not X86_V3 either.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    dispatch, runs = umath.__cpu_dispatch__, umath.__cpu_features__
+    if "X86_V3" not in dispatch:
+        pytest.skip(f"this numpy build dispatches no X86_V3 loops ({', '.join(dispatch) or 'none'})")
+    capped = dispatch[dispatch.index("X86_V3") + (cap == "X86_V3"):]  # from X86_V3 on, or above it
+    disabled = [target for target in capped if runs.get(target)]
+    if not disabled:
+        pytest.skip(f"numpy runs none of {', '.join(capped) or 'its targets above X86_V3'} on this host")
+    assert _energy_digests(disabled) == _energy_digests([])
 
 
 def test_no_stage_writes_its_inputs():
@@ -265,7 +321,7 @@ def test_no_stage_writes_its_inputs():
         "rows": signs.transpose(1, 0, 2).reshape(3, 8),
         "powers": np.array([1.0, 2.0, 0.5]),
         "phases": rng.uniform(0.0, 2.0 * np.pi, signs.shape),
-        "faded": rng.normal(size=signs.shape) + 1j * rng.normal(size=signs.shape),
+        "faded": rng.normal(size=(2, *signs.shape)),
         "received": rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4)),
     }
     copies = {name: array.copy() for name, array in inputs.items()}

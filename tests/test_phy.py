@@ -141,13 +141,13 @@ def test_update_power_examples():
     powers = np.ones(1)
     reports = np.array([[1, 1, 1, -1]])
     vote = np.array([1, 1, -1, 1])  # agrees on 2 of 4 -> increment 0
-    assert update_power(powers, reports, vote)[0] == pytest.approx(1.0)
+    assert update_power(powers, reports, vote, math.inf)[0] == pytest.approx(1.0)
 
     vote = np.array([1, 1, 1, 1])  # agrees on 3 of 4 -> |(3-1)/4| = 0.5
-    assert update_power(powers, reports, vote)[0] == pytest.approx(1.5)
+    assert update_power(powers, reports, vote, math.inf)[0] == pytest.approx(1.5)
 
     vote = np.array([-1, -1, -1, 1])  # full disagreement -> +1
-    assert update_power(powers, reports, vote)[0] == pytest.approx(2.0)
+    assert update_power(powers, reports, vote, math.inf)[0] == pytest.approx(2.0)
 
 
 def test_update_power_negation_symmetry():
@@ -155,8 +155,8 @@ def test_update_power_negation_symmetry():
     powers = np.ones(5)
     reports = rng.choice([-1, 1], size=(5, 12))
     vote = rng.choice([-1, 1], size=12)
-    a = update_power(powers, reports, vote)
-    b = update_power(powers, -reports, -vote)
+    a = update_power(powers, reports, vote, math.inf)
+    b = update_power(powers, -reports, -vote, math.inf)
     np.testing.assert_allclose(a, b)
 
 
@@ -188,8 +188,7 @@ def test_update_power_default_cap_adds_agreement_exactly(inputs):
     # no cap is inf, and min(p, inf) == p: uncapped powers are p + |agreement|, bit for bit
     powers, reports, vote, _ = inputs
     expected = powers + np.abs(signed_agreement(reports, vote))
-    assert np.array_equal(update_power(powers, reports, vote), expected)
-    assert np.array_equal(update_power(powers, reports, vote, power_cap=math.inf), expected)
+    assert np.array_equal(update_power(powers, reports, vote, PhyConfig().power_cap), expected)
 
 
 def test_update_power_cap():
@@ -211,7 +210,7 @@ def test_power_control_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="^report length does not match vote length$"):
         signed_agreement(np.ones((2, 4)), np.ones(3))
     with pytest.raises(ValueError, match="^2 reports for 3 device powers$"):
-        update_power(np.ones(3), np.ones((2, 4)), np.ones(4))
+        update_power(np.ones(3), np.ones((2, 4)), np.ones(4), math.inf)
 
 
 def test_mean_power():
