@@ -45,7 +45,7 @@ config = ChannelConfig(noise_var=0.5, sync_error_max=0.25)  # offsets up to a qu
 # then the noise on the coordinates' bins, added to the sum over devices
 frame_rngs = [np.random.default_rng(2)]
 faded = sample_channel(frame_signs, phases, SUBCARRIERS, config, frame_rngs)
-received = superpose(frame_signs, faded, np.ones(DEVICES), config, frame_rngs)[0]
+received = superpose(frame_signs, faded, np.ones(DEVICES), config, frame_rngs)[:, 0]  # the frame's planes
 
 # --- detect ---------------------------------------------------------------
 result = detect(received)

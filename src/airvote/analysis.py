@@ -207,12 +207,12 @@ def air_detect(signs, powers, phy: PhyConfig, channel: ChannelConfig,
     """Detection of every device's row of sign votes sent over the uplink.
 
     `signs` is (devices, coordinates).  The rows are cut into frames of
-    phy.frame_coordinates, the last padded with +1 votes, go through
-    `encode_signs`, `sample_channel` and `superpose`, and are detected; the
-    result holds (coordinates,) arrays, the padding dropped.  `device_rngs`
-    holds one generator per device, drawing its symbol phases frame after
-    frame; `frame_rngs` one per frame, drawing its channel, then its noise.
-    Frames go through in blocks whose faded planes stay within
+    phy.frame_coordinates, the last padded with +1 votes, and go through
+    `encode_signs`, `sample_channel` and `superpose`, whose float64 planes
+    `detect` reads; the result holds (coordinates,) arrays, padding dropped.
+    `device_rngs` holds one generator per device, drawing its symbol phases
+    frame after frame; `frame_rngs` one per frame, drawing its channel, then
+    its noise.  Frames go through in blocks whose faded planes stay within
     BLOCK_BYTES; since every generator belongs to one device or one frame,
     and no coordinate's result depends on another's sign, neither the block
     size nor the padding can change the result.

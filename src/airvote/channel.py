@@ -119,10 +119,10 @@ def check_powers(powers, num_devices: int) -> np.ndarray:
 
 
 def superpose(signs, faded, powers, config: ChannelConfig, frame_rngs) -> np.ndarray:
-    """Received plus and minus bins, (frames, 2, coordinates) complex: on
-    each bin the sum over the devices that light it of sqrt(power *
-    SYMBOL_ENERGY) times their symbol, plane by plane of sample_channel's
-    `faded`, plus complex Gaussian noise of total variance noise_var.
+    """Received plus and minus bins as real and imaginary float64 planes, (2, frames, 2,
+    coordinates): on each bin the sum over the devices that light it of sqrt(power *
+    SYMBOL_ENERGY) times their symbol in sample_channel's planes `faded`, plus complex
+    Gaussian noise of total variance noise_var, added into the planes.
 
     Frame f's generator draws the noise of its 2 x coordinates bins, real
     parts first, plus bins before minus bins.
@@ -137,13 +137,11 @@ def superpose(signs, faded, powers, config: ChannelConfig, frame_rngs) -> np.nda
         raise ValueError(f"{len(frame_rngs)} noise generators for {num_frames} frames")
     amplitudes = np.sqrt(SYMBOL_ENERGY * powers)[:, None]
     on_minus = amplitudes * (signs < 0)  # 0 where the device lights the plus bin
-    received = np.empty((num_frames, 2, num_coordinates), dtype=np.complex128)
+    received = np.empty((2, num_frames, 2, num_coordinates))
     for side, weights in enumerate((amplitudes - on_minus, on_minus)):
-        # Sum over devices of weight x symbol, real and imaginary planes alike: a masked complex sum is 3x slower.
-        received[:, side].real = np.einsum("fdc,fdc->fc", faded[0], weights)
-        received[:, side].imag = np.einsum("fdc,fdc->fc", faded[1], weights)
+        # Sum over devices of weight x symbol, both planes at once: a masked complex sum is 3x slower.
+        np.einsum("pfdc,fdc->pfc", faded, weights, out=received[:, :, side])
     scale = np.sqrt(config.noise_var / 2.0)
-    for bins, rng in zip(received, frame_rngs):
-        bins.real += scale * rng.standard_normal(bins.shape)
-        bins.imag += scale * rng.standard_normal(bins.shape)
+    for bins, rng in zip(received.swapaxes(0, 1), frame_rngs):
+        bins += scale * rng.standard_normal(bins.shape)  # (2, 2, coordinates): planes, then sides
     return received

@@ -28,14 +28,15 @@ class DetectionResult:
 
 
 def detect(received: np.ndarray) -> DetectionResult:
-    """Energies re*re + im*im (np.abs rounds by SIMD level) of the paired bins of every
-    coordinate and the vote they give: +1 where e_plus > e_minus, -1 where smaller, +1 on
-    an exact tie.  Received bins (..., 2, coordinates), plus bins before minus bins as
-    `channel.superpose` stacks them, give (..., coordinates) arrays."""
+    """Energies re*re + im*im of every coordinate's paired bins, in the float64 planes (2, ..., 2,
+    coordinates) `channel.superpose` returns, and the vote they give: +1 where e_plus > e_minus,
+    -1 where smaller, +1 on an exact tie; (..., coordinates) arrays."""
     received = np.asarray(received)
-    if received.ndim < 2 or received.shape[-2] != 2:
-        raise ValueError(f"received bins of shape {received.shape}; expected (..., 2, coordinates)")
-    energies = received.real * received.real + received.imag * received.imag
+    if received.dtype != np.float64 or received.ndim < 3 or received.shape[0] != 2 or received.shape[-2] != 2:
+        raise ValueError(f"received bins of shape {received.shape} and dtype {received.dtype}; "
+                         "expected float64 planes (2, ..., 2, coordinates)")
+    re, im = received
+    energies = re * re + im * im
     e_plus, e_minus = energies[..., 0, :], energies[..., 1, :]
     return DetectionResult(e_plus, e_minus, sign_votes(e_plus < e_minus))
 

@@ -123,11 +123,14 @@ def test_unit_phasors_match_exp():
     assert (one.real, one.imag) == (1.0, 0.0)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 8192, 9 * 1000])
-def test_sample_channel_chunking_is_invisible(chunk, monkeypatch):
-    # each phasor is computed on its own, so chunking moves no bit
+@pytest.mark.parametrize("chunk", [1, 8192, 9 * 1000])
+@pytest.mark.parametrize("fading", FADING_MODES)
+def test_sample_channel_chunking_is_invisible(fading, chunk, monkeypatch):
+    # each phasor is computed on its own, so chunking moves no bit: chunks hold
+    # max(1, chunk // 1000) of a frame's 9 rows, so 1, 8 + 1 or all 9, and a
+    # per_frame or unit gain (2, devices, 1) is sliced along with its rows
     signs, _ = _random_signs((2, 9, 1000), 5)
-    cfg = ChannelConfig(sync_error_max=0.3)
+    cfg = ChannelConfig(sync_error_max=0.3, fading=fading)
 
     def draw():
         phases = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, signs.shape)
@@ -204,8 +207,9 @@ def test_superpose_noise_only_energy():
     cfg = ChannelConfig(noise_var=1.0, fading="none")
     signs = np.ones((1, 1, 50_000))
     out = _superpose(signs, np.zeros((2, *signs.shape)), np.array([1.0]), cfg)
-    assert out.shape == (1, 2, 50_000)  # 1e5 noisy bins
-    assert np.mean(np.abs(out) ** 2) == pytest.approx(1.0, rel=0.02)
+    assert out.shape == (2, 1, 2, 50_000) and out.dtype == np.float64  # 1e5 noisy bins
+    result = detect(out)
+    assert np.mean([result.e_plus, result.e_minus]) == pytest.approx(1.0, rel=0.02)
 
 
 def test_superpose_sums_each_bin_over_the_devices_lighting_it():
@@ -215,9 +219,9 @@ def test_superpose_sums_each_bin_over_the_devices_lighting_it():
     faded = rng.normal(size=(2, *signs.shape))
     powers = np.array([1.0, 2.0, 0.5])
     out = _superpose(signs, faded, powers, cfg)
-    weighted = np.sqrt(SYMBOL_ENERGY * powers)[:, None] * _complex(faded)
-    np.testing.assert_array_equal(out[:, 0], np.where(signs > 0, weighted, 0).sum(axis=1))
-    np.testing.assert_array_equal(out[:, 1], np.where(signs < 0, weighted, 0).sum(axis=1))
+    weighted = np.sqrt(SYMBOL_ENERGY * powers)[:, None] * faded  # both planes
+    np.testing.assert_array_equal(out[:, :, 0], np.where(signs > 0, weighted, 0).sum(axis=2))
+    np.testing.assert_array_equal(out[:, :, 1], np.where(signs < 0, weighted, 0).sum(axis=2))
 
 
 def test_superpose_shape_checks():
@@ -254,7 +258,7 @@ def test_frame_axis_matches_per_frame_calls(fading):
 
     faded = sample_channel(signs, phases, 16, cfg, generators(0))
     received = superpose(signs, faded, powers, cfg, generators(1))
-    assert faded.shape == (2, 3, 4, 8) and received.shape == (3, 2, 8)
+    assert faded.shape == (2, 3, 4, 8) and received.shape == (2, 3, 2, 8)
     aligned = _complex(sample_channel(signs, phases, 16, replace(cfg, sync_error_max=0.0), generators(0)))
     for f, (channel_rng, noise_rng) in enumerate(zip(generators(0), generators(1))):
         one = slice(f, f + 1)
@@ -264,7 +268,7 @@ def test_frame_axis_matches_per_frame_calls(fading):
             _timing_offsets(_complex(faded), aligned, lit)[f],
             _timing_offsets(_complex(single), aligned[one], lit[one])[0],
         )
-        np.testing.assert_array_equal(received[f], superpose(signs[one], single, powers, cfg, [noise_rng])[0])
+        np.testing.assert_array_equal(received[:, f], superpose(signs[one], single, powers, cfg, [noise_rng])[:, 0])
 
 
 # One air_detect call per fading mode (31 devices, 7,850 coordinates, spread
@@ -322,7 +326,7 @@ def test_no_stage_writes_its_inputs():
         "powers": np.array([1.0, 2.0, 0.5]),
         "phases": rng.uniform(0.0, 2.0 * np.pi, signs.shape),
         "faded": rng.normal(size=(2, *signs.shape)),
-        "received": rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4)),
+        "received": rng.normal(size=(2, 2, 2, 4)),
     }
     copies = {name: array.copy() for name, array in inputs.items()}
     for array in inputs.values():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,17 +14,26 @@ from airvote.detector import detect, ideal_majority_vote, sign_votes
 from airvote.phy import PhyConfig
 
 
-def test_measure_energies_zero_frame():
-    result = detect(np.zeros((1, 2, 4), dtype=complex))
+def test_detect_zero_frame():
+    result = detect(np.zeros((2, 1, 2, 4)))
     assert np.all(result.e_plus == 0) and np.all(result.e_minus == 0)
     np.testing.assert_array_equal(result.votes, 1)  # every pair ties
 
 
-def test_measure_energies_out_of_range():
-    with pytest.raises(ValueError, match="expected"):
-        detect(np.zeros((1, 3, 4), dtype=complex))
-    with pytest.raises(ValueError, match="expected"):
-        detect(np.zeros(8, dtype=complex))
+def test_detect_rejects_other_planes():
+    for shape, dtype in [
+        ((2, 1, 3, 4), np.float64),  # three bins a coordinate
+        ((3, 1, 2, 4), np.float64),  # three planes
+        ((2, 4), np.float64),  # no bin axis
+        ((8,), np.float64),
+        ((1, 2, 4), np.complex128),  # one complex frame, plus bins before minus bins
+        ((2, 1, 2, 4), np.complex128),  # planes of the right shape, not real
+        ((2, 1, 2, 4), np.float32),
+    ]:
+        message = (f"received bins of shape {shape} and dtype {np.dtype(dtype)}; "
+                   "expected float64 planes (2, ..., 2, coordinates)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            detect(np.zeros(shape, dtype=dtype))
 
 
 def test_single_device_clean_energy():
@@ -77,10 +88,11 @@ def test_clean_channel_detection_is_the_majority_vote(signs, block_bytes, low_rn
 
 def test_detection_invariant_to_global_phase():
     rng = np.random.default_rng(5)
-    received = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+    real, imag = received = rng.normal(size=(2, 2, 8))
     base = detect(received)
     for theta in (0.3, 1.7, np.pi):
-        rotated = detect(received * np.exp(1j * theta))
+        cos, sin = np.cos(theta), np.sin(theta)
+        rotated = detect(np.stack([real * cos - imag * sin, real * sin + imag * cos]))
         np.testing.assert_allclose(rotated.e_plus, base.e_plus, atol=1e-12)
         np.testing.assert_allclose(rotated.e_minus, base.e_minus, atol=1e-12)
         np.testing.assert_array_equal(rotated.votes, base.votes)
@@ -88,10 +100,10 @@ def test_detection_invariant_to_global_phase():
 
 def test_detection_result_fields_consistent():
     rng = np.random.default_rng(6)
-    received = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    real, imag = received = rng.normal(size=(2, 2, 4))
     result = detect(received)
     assert np.all(result.e_plus >= 0) and np.all(result.e_minus >= 0)
-    energies = received.real * received.real + received.imag * received.imag
+    energies = real * real + imag * imag
     np.testing.assert_array_equal(result.e_plus, energies[0])
     np.testing.assert_array_equal(result.e_minus, energies[1])
     np.testing.assert_array_equal(result.votes, np.where(result.e_plus < result.e_minus, -1, 1))
@@ -99,10 +111,10 @@ def test_detection_result_fields_consistent():
 
 def test_detect_frame_axis_matches_per_frame_detect():
     rng = np.random.default_rng(8)
-    received = rng.normal(size=(3, 2, 6)) + 1j * rng.normal(size=(3, 2, 6))
+    received = rng.normal(size=(2, 3, 2, 6))
     batch = detect(received)
     for f in range(3):
-        single = detect(received[f])
+        single = detect(received[:, f])
         for name in ("e_plus", "e_minus", "votes"):
             np.testing.assert_array_equal(getattr(batch, name)[f], getattr(single, name))
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from airvote.channel import ChannelConfig, sample_channel, superpose
+from airvote.detector import detect
 from airvote.phy import (
     FFT_SIZE,
     SYMBOL_ENERGY,
@@ -83,8 +84,8 @@ def test_lit_subcarriers_follow_the_sign():
 
 
 def _received(signs, phases, num_subcarriers):
-    """Received plus and minus bins of one unit-power device per sign row,
-    over a unit-gain, aligned, noiseless channel."""
+    """Received plus and minus bins, as superpose's planes, of one unit-power
+    device per sign row, over a unit-gain, aligned, noiseless channel."""
     cfg = ChannelConfig(noise_var=0.0, fading="none")
     frame_rngs = rngs(*range(len(signs)))  # draw only the zero offsets
     faded = sample_channel(signs, phases, num_subcarriers, cfg, frame_rngs)
@@ -95,16 +96,17 @@ def test_encode_pinned_randomization(low_rng):
     signs = np.array([[[1, -1, 1]]])
     phases = encode_signs(signs, [low_rng])
     np.testing.assert_array_equal(phases, 0.0)
-    received = _received(signs, phases, 6)[0]
-    np.testing.assert_array_equal(received, np.sqrt(2.0) * np.array([[1, 0, 1], [0, 1, 0]]))
+    real, imag = _received(signs, phases, 6)[:, 0]
+    np.testing.assert_array_equal(real, np.sqrt(2.0) * np.array([[1, 0, 1], [0, 1, 0]]))
+    np.testing.assert_array_equal(imag, 0.0)
 
 
 def test_encode_per_coordinate_energy_and_exactly_one_active():
     rng = np.random.default_rng(1)
     for trial in range(20):
         signs = rng.choice([-1, 1], size=(1, 1, 16))  # four symbols of 8 subcarriers
-        received = _received(signs, encode_signs(signs, rngs(trial)), 8)[0]
-        e_plus, e_minus = np.abs(received) ** 2
+        result = detect(_received(signs, encode_signs(signs, rngs(trial)), 8))
+        e_plus, e_minus = result.e_plus[0], result.e_minus[0]
         np.testing.assert_allclose(e_plus + e_minus, SYMBOL_ENERGY, atol=1e-12)
         assert np.all((e_plus == 0) ^ (e_minus == 0))
         # the lit bin is the one the sign names

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from airvote.experiment import ExperimentConfig, prepare_run, run_round
+from airvote.experiment import DatasetSpec, ExperimentConfig, prepare_run, run_round
+from airvote.learner import TrainingConfig
 from airvote.seeding import STREAM_BATCH, STREAM_CHANNEL, derive_rng, derive_rngs
 
 MASK64 = (1 << 64) - 1
@@ -47,12 +48,12 @@ def test_derive_rngs_matches_seed_sequence(master_seed, paths):
 def test_run_round_draws_from_the_per_round_paths(monkeypatch, scheme):
     """A round derives one generator per device and, over the air only, one
     per frame, all in one call, at the paths the module docstring lists."""
-    config = ExperimentConfig(scheme=scheme, master_seed=2**40 + 3)
-    config.training.num_devices = 4
-    config.training.batch_size = 32
-    config.dataset.samples = 400
-    config.dataset.test_samples = 40
-    config.dataset.input_dim = 50
+    config = ExperimentConfig(
+        scheme=scheme,
+        training=TrainingConfig(num_devices=4, batch_size=32),
+        dataset=DatasetSpec(samples=400, test_samples=40, input_dim=50),
+        master_seed=2**40 + 3,
+    )
     state = prepare_run(config)
     frames = config.phy.num_frames(state.predictor.num_params)
     assert frames > 1
