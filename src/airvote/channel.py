@@ -28,7 +28,7 @@ _STEP_HI = float(np.ldexp(np.rint(np.ldexp(_STEP, 48)), -48))
 _STEP_LO = (_STEP - _STEP_HI) + 2.4492935982947064e-16 / 256
 _NODES = np.exp(1j * (_STEP_HI * np.arange(256))) * (1.0 + 1j * (_STEP_LO * np.arange(256)))
 _TABLE = np.stack([_NODES.real, _NODES.imag])  # real and imaginary planes of the 256 nodes
-_PHASOR_CHUNK = 4096  # elements, in whole rows: a chunk's 32 KiB temporaries stay below glibc's heap trim threshold
+_PHASOR_CHUNK = 8192  # elements, in whole rows: each of the 64 KiB reused buffers stays below glibc's 128 KiB mmap threshold
 
 
 @dataclass
@@ -49,19 +49,38 @@ class ChannelConfig:
 def _unit_phasors(theta, gains, out) -> None:
     """`gains` (2, rows, columns or 1) times exp(j*theta), for 2-D `theta`, into the planes `out[0]`
     (real) and `out[1]` (imaginary), in real products: numpy's complex product and abs round by SIMD
-    level.  exp(j*theta) is within 4 * 2**-52 of np.exp(1j * theta) for |theta| <= 4*pi, exactly 1 at 0."""
+    level.  exp(j*theta) is within 4 * 2**-52 of np.exp(1j * theta) for |theta| <= 4*pi, exactly 1 at 0.
+    Every step writes into nine buffers made once per call; `out` may be `gains`, as a chunk forms all
+    four gain products before it writes either plane."""
     rows = max(1, _PHASOR_CHUNK // max(theta.shape[1], 1))
+    buffers = [np.empty((rows, theta.shape[1]), dtype) for dtype in [np.float64] * 8 + [np.intp]]
     for lo in range(0, len(theta), rows):
         angle, (gain_re, gain_im) = theta[lo:lo + rows], gains[:, lo:lo + rows]
-        k = np.rint(angle * (1.0 / _STEP))
-        d = angle - k * _STEP_HI - k * _STEP_LO
-        d2 = d * d
-        cos = 1.0 + d2 * (-1 / 2 + d2 * (1 / 24 + d2 * (-1 / 720)))  # d**8 / 8! < 1.3e-20 for |d| <= pi/256
-        sin = d * (1.0 + d2 * (-1 / 6 + d2 * (1 / 120)))  # d**7 / 7! < 8.3e-18
-        node_re, node_im = np.take(_TABLE, k.astype(np.intp) & 255, axis=1)  # k mod 256
-        re, im = node_re * cos - node_im * sin, node_re * sin + node_im * cos
-        np.subtract(gain_re * re, gain_im * im, out=out[0, lo:lo + rows])
-        np.add(gain_re * im, gain_im * re, out=out[1, lo:lo + rows])
+        k, d, d2, cos, sin, node_re, node_im, t, idx = (b[:len(angle)] for b in buffers)
+        np.rint(np.multiply(angle, 1.0 / _STEP, out=k), out=k)
+        np.subtract(angle, np.multiply(k, _STEP_HI, out=t), out=d)
+        d -= np.multiply(k, _STEP_LO, out=t)  # d = angle - k*hi - k*lo
+        np.multiply(d, d, out=d2)
+        # cos and sin of d by Horner's rule, innermost sum first; the first terms left out, d**8 / 8! and
+        # d**7 / 7!, are below 1.3e-20 and 8.3e-18 for |d| <= pi/256
+        for series, (inner, *outer) in ((cos, (-1 / 720, 1 / 24, -1 / 2, 1.0)), (sin, (1 / 120, -1 / 6, 1.0))):
+            np.multiply(d2, inner, out=series)
+            for c in outer[:-1]:
+                series += c
+                series *= d2
+            series += outer[-1]
+        sin *= d
+        np.copyto(idx, k, casting="unsafe")
+        idx &= 255  # k mod 256
+        np.take(_TABLE[0], idx, out=node_re, mode="clip")
+        np.take(_TABLE[1], idx, out=node_im, mode="clip")
+        re, im = np.multiply(node_re, cos, out=k), np.multiply(node_re, sin, out=d)
+        re -= np.multiply(node_im, sin, out=t)
+        im += np.multiply(node_im, cos, out=t)
+        re_re, im_im = np.multiply(gain_re, re, out=node_re), np.multiply(gain_im, im, out=node_im)
+        re_im, im_re = np.multiply(gain_re, im, out=cos), np.multiply(gain_im, re, out=sin)
+        np.subtract(re_re, im_im, out=out[0, lo:lo + rows])
+        np.add(re_im, im_re, out=out[1, lo:lo + rows])
 
 
 def sample_channel(signs, phases, num_subcarriers: int, config: ChannelConfig, frame_rngs) -> np.ndarray:
@@ -81,9 +100,10 @@ def sample_channel(signs, phases, num_subcarriers: int, config: ChannelConfig, f
     magnitudes unchanged.  Only lit bins are drawn: the paired bins carry
     nothing from the device.
 
-    Frame f's generator draws the real parts of its gains, then their
-    imaginary parts (one per device and coordinate, or one per device for
-    per_frame fading, none for "none"), then one offset per device.
+    Frame f's generator draws the real parts of its gains, then their imaginary
+    parts (one per device and coordinate, into the returned planes, or one per
+    device for per_frame fading, none for "none"), then one offset per device.
+    One `_unit_phasors` pass then forms every lit bin of the block.
     """
     signs, phases = np.asarray(signs), np.asarray(phases)
     if signs.ndim != 3 or phases.shape != signs.shape:
@@ -94,17 +114,21 @@ def sample_channel(signs, phases, num_subcarriers: int, config: ChannelConfig, f
     num_frames, num_devices, num_coordinates = signs.shape
     if len(frame_rngs) != num_frames:
         raise ValueError(f"{len(frame_rngs)} channel generators for {num_frames} frames")
-    unit = np.broadcast_to([[[1.0]], [[0.0]]], (2, num_devices, 1))  # 1*re - 0*im = re
-    drawn = np.empty((2, num_devices, num_coordinates if config.fading == "per_bin" else 1))
-    faded = np.empty((2, *signs.shape))
-    for planes, theta, frame_signs, rng in zip(faded.swapaxes(0, 1), phases, signs, frame_rngs):
-        gains = unit if config.fading == "none" else np.multiply(
-            rng.standard_normal(out=drawn), _HALF_ROOT, out=drawn)  # in place: one buffer for every frame
+    faded = np.empty((2, *signs.shape))  # per_bin fading draws its gains into these planes
+    unit = np.broadcast_to([[[[1.0]]], [[[0.0]]]], (2, num_frames, num_devices, 1))  # 1*re - 0*im = re
+    gains = {"per_bin": faded, "per_frame": np.empty(unit.shape), "none": unit}[config.fading]
+    theta = phases
+    for f, rng in enumerate(frame_rngs):
+        for plane in gains[:, f] if gains is not unit else ():  # real parts, then imaginary parts
+            np.multiply(rng.standard_normal(out=plane), _HALF_ROOT, out=plane)
         offsets = rng.uniform(0.0, config.sync_error_max, size=num_devices)
         if offsets.any():  # with every offset 0 the ramp is exactly 1
+            theta = phases.copy() if theta is phases else theta
             slopes = (-2.0 * np.pi / FFT_SIZE) * offsets
-            theta = theta + slopes[:, None] * lit_subcarriers(frame_signs, num_subcarriers)
-        _unit_phasors(theta, gains, planes)  # one phasor per lit bin: symbol phase plus timing ramp
+            theta[f] += slopes[:, None] * lit_subcarriers(signs[f], num_subcarriers)
+    rows = num_frames * num_devices  # one phasor per lit bin of the block: symbol phase plus timing ramp
+    _unit_phasors(theta.reshape(rows, num_coordinates), gains.reshape(2, rows, gains.shape[-1]),
+                  faded.reshape(2, rows, num_coordinates))
     return faded
 
 
@@ -136,7 +160,8 @@ def superpose(signs, faded, powers, config: ChannelConfig, frame_rngs) -> np.nda
     if len(frame_rngs) != num_frames:
         raise ValueError(f"{len(frame_rngs)} noise generators for {num_frames} frames")
     amplitudes = np.sqrt(SYMBOL_ENERGY * powers)[:, None]
-    on_minus = amplitudes * (signs < 0)  # 0 where the device lights the plus bin
+    on_minus = (signs < 0).astype(np.float64)  # 0 where the device lights the plus bin
+    on_minus *= amplitudes  # cast once: a bool operand is cast inside the broadcast product
     received = np.empty((2, num_frames, 2, num_coordinates))
     for side, weights in enumerate((amplitudes - on_minus, on_minus)):
         # Sum over devices of weight x symbol, both planes at once: a masked complex sum is 3x slower.

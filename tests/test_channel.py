@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -123,22 +124,42 @@ def test_unit_phasors_match_exp():
     assert (one.real, one.imag) == (1.0, 0.0)
 
 
-@pytest.mark.parametrize("chunk", [1, 8192, 9 * 1000])
+def test_unit_phasors_are_pinned_bit_for_bit():
+    # sha256 of the planes for 100,000 angles in [-2pi, 4pi): it pins every product, sum and rounding
+    # of the evaluator, below what the 4-ulp bound sees (the cosine's 720 -> 721 moves 811 last bits)
+    rng = np.random.default_rng(38)
+    theta = rng.uniform(-2.0 * np.pi, 4.0 * np.pi, (100, 1000))
+    drawn = rng.standard_normal((2, 100, 1000))
+    unit = np.broadcast_to([[[1.0]], [[0.0]]], (2, 100, 1))
+    for gains, digest in (
+        (unit, "3fee1241f3f2e4fa51384a398c5fa97f718c26dc0231e3a295aa3ab8272f5fc9"),
+        (drawn, "dd7c3e12895d3368768de5f47e94c19188d2fb76b4503b1e4cfe71f00b443744"),
+    ):
+        out = np.empty((2, 100, 1000))
+        _unit_phasors(theta, gains, out)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+    # written in place over the gains, as sample_channel does for per_bin fading
+    _unit_phasors(theta, drawn, drawn)
+    np.testing.assert_array_equal(drawn, out)
+
+
+@pytest.mark.parametrize("chunk", [1, 4000, 18 * 1000])
 @pytest.mark.parametrize("fading", FADING_MODES)
 def test_sample_channel_chunking_is_invisible(fading, chunk, monkeypatch):
-    # each phasor is computed on its own, so chunking moves no bit: chunks hold
-    # max(1, chunk // 1000) of a frame's 9 rows, so 1, 8 + 1 or all 9, and a
-    # per_frame or unit gain (2, devices, 1) is sliced along with its rows
+    # each phasor is computed on its own, so chunking moves no bit: one pass takes both frames'
+    # 9 rows of 1,000 in chunks of 1 row, of 4 rows (rows 8-11 straddle the frames) or of all 18,
+    # and a per_frame or unit gain (2, rows, 1) is sliced along with its rows
     signs, _ = _random_signs((2, 9, 1000), 5)
-    cfg = ChannelConfig(sync_error_max=0.3, fading=fading)
+    phases = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, signs.shape)
 
-    def draw():
-        phases = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, signs.shape)
+    def draw(sync_error_max):
+        cfg = ChannelConfig(sync_error_max=sync_error_max, fading=fading)
         return sample_channel(signs, phases, 64, cfg, rngs((4, 0), (4, 1)))
 
-    reference = draw()
+    reference, aligned = draw(0.3), draw(0.0)
+    assert all((reference[:, f] != aligned[:, f]).any() for f in range(2))  # both frames carry a ramp
     monkeypatch.setattr(channel, "_PHASOR_CHUNK", chunk)
-    np.testing.assert_array_equal(draw(), reference)
+    np.testing.assert_array_equal(draw(0.3), reference)
 
 
 def test_sample_channel_validates():
